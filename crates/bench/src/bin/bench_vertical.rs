@@ -55,7 +55,6 @@ struct Row {
     intersections: u64,
     words_anded: u64,
     tidset_kb: u64,
-    steals: u64,
 }
 
 fn main() {
@@ -93,7 +92,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut diverged = false;
     println!(
-        "{:<24} {:<9} {:<7} {:>2} {:>10} {:>10} {:>7} {:>12} {:>12} {:>9} {:>7}",
+        "{:<24} {:<9} {:<7} {:>2} {:>10} {:>10} {:>7} {:>12} {:>12} {:>9}",
         "dataset",
         "algo",
         "backend",
@@ -103,8 +102,7 @@ fn main() {
         "imbal",
         "intersects",
         "words&",
-        "tidsetKB",
-        "steals"
+        "tidsetKB"
     );
     for (name, db, minsup, max_k) in workloads {
         // Sequential sorted-backend run is the correctness oracle.
@@ -136,7 +134,6 @@ fn main() {
                     intersections: stats.metrics.total(Counter::TidsetIntersections),
                     words_anded: stats.metrics.total(Counter::TidsetWordsAnded),
                     tidset_kb: stats.metrics.total(Counter::TidsetBytes) / 1024,
-                    steals: stats.metrics.total(Counter::ChunksStolen),
                 };
                 print_row(&row);
                 rows.push(row);
@@ -173,7 +170,6 @@ fn main() {
                 intersections: stats.metrics.total(Counter::TidsetIntersections),
                 words_anded: stats.metrics.total(Counter::TidsetWordsAnded),
                 tidset_kb: stats.metrics.total(Counter::TidsetBytes) / 1024,
-                steals: stats.metrics.total(Counter::ChunksStolen),
             };
             print_row(&row);
             rows.push(row);
@@ -254,7 +250,7 @@ fn main() {
             "    {{\"dataset\": \"{}\", \"algorithm\": \"{}\", \"backend\": \"{}\", \
              \"threads\": {}, \"wall_seconds\": {:.6}, \"simulated_seconds\": {:.6}, \
              \"mine_imbalance\": {:.4}, \"intersections\": {}, \"words_anded\": {}, \
-             \"tidset_kb\": {}, \"steals\": {}}}{}\n",
+             \"tidset_kb\": {}}}{}\n",
             r.dataset,
             r.algorithm,
             r.backend,
@@ -265,7 +261,6 @@ fn main() {
             r.intersections,
             r.words_anded,
             r.tidset_kb,
-            r.steals,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -280,7 +275,7 @@ fn main() {
 
 fn print_row(r: &Row) {
     println!(
-        "{:<24} {:<9} {:<7} {:>2} {:>10.4} {:>10.4} {:>7.3} {:>12} {:>12} {:>9} {:>7}",
+        "{:<24} {:<9} {:<7} {:>2} {:>10.4} {:>10.4} {:>7.3} {:>12} {:>12} {:>9}",
         r.dataset,
         r.algorithm,
         r.backend,
@@ -290,7 +285,6 @@ fn print_row(r: &Row) {
         r.mine_imbalance,
         r.intersections,
         r.words_anded,
-        r.tidset_kb,
-        r.steals
+        r.tidset_kb
     );
 }

@@ -57,10 +57,13 @@ pub fn read_binary<R: Read>(mut r: R) -> io::Result<Database> {
         return Err(fail("unsupported version"));
     }
     let n_items = buf.get_u32_le();
-    let n_txns = buf.get_u64_le() as usize;
+    let n_txns = usize::try_from(buf.get_u64_le()).map_err(|_| fail("truncated offsets"))?;
 
-    if buf.remaining() < (n_txns + 1) * 4 {
-        return Err(fail("truncated offsets"));
+    // The header count is untrusted: bound the `n_txns + 1` offset words by
+    // the bytes actually present before sizing any allocation from it.
+    match n_txns.checked_add(1).and_then(|n| n.checked_mul(4)) {
+        Some(bytes) if bytes <= buf.remaining() => {}
+        _ => return Err(fail("truncated offsets")),
     }
     let mut offsets = Vec::with_capacity(n_txns + 1);
     for _ in 0..=n_txns {
@@ -183,6 +186,22 @@ mod tests {
         write_binary(&sample(), &mut buf).unwrap();
         for cut in [3, 19, buf.len() - 1] {
             assert!(read_binary(&buf[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn binary_rejects_crafted_transaction_counts() {
+        // 1 << 62 wraps the unchecked `(n + 1) * 4` to 4, which the 4-byte
+        // payload satisfies; u64::MAX wraps `n + 1` itself.
+        for n_txns in [1u64 << 62, u64::MAX] {
+            let mut buf = Vec::new();
+            buf.put_slice(MAGIC);
+            buf.put_u32_le(VERSION);
+            buf.put_u32_le(8);
+            buf.put_u64_le(n_txns);
+            buf.put_u32_le(0);
+            let err = read_binary(&buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "n_txns={n_txns}");
         }
     }
 

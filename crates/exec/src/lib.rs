@@ -5,33 +5,25 @@
 //! count phase. That is exact and deterministic but gates every barrier on
 //! the slowest thread, and transaction-length skew makes the slowest thread
 //! arbitrarily slow. This crate keeps the static split as one mode of a
-//! [`ChunkPool`] and adds three dynamic schedules over the same index space:
+//! [`ChunkPool`] and adds one dynamic schedule over the same index space:
 //!
 //! * [`Scheduling::Static`] — the paper's split, unchanged. Each thread
 //!   receives exactly its seed range, once. This is the differential-test
-//!   oracle: every other mode must produce bit-identical results.
-//! * [`Scheduling::Chunked`] — a shared atomic cursor hands out fixed-size
-//!   chunks; threads race on a single `compare_exchange` loop.
-//! * [`Scheduling::Guided`] — guided self-scheduling: chunk size is
-//!   `max(remaining / (2·P), floor)`, so early chunks are large (low
-//!   scheduling overhead) and late chunks shrink toward the floor (bounded
-//!   tail latency).
-//! * [`Scheduling::Stealing`] — each thread owns a deque of pre-chopped
-//!   chunks over its seed range (largest first); the owner pops from the
-//!   front for sequential locality, and threads that run dry steal the
-//!   smallest tail chunks from the back of a victim's deque. When the total
-//!   work is too small to be worth deque setup, the pool silently falls back
-//!   to the guided cursor.
+//!   oracle: the dynamic mode must produce bit-identical results.
+//! * [`Scheduling::Guided`] — guided self-scheduling over one shared atomic
+//!   cursor: chunk size is `max(remaining / (2·P), floor)`, so early chunks
+//!   are large (low scheduling overhead) and late chunks shrink toward the
+//!   floor (bounded tail latency).
 //!
-//! All four modes partition the seeded items exactly — every index is handed
+//! Both modes partition the seeded items exactly — every index is handed
 //! out exactly once, chunks never cross a seed-range boundary — so any
 //! commutative per-item computation (atomic counter increments, reduced
 //! local histograms) yields results independent of the schedule. The pool
-//! also tallies per-thread telemetry ([`ExecStats`]: chunks, items, steals,
-//! CAS retries) that the drivers fold into `arm-metrics`.
+//! also tallies per-thread telemetry ([`ExecStats`]: chunks, items, CAS
+//! retries, cancellation checks) that the drivers fold into `arm-metrics`.
 
 use arm_faults::CancelToken;
-use arm_mem::{CacheAligned, ChunkDeque};
+use arm_mem::CacheAligned;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -41,41 +33,18 @@ pub enum Scheduling {
     /// The paper's static block split: thread `t` processes exactly its
     /// seed range. Deterministic oracle for the differential suite.
     Static,
-    /// Shared cursor handing out fixed-size chunks of `chunk` items.
-    Chunked {
-        /// Number of items per chunk (clamped to at least 1).
-        chunk: usize,
-    },
     /// Guided self-scheduling: chunk = `max(remaining / (2·P), floor)`.
-    Guided,
-    /// Per-thread chunk deques with work stealing from the back.
     #[default]
-    Stealing,
-}
-
-impl Scheduling {
-    /// Stable lowercase label used in benches and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheduling::Static => "static",
-            Scheduling::Chunked { .. } => "chunked",
-            Scheduling::Guided => "guided",
-            Scheduling::Stealing => "stealing",
-        }
-    }
+    Guided,
 }
 
 /// Per-thread scheduling telemetry, snapshotted from a [`ChunkPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Chunks this thread claimed (own deque, cursor, or stolen).
+    /// Chunks this thread claimed.
     pub chunks: u64,
     /// Items contained in those chunks.
     pub items: u64,
-    /// Chunks this thread stole from another thread's deque.
-    pub stolen: u64,
-    /// Steal probes this thread issued (successful or not).
-    pub steal_attempts: u64,
     /// Failed `compare_exchange` iterations on the shared cursor.
     pub cursor_retries: u64,
     /// Cancellation checkpoints this thread passed before claiming
@@ -87,8 +56,6 @@ pub struct ExecStats {
 struct StatCells {
     chunks: AtomicU64,
     items: AtomicU64,
-    stolen: AtomicU64,
-    steal_attempts: AtomicU64,
     cursor_retries: AtomicU64,
     cancel_checks: AtomicU64,
 }
@@ -98,17 +65,10 @@ impl StatCells {
         ExecStats {
             chunks: self.chunks.load(Ordering::Relaxed),
             items: self.items.load(Ordering::Relaxed),
-            stolen: self.stolen.load(Ordering::Relaxed),
-            steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
             cursor_retries: self.cursor_retries.load(Ordering::Relaxed),
             cancel_checks: self.cancel_checks.load(Ordering::Relaxed),
         }
     }
-}
-
-enum CursorMode {
-    Fixed(usize),
-    Guided { floor: usize },
 }
 
 enum Repr {
@@ -119,16 +79,12 @@ enum Repr {
     },
     /// Single atomic cursor over the virtual concatenation of the seed
     /// ranges; chunks are clipped at seed-range boundaries.
-    Cursor {
+    Guided {
         pos: AtomicUsize,
         /// `prefix[i]` = virtual start of `ranges[i]`; `prefix[n]` = total.
         prefix: Vec<usize>,
         ranges: Vec<Range<usize>>,
-        mode: CursorMode,
-    },
-    /// Per-thread deques of pre-chopped chunks, shrinking toward the tail.
-    Stealing {
-        deques: Vec<CacheAligned<ChunkDeque<Range<usize>>>>,
+        floor: usize,
     },
 }
 
@@ -147,11 +103,11 @@ pub struct ChunkPool {
 }
 
 impl ChunkPool {
-    /// Default minimum chunk size for `Guided` and `Stealing`.
+    /// Default minimum chunk size for `Guided`.
     ///
     /// 64 transactions is small enough that the final chunks cannot gate a
-    /// barrier, and large enough that deque/cursor traffic stays far below
-    /// the per-transaction tree-probe cost.
+    /// barrier, and large enough that cursor traffic stays far below the
+    /// per-transaction tree-probe cost.
     pub const DEFAULT_FLOOR: usize = 64;
 
     /// Builds a pool over `ranges` (one seed range per thread) with the
@@ -161,15 +117,13 @@ impl ChunkPool {
     }
 
     /// Builds a pool with an explicit chunk-size floor (items). The floor
-    /// applies to `Guided` sizing and to `Stealing` chunk chopping; it is
-    /// clamped to at least 1.
+    /// applies to `Guided` sizing; it is clamped to at least 1.
     pub fn with_floor(ranges: &[Range<usize>], mode: Scheduling, floor: usize) -> Self {
         assert!(
             !ranges.is_empty(),
             "ChunkPool needs at least one seed range"
         );
         let n = ranges.len();
-        let floor = floor.max(1);
         let total: usize = ranges.iter().map(|r| r.len()).sum();
         let repr = match mode {
             Scheduling::Static => Repr::Static {
@@ -178,22 +132,19 @@ impl ChunkPool {
                     .map(|_| CacheAligned::new(AtomicBool::new(false)))
                     .collect(),
             },
-            Scheduling::Chunked { chunk } => {
-                Self::cursor_repr(ranges, CursorMode::Fixed(chunk.max(1)))
-            }
-            Scheduling::Guided => Self::cursor_repr(ranges, CursorMode::Guided { floor }),
-            Scheduling::Stealing => {
-                // Too little work to amortize deque setup: a guided cursor
-                // distributes it with strictly less machinery and the same
-                // exactly-once guarantee.
-                if total < 2 * n * floor {
-                    Self::cursor_repr(ranges, CursorMode::Guided { floor })
-                } else {
-                    let deques: Vec<_> = ranges
-                        .iter()
-                        .map(|r| CacheAligned::new(Self::chop(r.clone(), floor)))
-                        .collect();
-                    Repr::Stealing { deques }
+            Scheduling::Guided => {
+                let mut prefix = Vec::with_capacity(n + 1);
+                let mut acc = 0usize;
+                prefix.push(0);
+                for r in ranges {
+                    acc += r.len();
+                    prefix.push(acc);
+                }
+                Repr::Guided {
+                    pos: AtomicUsize::new(0),
+                    prefix,
+                    ranges: ranges.to_vec(),
+                    floor: floor.max(1),
                 }
             }
         };
@@ -214,38 +165,6 @@ impl ChunkPool {
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    fn cursor_repr(ranges: &[Range<usize>], mode: CursorMode) -> Repr {
-        let mut prefix = Vec::with_capacity(ranges.len() + 1);
-        let mut acc = 0usize;
-        prefix.push(0);
-        for r in ranges {
-            acc += r.len();
-            prefix.push(acc);
-        }
-        Repr::Cursor {
-            pos: AtomicUsize::new(0),
-            prefix,
-            ranges: ranges.to_vec(),
-            mode,
-        }
-    }
-
-    /// Chops one seed range into a deque of chunks: each chunk takes a
-    /// quarter of what remains (never below `floor`), so the front holds
-    /// large sequential chunks and the back holds floor-sized tails that
-    /// are cheap to migrate on a steal.
-    fn chop(range: Range<usize>, floor: usize) -> ChunkDeque<Range<usize>> {
-        let deque = ChunkDeque::with_capacity(16);
-        let mut start = range.start;
-        while start < range.end {
-            let remaining = range.end - start;
-            let len = (remaining / 4).max(floor).min(remaining);
-            deque.push_back(start..start + len);
-            start += len;
-        }
-        deque
     }
 
     /// Number of worker threads (== number of seed ranges).
@@ -282,13 +201,12 @@ impl ChunkPool {
                     Some(r.clone())
                 }
             }
-            Repr::Cursor {
+            Repr::Guided {
                 pos,
                 prefix,
                 ranges,
-                mode,
-            } => self.next_cursor(t, pos, prefix, ranges, mode),
-            Repr::Stealing { deques } => self.next_stealing(t, deques),
+                floor,
+            } => self.next_guided(t, pos, prefix, ranges, *floor),
         };
         if let Some(r) = &chunk {
             let cells = &self.stats[t];
@@ -298,24 +216,21 @@ impl ChunkPool {
         chunk
     }
 
-    fn next_cursor(
+    fn next_guided(
         &self,
         t: usize,
         pos: &AtomicUsize,
         prefix: &[usize],
         ranges: &[Range<usize>],
-        mode: &CursorMode,
+        floor: usize,
     ) -> Option<Range<usize>> {
-        let total = *prefix.last().unwrap();
+        let total = self.total;
         loop {
             let v = pos.load(Ordering::Relaxed);
             if v >= total {
                 return None;
             }
-            let want = match *mode {
-                CursorMode::Fixed(c) => c,
-                CursorMode::Guided { floor } => ((total - v) / (2 * self.n_threads)).max(floor),
-            };
+            let want = ((total - v) / (2 * self.n_threads)).max(floor);
             // Seed range containing virtual position v; chunks never cross
             // the boundary so `Static`-seeded weighted splits stay meaningful.
             let idx = prefix.partition_point(|&s| s <= v) - 1;
@@ -333,31 +248,6 @@ impl ChunkPool {
         }
     }
 
-    fn next_stealing(
-        &self,
-        t: usize,
-        deques: &[CacheAligned<ChunkDeque<Range<usize>>>],
-    ) -> Option<Range<usize>> {
-        // Owner path: next sequential chunk from our own front.
-        if let Some(r) = deques[t].pop_front() {
-            return Some(r);
-        }
-        // Steal path: probe victims round-robin, taking their smallest tail
-        // chunk. Chunks are never added after seeding, so one full sweep
-        // that finds every deque empty proves the pool is drained.
-        let p = deques.len();
-        let cells = &self.stats[t];
-        for i in 1..p {
-            let v = (t + i) % p;
-            cells.steal_attempts.fetch_add(1, Ordering::Relaxed);
-            if let Some(r) = deques[v].pop_back() {
-                cells.stolen.fetch_add(1, Ordering::Relaxed);
-                return Some(r);
-            }
-        }
-        None
-    }
-
     /// Snapshot of thread `t`'s telemetry.
     pub fn thread_stats(&self, t: usize) -> ExecStats {
         self.stats[t].snapshot()
@@ -367,6 +257,9 @@ impl ChunkPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const MODES: [Scheduling; 2] = [Scheduling::Static, Scheduling::Guided];
 
     fn block_ranges(n: usize, p: usize) -> Vec<Range<usize>> {
         // Mirror of arm-dataset::block_ranges, local to avoid a dev-dep cycle.
@@ -383,7 +276,8 @@ mod tests {
     }
 
     /// Drains the pool single-threaded (round-robin over thread slots) and
-    /// asserts exactly-once coverage of the seed ranges.
+    /// asserts exactly-once coverage of the seed ranges, with no chunk
+    /// crossing a seed-range boundary.
     fn assert_covers(pool: &ChunkPool, ranges: &[Range<usize>]) {
         let p = pool.n_threads();
         let mut got = Vec::new();
@@ -392,32 +286,57 @@ mod tests {
             active = false;
             for t in 0..p {
                 if let Some(r) = pool.next(t) {
+                    assert!(
+                        ranges.iter().any(|s| s.start <= r.start && r.end <= s.end),
+                        "chunk {r:?} crosses a seed boundary of {ranges:?}"
+                    );
                     got.extend(r);
                     active = true;
                 }
             }
         }
         got.sort_unstable();
-        let want: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
+        let mut want: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
+        want.sort_unstable();
         assert_eq!(got, want);
     }
 
     #[test]
     fn all_modes_cover_exactly_once() {
-        let modes = [
-            Scheduling::Static,
-            Scheduling::Chunked { chunk: 7 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ];
         for p in [1, 2, 4, 8] {
             for n in [0, 1, 63, 500, 4096] {
                 let ranges = block_ranges(n, p);
-                for mode in modes {
+                for mode in MODES {
                     let pool = ChunkPool::with_floor(&ranges, mode, 16);
                     assert_covers(&pool, &ranges);
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// Random floors over random uneven (possibly empty, possibly
+        /// gapped) seed ranges: the guided cursor hands out every seeded
+        /// index exactly once, even at the adversarial floor of 1.
+        #[test]
+        fn guided_random_floor_and_seeds_cover_exactly_once(
+            seeds in proptest::collection::vec((0usize..300, 0usize..20), 1..9),
+            floor in 1usize..400,
+        ) {
+            let mut start = 0;
+            let ranges: Vec<Range<usize>> = seeds
+                .iter()
+                .map(|&(len, gap)| {
+                    start += gap;
+                    let r = start..start + len;
+                    start += len;
+                    r
+                })
+                .collect();
+            let pool = ChunkPool::with_floor(&ranges, Scheduling::Guided, floor);
+            assert_covers(&pool, &ranges);
+            let items: u64 = (0..ranges.len()).map(|t| pool.thread_stats(t).items).sum();
+            prop_assert_eq!(items, pool.total_items() as u64);
         }
     }
 
@@ -431,17 +350,16 @@ mod tests {
             let s = pool.thread_stats(t);
             assert_eq!(s.chunks, 1);
             assert_eq!(s.items, r.len() as u64);
-            assert_eq!(s.stolen, 0);
+            assert_eq!(s.cursor_retries, 0);
         }
     }
 
     #[test]
-    fn chunked_respects_chunk_size_and_boundaries() {
+    fn guided_respects_seed_boundaries() {
         let ranges = vec![0..10, 10..95];
-        let pool = ChunkPool::new(&ranges, Scheduling::Chunked { chunk: 8 });
+        let pool = ChunkPool::with_floor(&ranges, Scheduling::Guided, 8);
         let mut prev_end = 0;
         while let Some(r) = pool.next(0) {
-            assert!(r.len() <= 8);
             assert_eq!(r.start, prev_end);
             // Never crosses the 10-boundary mid-chunk.
             assert!(r.end <= 10 || r.start >= 10);
@@ -467,42 +385,27 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_idle_victims() {
-        // Thread 1 never calls next(); thread 0 must steal everything.
+    fn guided_one_thread_drains_idle_peers() {
+        // Thread 1 never calls next(); thread 0 must run everything,
+        // including thread 1's seed range.
         let ranges = block_ranges(4096, 2);
-        let pool = ChunkPool::with_floor(&ranges, Scheduling::Stealing, 64);
+        let pool = ChunkPool::with_floor(&ranges, Scheduling::Guided, 64);
         let mut got = Vec::new();
         while let Some(r) = pool.next(0) {
             got.extend(r);
         }
         got.sort_unstable();
         assert_eq!(got, (0..4096).collect::<Vec<_>>());
-        let s = pool.thread_stats(0);
-        assert!(s.stolen > 0);
-        assert!(s.steal_attempts >= s.stolen);
-        assert_eq!(s.items, 4096);
-    }
-
-    #[test]
-    fn stealing_falls_back_to_cursor_when_tiny() {
-        // 2 threads * floor 64 * 2 = 256 > 100 items: cursor fallback, so no
-        // steal telemetry, but coverage still exact.
-        let ranges = block_ranges(100, 2);
-        let pool = ChunkPool::with_floor(&ranges, Scheduling::Stealing, 64);
-        assert_covers(&pool, &ranges);
-        assert_eq!(pool.thread_stats(0).stolen + pool.thread_stats(1).stolen, 0);
+        assert_eq!(pool.thread_stats(0).items, 4096);
+        assert_eq!(pool.thread_stats(1).chunks, 0);
     }
 
     #[test]
     fn concurrent_drain_covers_exactly_once() {
-        for mode in [
-            Scheduling::Chunked { chunk: 5 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ] {
+        for floor in [1, 16] {
             let p = 8;
             let ranges = block_ranges(20_000, p);
-            let pool = ChunkPool::with_floor(&ranges, mode, 16);
+            let pool = ChunkPool::with_floor(&ranges, Scheduling::Guided, floor);
             let mut all: Vec<usize> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..p)
                     .map(|t| {
@@ -522,7 +425,7 @@ mod tests {
                     .collect()
             });
             all.sort_unstable();
-            assert_eq!(all, (0..20_000).collect::<Vec<_>>(), "mode {mode:?}");
+            assert_eq!(all, (0..20_000).collect::<Vec<_>>(), "floor {floor}");
             let items: u64 = (0..p).map(|t| pool.thread_stats(t).items).sum();
             assert_eq!(items, 20_000);
         }
@@ -532,12 +435,7 @@ mod tests {
     fn empty_and_uneven_seeds() {
         // Empty ranges for some threads (e.g. p > candidates).
         let ranges = vec![0..0, 0..3, 3..3, 3..5];
-        for mode in [
-            Scheduling::Static,
-            Scheduling::Chunked { chunk: 2 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ] {
+        for mode in MODES {
             let pool = ChunkPool::with_floor(&ranges, mode, 1);
             assert_covers(&pool, &ranges);
         }
@@ -545,12 +443,7 @@ mod tests {
 
     #[test]
     fn cancelled_pool_stops_within_one_claim_per_thread() {
-        for mode in [
-            Scheduling::Static,
-            Scheduling::Chunked { chunk: 4 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ] {
+        for mode in MODES {
             let ranges = block_ranges(1000, 4);
             let token = CancelToken::new();
             let pool = ChunkPool::with_floor(&ranges, mode, 8).with_cancel_token(token.clone());
@@ -570,8 +463,8 @@ mod tests {
     fn check_triggered_token_drains_deterministically() {
         let ranges = block_ranges(1000, 2);
         let token = CancelToken::new().cancel_after_checks(3);
-        let pool = ChunkPool::with_floor(&ranges, Scheduling::Chunked { chunk: 10 }, 1)
-            .with_cancel_token(token.clone());
+        let pool =
+            ChunkPool::with_floor(&ranges, Scheduling::Guided, 1).with_cancel_token(token.clone());
         assert!(pool.next(0).is_some());
         assert!(pool.next(1).is_some());
         assert!(pool.next(0).is_none(), "third checkpoint trips the trigger");
@@ -587,11 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_names_are_stable() {
-        assert_eq!(Scheduling::Static.name(), "static");
-        assert_eq!(Scheduling::Chunked { chunk: 4 }.name(), "chunked");
-        assert_eq!(Scheduling::Guided.name(), "guided");
-        assert_eq!(Scheduling::Stealing.name(), "stealing");
-        assert_eq!(Scheduling::default(), Scheduling::Stealing);
+    fn default_is_guided() {
+        assert_eq!(Scheduling::default(), Scheduling::Guided);
     }
 }

@@ -20,7 +20,7 @@ pub enum FaultKind {
     /// `catch_unwind` containment and sibling cancellation.
     Panic,
     /// Sleep for the given duration. Perturbs the schedule (forcing
-    /// steals, cursor races, late barriers) without touching results.
+    /// guided-cursor races and late barriers) without touching results.
     Delay(Duration),
 }
 

@@ -18,19 +18,14 @@
 //! * [`stable_vec`] — an append-only concurrent arena with lock-free reads,
 //!   used for the parallel hash-tree build where nodes are created while
 //!   other threads traverse existing ones (§3.1.4).
-//! * [`deque`] — a mutex-guarded double-ended chunk queue, the storage
-//!   primitive for the work-stealing scheduler in `arm-exec` (owner pops
-//!   front, thieves pop back).
 //! * [`CacheAligned`] — cache-line alignment wrapper for false-sharing
 //!   sensitive data.
 
 pub mod counters;
-pub mod deque;
 pub mod stable_vec;
 pub mod words;
 
 pub use counters::{FlatCounters, LocalCounters, PaddedCounters, SharedCounters};
-pub use deque::ChunkDeque;
 pub use stable_vec::StableVec;
 pub use words::{
     ContiguousBuilder, ContiguousStore, Handle, ScatterBuilder, ScatterStore, WordStore,

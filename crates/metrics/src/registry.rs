@@ -42,8 +42,12 @@ pub enum Counter {
     /// Scheduler chunks this thread claimed and executed (arm-exec).
     ChunksExecuted = 10,
     /// Chunks migrated onto this thread by a successful steal.
+    /// Nothing increments this since the stealing scheduler was removed;
+    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
     ChunksStolen = 11,
     /// Steal probes this thread issued, successful or not.
+    /// Nothing increments this since the stealing scheduler was removed;
+    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
     StealAttempts = 12,
     /// Failed CAS iterations on the shared scheduling cursor.
     CursorCasRetries = 13,

@@ -60,8 +60,12 @@ pub struct ThreadReport {
     /// Scheduler chunks this thread claimed and executed.
     pub chunks_executed: u64,
     /// Chunks migrated onto this thread by a successful steal.
+    /// Nothing increments this since the stealing scheduler was removed;
+    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
     pub chunks_stolen: u64,
     /// Steal probes this thread issued, successful or not.
+    /// Nothing increments this since the stealing scheduler was removed;
+    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
     pub steal_attempts: u64,
     /// Failed CAS iterations on the shared scheduling cursor.
     pub cursor_cas_retries: u64,
@@ -88,8 +92,12 @@ pub struct SchedReport {
     /// Total chunks claimed and executed.
     pub chunks_executed: u64,
     /// Chunks that migrated between threads via stealing.
+    /// Nothing increments this since the stealing scheduler was removed;
+    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
     pub chunks_stolen: u64,
     /// Steal probes issued, successful or not.
+    /// Nothing increments this since the stealing scheduler was removed;
+    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
     pub steal_attempts: u64,
     /// Failed CAS iterations on shared scheduling cursors.
     pub cursor_cas_retries: u64,

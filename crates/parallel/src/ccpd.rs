@@ -16,9 +16,8 @@
 //! The data-parallel phases (F1, tree build, counting) draw their work from
 //! an [`arm_exec::ChunkPool`] seeded with the phase's static split: under
 //! `Scheduling::Static` each thread receives exactly its block (the paper's
-//! behavior and the differential oracle), while the chunked/guided/stealing
-//! modes re-balance the same indices at run time without changing any
-//! result.
+//! behavior and the differential oracle), while the default `Guided` mode
+//! re-balances the same indices at run time without changing any result.
 //!
 //! Every phase records wall time and per-thread work for the speedup model
 //! in [`crate::stats`].
@@ -253,9 +252,9 @@ pub fn try_mine(
         let per_thread = cfg.base.placement.per_thread_counters();
         let shared = (!inline && !per_thread).then(|| FlatCounters::new(cands.len()));
 
-        // Dynamic modes re-chunk the very same partition the static split
-        // would use, so a weighted DbPartition still seeds the deques with
-        // its cost estimate and stealing only corrects the residual error.
+        // Guided scheduling re-chunks the very same partition the static
+        // split would use, and its chunks never cross a seed boundary, so a
+        // weighted DbPartition's cost-based boundaries still hold.
         let pool =
             ChunkPool::new(&db_ranges, cfg.scheduling).with_cancel_token(ctrl.cancel.clone());
         let outcomes: Vec<(WorkMeter, Option<LocalCounters>)> =
@@ -460,14 +459,12 @@ fn generate_member(
 
 /// Folds a drained [`ChunkPool`]'s per-thread scheduling telemetry into
 /// the matching metrics shards. Shared by every pool-driven phase in the
-/// workspace (CCPD/PCCD here, the vertical miner in `arm-vertical`).
+/// workspace (CCPD here, the vertical miner in `arm-vertical`).
 pub fn record_exec(metrics: &MetricsRegistry, pool: &ChunkPool) {
     for t in 0..pool.n_threads() {
         let s = pool.thread_stats(t);
         let shard = metrics.shard(t);
         shard.add(Counter::ChunksExecuted, s.chunks);
-        shard.add(Counter::ChunksStolen, s.stolen);
-        shard.add(Counter::StealAttempts, s.steal_attempts);
         shard.add(Counter::CursorCasRetries, s.cursor_retries);
         shard.add(Counter::CancelChecks, s.cancel_checks);
     }
@@ -566,12 +563,7 @@ mod tests {
         use arm_exec::Scheduling;
         let db = paper_db();
         let expected = mine_seq(&db, &base_cfg()).all_itemsets();
-        for mode in [
-            Scheduling::Static,
-            Scheduling::Chunked { chunk: 1 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ] {
+        for mode in [Scheduling::Static, Scheduling::Guided] {
             for p in [1usize, 2, 4] {
                 let cfg = ParallelConfig::new(base_cfg(), p).with_scheduling(mode);
                 let (r, _) = mine(&db, &cfg);

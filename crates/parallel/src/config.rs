@@ -40,9 +40,9 @@ pub struct ParallelConfig {
     pub db_partition: DbPartition,
     /// How data-parallel phases (F1, tree build, counting) distribute
     /// their index space at run time. `Static` is the paper's fixed split
-    /// (and the differential-test oracle); the dynamic modes re-balance
-    /// the same partition via an `arm-exec` chunk pool without changing
-    /// any result.
+    /// (and the differential-test oracle); the default `Guided` mode
+    /// re-balances the same partition via an `arm-exec` chunk pool without
+    /// changing any result. PCCD ignores it and always splits statically.
     pub scheduling: Scheduling,
 }
 
@@ -89,7 +89,7 @@ mod tests {
         assert_eq!(c.candgen_scheme, Scheme::Greedy);
         let c0 = ParallelConfig::new(AprioriConfig::default(), 0);
         assert_eq!(c0.n_threads, 1, "thread count clamps to 1");
-        assert_eq!(c.scheduling, Scheduling::Stealing);
+        assert_eq!(c.scheduling, Scheduling::Guided);
     }
 
     #[test]
@@ -97,10 +97,10 @@ mod tests {
         let c = ParallelConfig::new(AprioriConfig::default(), 2)
             .with_candgen(Scheme::Block)
             .with_db_partition(DbPartition::WeightedPerIteration)
-            .with_scheduling(Scheduling::Chunked { chunk: 128 });
+            .with_scheduling(Scheduling::Static);
         assert_eq!(c.candgen_scheme, Scheme::Block);
         assert_eq!(c.db_partition, DbPartition::WeightedPerIteration);
-        assert_eq!(c.scheduling, Scheduling::Chunked { chunk: 128 });
+        assert_eq!(c.scheduling, Scheduling::Static);
         assert_eq!(DbPartition::default(), DbPartition::Block);
     }
 }

@@ -5,26 +5,25 @@
 //! against it. Total counting work is therefore ~`P×` the CCPD work —
 //! the paper measured a speed-*down* and dropped the approach; we keep it
 //! as the baseline it is (Fig. 11 commentary, DESIGN.md experiment index).
+//! Being that baseline, it always runs the paper's static split and
+//! ignores [`ParallelConfig::scheduling`].
 
-use crate::ccpd::record_exec;
 use crate::config::ParallelConfig;
 use crate::scratch::ScratchPool;
 use crate::stats::ParallelRunStats;
 use arm_faults::{try_run_threads, MiningError, RunControl};
-use arm_metrics::{Counter, MetricsRegistry, TalliedCounters};
+use arm_metrics::{Counter, MetricsRegistry};
 
 use arm_core::{
     adaptive_fanout, count_singletons, equivalence_classes, f1_items, frequent_from_counts,
     generate_class, make_hash, FrequentLevel, IterStats, MiningResult,
 };
-use arm_dataset::{block_ranges, Database};
-use arm_exec::{ChunkPool, Scheduling};
+use arm_dataset::Database;
 use arm_hashtree::{
-    freeze_policy, AnyFrozenTree, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter,
-    TreeBuilder, WorkMeter,
+    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
+    WorkMeter,
 };
-use arm_mem::{FlatCounters, LocalCounters};
-use std::ops::Range;
+use arm_mem::LocalCounters;
 use std::time::Instant;
 
 /// Runs PCCD, returning the mining result (identical to sequential) and
@@ -37,8 +36,7 @@ pub fn mine(db: &Database, cfg: &ParallelConfig) -> (MiningResult, ParallelRunSt
 }
 
 /// Runs PCCD under a [`RunControl`]: cancellation is observed once per
-/// worker scan under `Static` scheduling and once per (bin, db-chunk)
-/// claim under the dynamic modes; fault-plan sites fire in phase `count`.
+/// worker scan; fault-plan sites fire in phase `count`.
 /// Same `Err` guarantees as [`crate::ccpd::try_mine`].
 pub fn try_mine(
     db: &Database,
@@ -121,11 +119,8 @@ pub fn try_mine(
         let weights = vec![1u64; cands.len()];
         let assignment = cfg.candgen_scheme.assign(&weights, p);
 
-        // Each thread: local tree over its candidates, full database scan.
-        // Under `Static` each bin is scanned start-to-finish by its owner
-        // (the paper's formulation, kept verbatim as the oracle); the
-        // dynamic modes chunk every bin's scan over (bin, db-chunk) units
-        // so a thread that finishes its own tree helps scan the others.
+        // Each thread: local tree over its candidates, full database scan
+        // start-to-finish by the bin's owner (the paper's formulation).
         let span = metrics.phase("count", k);
         let opts = CountOptions {
             short_circuit: cfg.base.short_circuit,
@@ -133,33 +128,18 @@ pub fn try_mine(
             hash_memo: cfg.base.hash_memo,
             iterative: cfg.base.iterative_walk,
         };
-        let (bin_counts, meters, tree_bytes, tree_nodes) = if cfg.scheduling == Scheduling::Static {
-            count_static(
-                db,
-                cfg,
-                &cands,
-                &hash,
-                &assignment.bins,
-                &scratch_pool,
-                opts,
-                &metrics,
-                p,
-                ctrl,
-            )?
-        } else {
-            count_dynamic(
-                db,
-                cfg,
-                &cands,
-                &hash,
-                &assignment.bins,
-                &scratch_pool,
-                opts,
-                &metrics,
-                p,
-                ctrl,
-            )?
-        };
+        let (bin_counts, meters, tree_bytes, tree_nodes) = count_static(
+            db,
+            cfg,
+            &cands,
+            &hash,
+            &assignment.bins,
+            &scratch_pool,
+            opts,
+            &metrics,
+            p,
+            ctrl,
+        )?;
         let count_work: Vec<u64> = meters.iter().map(|m| m.work_units()).collect();
         for (rm, m) in run_meters.iter_mut().zip(&meters) {
             rm.merge(m);
@@ -234,9 +214,9 @@ pub fn try_mine(
 /// final counts, slot-aligned.
 type BinCounts = Vec<(Vec<u32>, Vec<u32>)>;
 
-/// The paper's static formulation, kept verbatim as the differential
-/// oracle: bin `t`'s owner builds its local tree and scans the entire
-/// database alone, accumulating into private `LocalCounters`.
+/// The paper's static formulation: bin `t`'s owner builds its local tree
+/// and scans the entire database alone, accumulating into private
+/// `LocalCounters`.
 ///
 /// Returns per-bin (ids, counts), per-thread meters, and total tree
 /// bytes/nodes across bins.
@@ -354,157 +334,12 @@ fn count_static(
     Ok((bin_counts, meters, tree_bytes, tree_nodes))
 }
 
-/// One bin's shared state for the dynamic count: the frozen local tree,
-/// the bin's trim filter, its global candidate ids, and (when the tree's
-/// counters are not inline) a shared atomic counter array any thread can
-/// increment.
-struct BinTree {
-    tree: AnyFrozenTree,
-    filter: Option<ItemFilter>,
-    ids: Vec<u32>,
-    shared: Option<FlatCounters>,
-}
-
-/// The dynamic formulation: tree builds stay with the bin owner (one per
-/// thread, as in the paper), but the `P` full database scans are chunked
-/// into (bin, db-chunk) units drawn from a [`ChunkPool`]. Bin `t`'s units
-/// seed thread `t`'s share, so under low skew threads mostly scan their
-/// own tree (warm cache); a thread that runs dry helps scan another bin's
-/// tree, incrementing that bin's *shared atomic* counters.
-///
-/// Counts are bit-identical to [`count_static`]: every (transaction, bin)
-/// pair is scanned exactly once and counter increments are commutative
-/// atomic adds — only their distribution over threads changes. (Placement
-/// policies whose counters live outside the tree use `FlatCounters` here
-/// instead of per-thread arrays; same totals, now steal-safe.)
-#[allow(clippy::too_many_arguments)]
-fn count_dynamic(
-    db: &Database,
-    cfg: &ParallelConfig,
-    cands: &CandidateSet,
-    hash: &arm_balance::AnyHash,
-    bins: &[Vec<usize>],
-    scratch_pool: &Option<ScratchPool>,
-    opts: CountOptions,
-    metrics: &MetricsRegistry,
-    p: usize,
-    ctrl: &RunControl,
-) -> Result<(BinCounts, Vec<WorkMeter>, usize, u32), MiningError> {
-    let k = cands.k();
-    // Bin `t`'s tree is built by thread `t`, exactly as in the static path.
-    let bin_trees: Vec<Option<BinTree>> = try_run_threads(p, "count", &ctrl.cancel, |t| {
-        let shard = metrics.shard(t);
-        let ids = &bins[t];
-        let mut local_set = CandidateSet::new(k);
-        for &id in ids {
-            local_set.push(cands.get(id as u32));
-        }
-        if local_set.is_empty() {
-            return None;
-        }
-        let builder = TreeBuilder::new(&local_set, hash, cfg.base.leaf_threshold);
-        builder.insert_all_tallied(shard);
-        let tree = freeze_policy(&builder, cfg.base.placement);
-        shard.add(Counter::TreeBytes, tree.total_bytes() as u64);
-        shard.add(Counter::TreeNodes, tree.n_nodes() as u64);
-        let filter = cfg
-            .base
-            .trim_transactions
-            .then(|| ItemFilter::from_candidates(&local_set, db.n_items()));
-        let shared = (!tree.counters_inline()).then(|| FlatCounters::new(local_set.len()));
-        Some(BinTree {
-            tree,
-            filter,
-            ids: ids.iter().map(|&i| i as u32).collect(),
-            shared,
-        })
-    })?;
-
-    // Unit space: bin b × database chunk c, flattened as b·n_chunks + c.
-    // Chunks never cross a seed boundary, so every claimed range lies in
-    // one bin.
-    let n_chunks = db.len().min(4 * p).max(1);
-    let db_chunks = block_ranges(db.len(), n_chunks);
-    let seeds: Vec<Range<usize>> = (0..p).map(|t| t * n_chunks..(t + 1) * n_chunks).collect();
-    let pool =
-        ChunkPool::with_floor(&seeds, cfg.scheduling, 1).with_cancel_token(ctrl.cancel.clone());
-    let meters: Vec<WorkMeter> = try_run_threads(p, "count", &ctrl.cancel, |t| {
-        let shard = metrics.shard(t);
-        let mut meter = WorkMeter::default();
-        let mut pooled;
-        let mut fresh;
-        let scratch: &mut CountScratch = match scratch_pool {
-            Some(sp) => {
-                pooled = sp.slot(t);
-                &mut pooled
-            }
-            None => {
-                shard.incr(Counter::ScratchAllocs);
-                fresh = CountScratch::new(db.n_items(), 0);
-                &mut fresh
-            }
-        };
-        let mut cur_bin = usize::MAX;
-        let mut claim = 0u64;
-        while let Some(units) = pool.next(t) {
-            ctrl.faults.fire("count", t, claim);
-            claim += 1;
-            for u in units {
-                let (bin, chunk) = (u / n_chunks, u % n_chunks);
-                let Some(bt) = &bin_trees[bin] else { continue };
-                if bin != cur_bin {
-                    // Different tree: the stamp tables must be re-zeroed.
-                    scratch.retarget(bt.tree.n_nodes());
-                    shard.incr(Counter::ScratchRetargets);
-                    cur_bin = bin;
-                }
-                let tallied = bt.shared.as_ref().map(|s| TalliedCounters::new(s, shard));
-                let mut cref = match tallied.as_ref() {
-                    Some(tc) => CounterRef::Shared(tc),
-                    None => CounterRef::Inline,
-                };
-                bt.tree.count_partition(
-                    hash,
-                    db,
-                    db_chunks[chunk].clone(),
-                    bt.filter.as_ref(),
-                    scratch,
-                    &mut cref,
-                    opts,
-                    &mut meter,
-                );
-            }
-        }
-        shard.add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
-        meter
-    })?;
-    record_exec(metrics, &pool);
-
-    let mut bin_counts = Vec::with_capacity(p);
-    let mut tree_bytes = 0usize;
-    let mut tree_nodes = 0u32;
-    for bt in bin_trees {
-        match bt {
-            None => bin_counts.push((Vec::new(), Vec::new())),
-            Some(bt) => {
-                tree_bytes += bt.tree.total_bytes();
-                tree_nodes += bt.tree.n_nodes();
-                let counts = match &bt.shared {
-                    Some(s) => s.snapshot(),
-                    None => bt.tree.inline_counts(),
-                };
-                bin_counts.push((bt.ids, counts));
-            }
-        }
-    }
-    Ok((bin_counts, meters, tree_bytes, tree_nodes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ccpd;
     use arm_core::{mine as mine_seq, AprioriConfig, Support};
+    use arm_exec::Scheduling;
 
     fn paper_db() -> Database {
         Database::from_transactions(
@@ -538,20 +373,19 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_modes_agree_with_static() {
+    fn scheduling_is_ignored() {
+        // PCCD always runs the paper's static split, so the configured
+        // mode changes neither the itemsets nor any thread's count work.
         let db = paper_db();
-        let static_cfg = ParallelConfig::new(base_cfg(), 3).with_scheduling(Scheduling::Static);
-        let (oracle, _) = mine(&db, &static_cfg);
-        for mode in [
-            Scheduling::Chunked { chunk: 1 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ] {
-            for p in [1usize, 2, 3, 8] {
-                let cfg = ParallelConfig::new(base_cfg(), p).with_scheduling(mode);
-                let (r, _) = mine(&db, &cfg);
-                assert_eq!(r.all_itemsets(), oracle.all_itemsets(), "{mode:?} P={p}");
-            }
+        for p in [1usize, 2, 3, 8] {
+            let (oracle, oracle_stats) = mine(
+                &db,
+                &ParallelConfig::new(base_cfg(), p).with_scheduling(Scheduling::Static),
+            );
+            let cfg = ParallelConfig::new(base_cfg(), p).with_scheduling(Scheduling::Guided);
+            let (r, stats) = mine(&db, &cfg);
+            assert_eq!(r.all_itemsets(), oracle.all_itemsets(), "P={p}");
+            assert_eq!(stats.count_meters, oracle_stats.count_meters, "P={p}");
         }
     }
 

@@ -113,7 +113,7 @@ mod tests {
         let c = VerticalConfig::default();
         assert_eq!(c.backend, TidBackend::Auto);
         assert!(c.galloping);
-        assert_eq!(c.scheduling, Scheduling::Stealing);
+        assert_eq!(c.scheduling, Scheduling::Guided);
         assert_eq!(c.switch_level, 2);
         assert!((c.density_threshold - 1.0 / 64.0).abs() < 1e-12);
     }
@@ -144,10 +144,10 @@ mod tests {
     fn builders() {
         let c = VerticalConfig::default()
             .with_backend(TidBackend::Sorted)
-            .with_scheduling(Scheduling::Guided)
+            .with_scheduling(Scheduling::Static)
             .with_switch_level(3);
         assert_eq!(c.backend, TidBackend::Sorted);
-        assert_eq!(c.scheduling, Scheduling::Guided);
+        assert_eq!(c.scheduling, Scheduling::Static);
         assert_eq!(c.switch_level, 3);
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! Class weights for the initial split are the suffix sums of member
 //! supports: member `i` joins with every later member, so the tidset
-//! lengths it touches are `Σ_{j ≥ i} |tids_j|`. Dynamic modes (guided,
-//! stealing) re-balance mis-estimates at run time.
+//! lengths it touches are `Σ_{j ≥ i} |tids_j|`. The default `Guided` mode
+//! re-balances mis-estimates at run time.
 
 use crate::config::VerticalConfig;
 use crate::driver::{
@@ -198,8 +198,8 @@ fn mine_parallel_impl(
                 "seed ranges must tile every first-level class exactly once"
             );
             // Floor 1: a class is already a coarse task, so chunks must
-            // be allowed to shrink to single classes for stealing to
-            // help on skewed weight distributions.
+            // be allowed to shrink to single classes for the guided tail
+            // to help on skewed weight distributions.
             let pool = ChunkPool::with_floor(seed_ranges, cfg.scheduling, 1)
                 .with_cancel_token(ctrl.cancel.clone());
             let span = metrics.phase("mine", 1);
@@ -307,14 +307,8 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_all_backends_and_modes() {
         let db = paper_db();
-        let modes = [
-            Scheduling::Static,
-            Scheduling::Guided,
-            Scheduling::Stealing,
-            Scheduling::Chunked { chunk: 1 },
-        ];
         for backend in [TidBackend::Auto, TidBackend::Sorted, TidBackend::Bitmap] {
-            for mode in modes {
+            for mode in [Scheduling::Static, Scheduling::Guided] {
                 let cfg = VerticalConfig::default()
                     .with_backend(backend)
                     .with_scheduling(mode);

@@ -12,7 +12,7 @@
 //! | [`dataset`] | transaction databases (CSR layout), partitioning, IO, stats |
 //! | [`quest`] | the IBM Quest synthetic basket-data generator |
 //! | [`mem`] | placement substrate: word regions, counter schemes, concurrent arena |
-//! | [`exec`] | chunked / guided / work-stealing scheduling over index ranges |
+//! | [`exec`] | static and guided self-scheduling over index ranges |
 //! | [`balance`] | block/interleaved/bitonic partitioning, balanced hash functions |
 //! | [`hashtree`] | the candidate hash tree: concurrent build, placement freeze, counting |
 //! | [`core`] | sequential Apriori, candidate generation, rule generation |

@@ -126,7 +126,7 @@ fn pre_cancelled_token_fails_at_the_first_gate() {
             token.cancel();
             let ctrl = RunControl::with_cancel(token);
             let err = miner
-                .run(db(), p, Scheduling::Stealing, &ctrl)
+                .run(db(), p, Scheduling::Guided, &ctrl)
                 .expect_err("pre-cancelled run must not produce a result");
             match err {
                 MiningError::Cancelled { phase, .. } => {
@@ -146,7 +146,7 @@ fn pre_cancelled_token_fails_at_the_first_gate() {
 fn cancel_after_checks_bounds_observation_latency() {
     for miner in Miner::ALL {
         for &p in &[1usize, 2, 4, max_threads()] {
-            for mode in [Scheduling::Stealing, Scheduling::Chunked { chunk: 2 }] {
+            for mode in [Scheduling::Static, Scheduling::Guided] {
                 // Randomized-but-reproducible trigger points across the
                 // run (claim ordinals are logical, not wall-clock).
                 for n in [1u64, 2, 5, 11, 23, 47] {
@@ -215,7 +215,7 @@ fn empty_database_and_zero_threads_observe_the_deadline() {
         for p in [0usize, 1, 4] {
             let ctrl = RunControl::with_cancel(CancelToken::deadline_in(Duration::ZERO));
             let err = miner
-                .run(&empty, p, Scheduling::Stealing, &ctrl)
+                .run(&empty, p, Scheduling::Guided, &ctrl)
                 .expect_err("deadline must be observed even with no work");
             assert!(
                 matches!(err, MiningError::DeadlineExceeded { .. }),
@@ -244,9 +244,9 @@ fn empty_database_cancellation_returns_promptly() {
 fn live_token_changes_nothing() {
     // A threaded-through but never-tripped token is inert: results are
     // bit-identical to the infallible entry points.
-    let (want, _) = ccpd::mine(db(), &pcfg(4, Scheduling::Stealing));
+    let (want, _) = ccpd::mine(db(), &pcfg(4, Scheduling::Guided));
     let ctrl = RunControl::with_cancel(CancelToken::deadline_in(Duration::from_secs(3600)));
-    let (got, _) = ccpd::try_mine(db(), &pcfg(4, Scheduling::Stealing), &ctrl).unwrap();
+    let (got, _) = ccpd::try_mine(db(), &pcfg(4, Scheduling::Guided), &ctrl).unwrap();
     assert_eq!(got.all_itemsets(), want.all_itemsets());
     assert!(!ctrl.cancel.is_cancelled());
 }

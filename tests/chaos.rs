@@ -82,12 +82,7 @@ fn vcfg(mode: Scheduling) -> VerticalConfig {
         .with_switch_level(2)
 }
 
-const MODES: [Scheduling; 4] = [
-    Scheduling::Static,
-    Scheduling::Chunked { chunk: 2 },
-    Scheduling::Guided,
-    Scheduling::Stealing,
-];
+const MODES: [Scheduling; 2] = [Scheduling::Static, Scheduling::Guided];
 
 /// Every fallible miner, normalized to its sorted itemset list so the
 /// whole matrix shares one comparison.
@@ -240,7 +235,7 @@ fn delay_sites_never_change_results() {
 fn retry_after_fault_is_bit_identical() {
     quiet_panics();
     for miner in Miner::ALL {
-        for mode in [Scheduling::Static, Scheduling::Stealing] {
+        for mode in [Scheduling::Static, Scheduling::Guided] {
             let p = 4;
             let want = miner.baseline(p, mode);
             for &site in miner.sites() {
@@ -263,11 +258,11 @@ fn seeded_plans_fail_cleanly_or_not_at_all() {
     quiet_panics();
     let p = 4;
     for miner in Miner::ALL {
-        let want = miner.baseline(p, Scheduling::Stealing);
+        let want = miner.baseline(p, Scheduling::Guided);
         for seed in 0..24u64 {
             let plan = FaultPlan::seeded(seed, miner.sites(), p, FaultKind::Panic);
             let ctrl = RunControl::with_faults(plan);
-            match miner.run(p, Scheduling::Stealing, &ctrl) {
+            match miner.run(p, Scheduling::Guided, &ctrl) {
                 Ok(got) => {
                     // The seeded site keyed a (thread, chunk) this run
                     // never claimed — nothing may have fired.

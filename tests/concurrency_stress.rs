@@ -194,11 +194,13 @@ fn randomized_inline_count_is_bit_identical_to_sequential() {
 }
 
 #[test]
-fn stealing_pool_shared_count_is_bit_identical_to_sequential() {
-    // Same invariant under the work-stealing executor, seeded as
-    // lopsidedly as possible: thread 0 owns the whole database and the
-    // other 7 start empty, so every chunk they execute was stolen.
+fn guided_pool_shared_count_is_bit_identical_to_sequential() {
+    // Same invariant under the guided executor, seeded as lopsidedly as
+    // possible: thread 0 owns the whole database and the other 7 start
+    // empty, so every chunk they execute came off thread 0's seed range.
     use parallel_arm::exec::{ChunkPool, Scheduling};
+    use std::sync::Mutex;
+    const FLOOR: usize = 4;
 
     let fx = fixture();
     let total_hits: u64 = fx.expected.iter().map(|&c| c as u64).sum();
@@ -213,13 +215,16 @@ fn stealing_pool_shared_count_is_bit_identical_to_sequential() {
         let shared = FlatCounters::new(fx.cands.len());
         let mut seeds: Vec<Range<usize>> = (1..THREADS).map(|_| fx.db.len()..fx.db.len()).collect();
         seeds.insert(0, 0..fx.db.len());
-        let pool = ChunkPool::with_floor(&seeds, Scheduling::Stealing, 4);
+        let pool = ChunkPool::with_floor(&seeds, Scheduling::Guided, FLOOR);
+        let claimed: Vec<Mutex<Vec<Range<usize>>>> =
+            (0..THREADS).map(|_| Mutex::new(Vec::new())).collect();
         thread::scope(|s| {
             for t in 0..THREADS {
                 let tree = &tree;
                 let shared = &shared;
                 let metrics = &metrics;
                 let pool = &pool;
+                let claimed = &claimed;
                 let fx = &fx;
                 s.spawn(move || {
                     let shard = metrics.shard(t);
@@ -228,6 +233,7 @@ fn stealing_pool_shared_count_is_bit_identical_to_sequential() {
                     let mut cref = CounterRef::Shared(&tallied);
                     let mut meter = WorkMeter::default();
                     while let Some(range) = pool.next(t) {
+                        claimed[t].lock().unwrap().push(range.clone());
                         tree.count_partition(
                             &fx.hash,
                             &fx.db,
@@ -245,16 +251,29 @@ fn stealing_pool_shared_count_is_bit_identical_to_sequential() {
 
         assert_eq!(shared.snapshot(), fx.expected, "round {round}");
         let mut items = 0u64;
-        for t in 0..THREADS {
+        let mut chunks = Vec::new();
+        for (t, mine) in claimed.iter().enumerate() {
             let s = pool.thread_stats(t);
             items += s.items;
-            // Non-owners hold empty deques: every chunk they ran was
-            // lifted off another thread's deque.
-            if t != 0 {
-                assert_eq!(s.stolen, s.chunks, "thread {t} round {round}");
-            }
+            let mine = mine.lock().unwrap();
+            assert_eq!(s.chunks, mine.len() as u64, "thread {t} round {round}");
+            chunks.extend(mine.iter().cloned());
         }
         assert_eq!(items, fx.db.len() as u64, "exactly-once round {round}");
+        // Guided geometry: the chunks, in cursor order, tile the database
+        // contiguously with non-increasing sizes, and only the final
+        // remainder may fall below the floor.
+        chunks.sort_unstable_by_key(|r| r.start);
+        let mut end = 0;
+        for (i, r) in chunks.iter().enumerate() {
+            assert_eq!(r.start, end, "contiguous tiling round {round}");
+            end = r.end;
+            if let Some(next) = chunks.get(i + 1) {
+                assert!(r.len() >= next.len(), "shrinking chunks round {round}");
+                assert!(r.len() >= FLOOR, "floor respected round {round}");
+            }
+        }
+        assert_eq!(end, fx.db.len(), "full coverage round {round}");
         if MetricsRegistry::enabled() {
             assert_eq!(metrics.snapshot().total(Counter::CtrIncrements), total_hits);
         }

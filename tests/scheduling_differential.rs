@@ -1,8 +1,9 @@
-//! Scheduling differential: every dynamic mode of the `arm-exec`
-//! executor (chunked / guided / stealing) must produce frequent-itemset
-//! results **bit-identical** to the `Static` oracle — the paper's fixed
-//! equal-block split — for every thread count, chunk size, and dataset,
-//! including the Zipf-tailed skew the executor exists to handle.
+//! Scheduling differential: the dynamic `Guided` mode of the `arm-exec`
+//! executor must produce frequent-itemset results **bit-identical** to
+//! the `Static` oracle — the paper's fixed equal-block split — for every
+//! thread count and dataset, including the Zipf-tailed skew the executor
+//! exists to handle. (Exactly-once coverage under random chunk floors and
+//! uneven seeds is a property test of `arm-exec` itself.)
 //!
 //! With the LGpp placement all CCPD support counting goes through the
 //! tallied shared counters, so the telemetry invariant is exact too:
@@ -106,15 +107,8 @@ fn check_ccpd(db_idx: usize, p: usize, mode: Scheduling) {
     }
 }
 
-fn all_modes() -> [Scheduling; 6] {
-    [
-        Scheduling::Static,
-        Scheduling::Chunked { chunk: 1 },
-        Scheduling::Chunked { chunk: 37 },
-        Scheduling::Chunked { chunk: 256 },
-        Scheduling::Guided,
-        Scheduling::Stealing,
-    ]
+fn all_modes() -> [Scheduling; 2] {
+    [Scheduling::Static, Scheduling::Guided]
 }
 
 #[test]
@@ -131,9 +125,8 @@ fn ccpd_every_mode_matches_static_oracle() {
 
 #[test]
 fn pccd_every_mode_matches_static_oracle() {
-    // PCCD's dynamic path swaps per-thread local counters for shared
-    // atomic ones, so bit-identical itemsets here exercise a genuinely
-    // different counting pipeline than CCPD.
+    // PCCD always runs the paper's static split whatever the configured
+    // mode, so this pins that no mode can change its result.
     let top = max_threads();
     for db_idx in [0usize, 3] {
         let db = &dbs()[db_idx];
@@ -153,30 +146,16 @@ fn pccd_every_mode_matches_static_oracle() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    // 12 cases: the suite's only randomized end-to-end schedule check.
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random (dataset, thread count, chunk size) triples: the chunked
-    /// cursor must agree with Static even at adversarial granularities
-    /// (chunk = 1 hands out single transactions).
-    #[test]
-    fn random_chunk_geometry_matches_oracle(
-        db_idx in 0usize..4,
-        p in 1usize..=8,
-        chunk in 1usize..400,
-    ) {
-        let p = p.min(max_threads());
-        check_ccpd(db_idx, p, Scheduling::Chunked { chunk });
-    }
-
-    /// Random (dataset, thread count) pairs under the adaptive modes.
+    /// Random (dataset, thread count) pairs under the adaptive mode.
     #[test]
     fn random_threads_adaptive_modes_match_oracle(
         db_idx in 0usize..4,
         p in 1usize..=8,
-        steal in any::<bool>(),
     ) {
         let p = p.min(max_threads());
-        let mode = if steal { Scheduling::Stealing } else { Scheduling::Guided };
-        check_ccpd(db_idx, p, mode);
+        check_ccpd(db_idx, p, Scheduling::Guided);
     }
 }
