@@ -10,6 +10,9 @@
 //!    stamps — time and stamp memory.
 //! 5. **Database partitioning** (§3.2.2): block vs weighted on a
 //!    length-skewed database.
+//!
+//! Every run sets `pair_array: false`: the ablations measure the hash
+//! tree, its count phase and its placement, `k = 2` included.
 
 use arm_bench::{banner, reps_for, time_best, Csv, DatasetCache, ScaleMode};
 use arm_core::{
@@ -144,6 +147,7 @@ fn leaf_threshold(db: &Database, reps: usize) {
             min_support: Support::Fraction(0.005),
             leaf_threshold: t,
             max_k: Some(4),
+            pair_array: false,
             ..AprioriConfig::default()
         };
         let (secs, r) = time_best(reps, || mine(db, &cfg));
@@ -165,6 +169,7 @@ fn fanout(db: &Database, reps: usize) {
             adaptive_fanout: f == "auto",
             fixed_fanout: f.parse().unwrap_or(8),
             max_k: Some(4),
+            pair_array: false,
             ..AprioriConfig::default()
         };
         let (secs, _) = time_best(reps, || mine(db, &cfg));
@@ -256,6 +261,7 @@ fn db_partitioning(scale: ScaleMode, reps: usize) {
         let base = AprioriConfig {
             min_support: Support::Fraction(0.005),
             max_k: Some(4),
+            pair_array: false,
             ..AprioriConfig::default()
         };
         let cfg = ParallelConfig::new(base, 4).with_db_partition(part);

@@ -13,6 +13,9 @@
 //! count — the knobs are performance-only — and `all` is expected to
 //! beat `seed` (the process exit code reports it so CI can gate on
 //! the comparison).
+//!
+//! The RunReport run sets `pair_array: false`, so its `C_2` count is the
+//! same hash-tree kernel the knob matrix times.
 
 use arm_bench::{
     banner, pct_improvement, reps_for, time_best, timing_max_k, DatasetCache, ScaleMode,
@@ -208,6 +211,7 @@ fn main() {
     let base = AprioriConfig {
         min_support: Support::Fraction(0.005),
         max_k: timing_max_k(scale),
+        pair_array: false,
         ..AprioriConfig::default()
     };
     let (result, stats) =

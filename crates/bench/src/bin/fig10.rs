@@ -4,6 +4,9 @@
 //! The benefit grows with k (deeper trees → more internal nodes to
 //! preempt) until the candidate set — and hence the tree — shrinks near
 //! the end of the run.
+//!
+//! Sets `pair_array: false`, so the `k = 2` point is the paper's
+//! hash-tree count.
 
 use arm_bench::{banner, paper_name, pct_improvement, reps_for, Csv, DatasetCache, ScaleMode};
 use arm_core::{AprioriConfig, Support};
@@ -42,6 +45,7 @@ fn main() {
                 arm_bench::ScaleMode::Default => Some(9),
                 arm_bench::ScaleMode::Full => None,
             },
+            pair_array: false,
             ..AprioriConfig::default()
         };
         let cfg = ParallelConfig::new(base, 1);

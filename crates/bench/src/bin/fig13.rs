@@ -6,6 +6,9 @@
 //! the L-*/LCA columns mostly show their (small) overheads there; the
 //! locality ordering (CCPD vs SPP vs GPP) reproduces everywhere. The
 //! work-model time is reported alongside wall time.
+//!
+//! Sets `pair_array: false`: placement lays out the hash tree, so `C_2`,
+//! its largest level, is counted in the paper's tree.
 
 use arm_bench::{banner, paper_name, reps_for, Csv, DatasetCache, ScaleMode};
 use arm_core::{AprioriConfig, Support};
@@ -64,6 +67,7 @@ fn main() {
                         min_support: Support::Fraction(support),
                         placement: policy,
                         max_k: arm_bench::timing_max_k(scale),
+                        pair_array: false,
                         ..AprioriConfig::default()
                     };
                     let cfg = ParallelConfig::new(base_cfg, procs);

@@ -8,6 +8,9 @@
 //! so every dataset also yields a full [`arm_metrics::RunReport`] —
 //! per-iteration tree sizes land in the report's `iters` section, the
 //! counterpart of this figure's CSV.
+//!
+//! Sets `pair_array: false`: the figure is the hash tree's size, and
+//! `k = 2` is its peak, so `C_2` is counted in the paper's tree.
 
 use arm_bench::{banner, paper_name, write_reports, Csv, DatasetCache, ScaleMode};
 use arm_core::{AprioriConfig, Support};
@@ -37,6 +40,7 @@ fn main() {
         let db = cache.get(t, i, d);
         let cfg = AprioriConfig {
             min_support: Support::Fraction(0.001),
+            pair_array: false,
             ..AprioriConfig::default()
         };
         let (r, stats) = ccpd::mine(&db, &ParallelConfig::new(cfg, 1));

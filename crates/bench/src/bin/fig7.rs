@@ -2,6 +2,9 @@
 //!
 //! Characterizes dataset complexity: the number of iterations and the
 //! per-level frequent counts (log scale in the paper).
+//!
+//! Runs the default configuration, which counts `C_2` in the pair array
+//! (`AprioriConfig::pair_array`); the frequent counts do not depend on it.
 
 use arm_bench::{banner, paper_name, Csv, DatasetCache, ScaleMode, TABLE2_DATASETS};
 use arm_core::{mine, AprioriConfig, Support};

@@ -10,6 +10,9 @@
 //! Reported: % improvement in work-model execution time over the base
 //! (the paper's metric is computation-time improvement; the work model
 //! removes the single-host-core limitation, see DESIGN.md).
+//!
+//! Sets `pair_array: false`: TREE balances the hash tree, so `C_2`, its
+//! largest level, is counted in the paper's tree.
 
 use arm_balance::Scheme;
 use arm_bench::{
@@ -32,6 +35,7 @@ fn run(
         min_support: Support::Fraction(0.005),
         hash_scheme: hash,
         max_k,
+        pair_array: false,
         ..AprioriConfig::default()
     };
     let mut cfg = ParallelConfig::new(base, p).with_candgen(candgen);

@@ -3,6 +3,9 @@
 //! Compares the full miner with internal-node VISITED stamps on and off,
 //! across datasets and processor counts. The paper sees the largest wins
 //! (~25%) on large-transaction datasets (T20).
+//!
+//! Sets `pair_array: false`: short-circuiting acts on the hash-tree walk,
+//! so `C_2` is counted in the paper's tree.
 
 use arm_bench::{banner, paper_name, pct_improvement, reps_for, Csv, DatasetCache, ScaleMode};
 use arm_core::{AprioriConfig, Support};
@@ -21,6 +24,7 @@ fn run(db: &Database, p: usize, short_circuit: bool, reps: usize, max_k: Option<
         min_support: Support::Fraction(0.005),
         short_circuit,
         max_k,
+        pair_array: false,
         ..AprioriConfig::default()
     };
     let cfg = ParallelConfig::new(base, p);

@@ -2,6 +2,9 @@
 //! time vs transaction count at fixed relative support should be linear
 //! in `D` — Apriori scans the whole database every iteration, and the
 //! candidate structure is `D`-invariant at a fixed support fraction.
+//!
+//! Runs the default configuration, which counts `C_2` in the pair array
+//! (`AprioriConfig::pair_array`) rather than the paper's hash tree.
 
 use arm_bench::{banner, reps_for, write_reports, Csv, ScaleMode};
 use arm_core::{AprioriConfig, Support};

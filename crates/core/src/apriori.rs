@@ -2,9 +2,10 @@
 //! the per-iteration statistics the evaluation figures are built from.
 
 use crate::config::{AprioriConfig, HashScheme};
-use crate::f1::{count_pair_buckets, frequent_singletons, pair_bucket};
+use crate::f1::frequent_singletons;
 use crate::generation::{adaptive_fanout, equivalence_classes, generate_class};
 use crate::level::FrequentLevel;
+use crate::pairs::PairIndex;
 use arm_balance::{AnyHash, IndirectionHash, ModHash};
 use arm_dataset::{Database, Item};
 use arm_hashtree::{
@@ -132,10 +133,12 @@ pub fn mine_with(
         s.finish_serial();
     }
     let f1_item_list = f1_items(&f1);
-    // Optional DHP pass-1 table (same scan in the on-disk algorithm).
-    let pair_table = config
-        .pair_filter_buckets
-        .map(|m| (m, count_pair_buckets(db, 0..db.len(), m)));
+    // `None` (the knob off, or an unaddressable array) counts `C_2` in
+    // the hash tree like every other level.
+    let pair_index = config
+        .pair_array
+        .then(|| PairIndex::new(&f1_item_list, db.n_items()))
+        .flatten();
 
     let mut iter_stats = vec![IterStats {
         k: 1,
@@ -175,6 +178,32 @@ pub fn mine_with(
             break;
         }
 
+        if let Some(index) = pair_index.as_ref().filter(|_| k == 2) {
+            let span = phase(metrics, "count", k);
+            let mut counts = index.zeroed();
+            let hits = index.count_into(db, 0..db.len(), &mut counts, &mut Vec::new());
+            let meter = WorkMeter {
+                txns: db.len() as u64,
+                hits,
+                ..WorkMeter::default()
+            };
+            if let Some(s) = span {
+                s.finish(vec![meter.work_units()]);
+            }
+            let span = phase(metrics, "extract", k);
+            let fk = index.frequent(&counts, min_support);
+            if let Some(s) = span {
+                s.finish_serial();
+            }
+            iter_stats.push(index.iter_stats(fk.len(), meter));
+            if fk.is_empty() {
+                break;
+            }
+            levels.push(fk);
+            k += 1;
+            continue;
+        }
+
         // Candidate generation over equivalence classes.
         let span = phase(metrics, "candgen", k);
         let classes = equivalence_classes(prev);
@@ -183,12 +212,6 @@ pub fn mine_with(
         let mut join_pairs = 0u64;
         for class in &classes {
             join_pairs += generate_class(prev, class.clone(), &mut cands, &mut scratch_items);
-        }
-        if k == 2 {
-            if let Some((m, table)) = &pair_table {
-                // Lossless: a bucket count upper-bounds every pair in it.
-                cands = cands.filtered(|_, it| table[pair_bucket(it[0], it[1], *m)] >= min_support);
-            }
         }
         if let Some(s) = span {
             s.finish_serial();
@@ -408,7 +431,7 @@ mod tests {
                                     fixed_fanout: 3,
                                     short_circuit: sc,
                                     visited,
-                                    pair_filter_buckets: if sc { Some(64) } else { None },
+                                    pair_array: fast,
                                     placement,
                                     max_k: None,
                                     hash_memo: fast,
@@ -449,12 +472,28 @@ mod tests {
         assert_eq!(s2.n_candidates, 6);
         assert_eq!(s2.n_frequent, 4);
         assert_eq!(s2.join_pairs, 6);
-        assert!(s2.tree_bytes > 0);
+        // The pair array: no tree, one hit per pair increment.
+        assert_eq!((s2.tree_bytes, s2.tree_nodes, s2.fanout), (0, 0, 0));
         assert_eq!(s2.meter.txns, 4);
+        assert_eq!(s2.meter.hits, 11);
         let s3 = &r.iter_stats[2];
         assert_eq!(s3.k, 3);
         assert_eq!(s3.n_candidates, 1);
         assert_eq!(s3.n_frequent, 1);
+        assert!(s3.tree_bytes > 0);
+
+        let tree = mine(
+            &paper_db(),
+            &AprioriConfig {
+                pair_array: false,
+                ..paper_config()
+            },
+        );
+        let t2 = &tree.iter_stats[1];
+        assert_eq!((t2.n_candidates, t2.n_frequent, t2.join_pairs), (6, 4, 6));
+        assert!(t2.tree_bytes > 0);
+        assert_eq!(t2.meter.txns, 4);
+        assert_eq!(tree.all_itemsets(), r.all_itemsets());
     }
 
     #[test]

@@ -55,11 +55,10 @@ pub struct AprioriConfig {
     /// VISITED stamp storage: per-node, or the paper's reduced `k·H·P`
     /// path-tagged scheme (§4.2).
     pub visited: VisitedMode,
-    /// DHP-style pair filtering (Park et al.): collect a hashed pair-count
-    /// table of this many buckets during the first scan and prune `C_2`
-    /// candidates whose bucket count is below the minimum support.
-    /// `None` disables the filter (the paper's configuration).
-    pub pair_filter_buckets: Option<usize>,
+    /// Count `C_2` in a triangular array over the frequent items
+    /// ([`crate::pairs`]) instead of a candidate hash tree. Off, `k = 2`
+    /// builds and counts the paper's tree like every other level.
+    pub pair_array: bool,
     /// Memory placement policy (§5).
     pub placement: PlacementPolicy,
     /// Optional cap on the itemset length mined.
@@ -92,7 +91,7 @@ impl Default for AprioriConfig {
             fixed_fanout: 8,
             short_circuit: true,
             visited: VisitedMode::PerNode,
-            pair_filter_buckets: None,
+            pair_array: true,
             placement: PlacementPolicy::Gpp,
             max_k: None,
             hash_memo: true,
@@ -105,8 +104,8 @@ impl Default for AprioriConfig {
 
 impl AprioriConfig {
     /// The paper's *unoptimized* baseline: interleaved hash, fixed fan-out,
-    /// no short-circuiting, standard-malloc placement, and none of the
-    /// counting fast paths.
+    /// no short-circuiting, standard-malloc placement, a hash tree at
+    /// every level, and none of the counting fast paths.
     pub fn unoptimized() -> Self {
         AprioriConfig {
             min_support: Support::Fraction(0.005),
@@ -116,7 +115,7 @@ impl AprioriConfig {
             fixed_fanout: 8,
             short_circuit: false,
             visited: VisitedMode::PerNode,
-            pair_filter_buckets: None,
+            pair_array: false,
             placement: PlacementPolicy::Ccpd,
             max_k: None,
             hash_memo: false,
@@ -163,6 +162,7 @@ mod tests {
         assert!(opt.trim_transactions && !base.trim_transactions);
         assert!(opt.iterative_walk && !base.iterative_walk);
         assert!(opt.reuse_scratch && !base.reuse_scratch);
+        assert!(opt.pair_array && !base.pair_array);
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! The first pass: frequent 1-itemsets via a dense per-item histogram,
-//! plus the optional DHP pair-bucket counts (Park, Chen & Yu, SIGMOD'95 —
-//! the paper's related work §7.1) collected during the same scan.
+//! The first pass: frequent 1-itemsets via a dense per-item histogram.
 
 use crate::level::FrequentLevel;
-use arm_dataset::{Database, Item};
+use arm_dataset::Database;
 use arm_hashtree::CandidateSet;
 use std::ops::Range;
 
@@ -43,42 +41,6 @@ pub fn frequent_from_counts(counts: &[u32], min_support: u32) -> FrequentLevel {
 /// Full sequential `F_1` pass.
 pub fn frequent_singletons(db: &Database, min_support: u32) -> FrequentLevel {
     frequent_from_counts(&count_singletons(db, 0..db.len()), min_support)
-}
-
-/// The DHP bucket of a pair `(a, b)` in a table of `buckets` cells.
-/// Fibonacci-mixed so nearby item ids spread; both the collection pass
-/// and the `C_2` pruning step must use this exact function.
-#[inline]
-pub fn pair_bucket(a: Item, b: Item, buckets: usize) -> usize {
-    let key = ((a as u64) << 32) | b as u64;
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % buckets
-}
-
-/// Counts hashed pair occurrences over a transaction range (the DHP
-/// pass-1 table). A bucket's count upper-bounds the support of every pair
-/// hashing into it, so pruning `C_2` candidates whose bucket is below the
-/// minimum support is lossless. Costs `O(l²)` per transaction — DHP's
-/// explicit trade-off for a smaller `C_2`.
-pub fn count_pair_buckets(db: &Database, range: Range<usize>, buckets: usize) -> Vec<u32> {
-    assert!(buckets > 0, "DHP table needs at least one bucket");
-    let mut table = vec![0u32; buckets];
-    count_pair_buckets_into(db, range, &mut table);
-    table
-}
-
-/// Accumulates hashed pair occurrences for `range` into an existing
-/// table (chunk-at-a-time counterpart of [`count_pair_buckets`]).
-pub fn count_pair_buckets_into(db: &Database, range: Range<usize>, table: &mut [u32]) {
-    assert!(!table.is_empty(), "DHP table needs at least one bucket");
-    let buckets = table.len();
-    for i in range {
-        let txn = db.transaction(i);
-        for (ai, &a) in txn.iter().enumerate() {
-            for &b in &txn[ai + 1..] {
-                table[pair_bucket(a, b, buckets)] += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

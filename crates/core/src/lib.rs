@@ -5,6 +5,7 @@
 //!
 //! * [`f1`] — the first (histogram) pass producing `F_1`;
 //! * [`generation`] — equivalence-class join, pruning, adaptive fan-out;
+//! * [`pairs`] — the `C_2` kernel: pair counts in a triangular array;
 //! * [`apriori`] — the iteration driver with per-iteration statistics;
 //! * [`rules`] — confidence-based rule generation (ap-genrules);
 //! * [`naive`] — two independent reference miners for verification;
@@ -37,6 +38,7 @@ pub mod f1;
 pub mod generation;
 pub mod level;
 pub mod naive;
+pub mod pairs;
 pub mod partition_algo;
 pub mod rules;
 pub mod summaries;
@@ -51,6 +53,7 @@ pub use generation::{
     generate_class_member,
 };
 pub use level::FrequentLevel;
+pub use pairs::PairIndex;
 pub use partition_algo::mine_partition;
 pub use rules::{generate_rules, Rule};
 pub use summaries::{closed_itemsets, maximal_itemsets};

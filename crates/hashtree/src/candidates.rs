@@ -75,17 +75,6 @@ impl CandidateSet {
         (0..self.len() as u32).map(move |id| (id, self.get(id)))
     }
 
-    /// Returns the candidates for which `keep` holds, preserving order.
-    pub fn filtered(&self, mut keep: impl FnMut(u32, &[Item]) -> bool) -> CandidateSet {
-        let mut out = CandidateSet::new(self.k);
-        for (id, items) in self.iter() {
-            if keep(id, items) {
-                out.items.extend_from_slice(items);
-            }
-        }
-        out
-    }
-
     /// Appends all candidates of `other` (same `k`).
     pub fn extend_from(&mut self, other: &CandidateSet) {
         assert_eq!(

@@ -4,6 +4,9 @@
 //! the workers. Every phase mirrors the paper:
 //!
 //! * `F_1`: per-thread histograms over database blocks + sum reduction;
+//! * `C_2` (with `pair_array`, the default): each thread counts its
+//!   partition's pairs into a private triangular array ([`count_pairs`]),
+//!   summed into thread 0's array at extraction — no candidates, no tree;
 //! * candidate generation: equivalence classes balanced across threads by
 //!   the configured scheme (§3.1.2), with adaptive parallelism (§3.1.3);
 //! * tree build: all threads insert into the shared tree under per-leaf
@@ -13,7 +16,7 @@
 //!   tree, with counters inline / segregated / privatized per policy;
 //! * extraction: the master thread selects `F_k`.
 //!
-//! The data-parallel phases (F1, tree build, counting) draw their work from
+//! The data-parallel phases (F1, tree build, both counts) draw their work from
 //! an [`arm_exec::ChunkPool`] seeded with the phase's static split: under
 //! `Scheduling::Static` each thread receives exactly its block (the paper's
 //! behavior and the differential oracle), while the default `Guided` mode
@@ -25,13 +28,14 @@
 use crate::config::{DbPartition, ParallelConfig};
 use crate::scratch::ScratchPool;
 use crate::stats::ParallelRunStats;
-use arm_core::f1::{count_pair_buckets_into, pair_bucket};
+use arm_core::pairs::reduce_into_first;
 use arm_core::{
     adaptive_fanout, class_weight, count_singletons_into, equivalence_classes, f1_items,
     frequent_from_counts, generate_class, make_hash, FrequentLevel, IterStats, MiningResult,
+    PairIndex,
 };
 use arm_dataset::{block_ranges, weighted_ranges, weighted_ranges_for_k, Database};
-use arm_exec::ChunkPool;
+use arm_exec::{ChunkPool, Scheduling};
 use arm_faults::{try_run_threads, CancelToken, MiningError, RunControl};
 use arm_hashtree::{
     freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
@@ -56,7 +60,8 @@ pub fn mine(db: &Database, cfg: &ParallelConfig) -> (MiningResult, ParallelRunSt
 /// Runs CCPD under a [`RunControl`]: the token is checkpointed at every
 /// chunk claim and phase boundary, worker panics are contained and
 /// returned as [`MiningError::WorkerPanicked`], and armed fault-plan
-/// sites fire at each instrumented claim (phases `f1`, `build`, `count`).
+/// sites fire at each instrumented claim (phases `f1`, `build`, `count`;
+/// the `k = 2` pair-array count is phase `count` too).
 ///
 /// On `Err` every worker thread has joined and all shared state built by
 /// the run is discarded; retrying with a live control yields results
@@ -75,50 +80,45 @@ pub fn try_mine(
     // ---- F1: parallel histograms ----------------------------------------
     let span = metrics.phase("f1", 1);
     let ranges = block_ranges(db.len(), p);
-    let pair_buckets = cfg.base.pair_filter_buckets;
     let pool = ChunkPool::new(&ranges, cfg.scheduling).with_cancel_token(ctrl.cancel.clone());
-    let partials: Vec<(Vec<u32>, Option<Vec<u32>>, u64)> =
-        try_run_threads(p, "f1", &ctrl.cancel, |t| {
-            let mut singles = vec![0u32; db.n_items() as usize];
-            let mut pairs = pair_buckets.map(|m| vec![0u32; m]);
-            let mut items = 0u64;
-            let mut chunk = 0u64;
-            while let Some(r) = pool.next(t) {
-                ctrl.faults.fire("f1", t, chunk);
-                chunk += 1;
-                items += (db.offsets()[r.end] - db.offsets()[r.start]) as u64;
-                count_singletons_into(db, r.clone(), &mut singles);
-                if let Some(table) = pairs.as_mut() {
-                    count_pair_buckets_into(db, r, table);
-                }
-            }
-            (singles, pairs, items)
-        })?;
+    let partials: Vec<(Vec<u32>, u64)> = try_run_threads(p, "f1", &ctrl.cancel, |t| {
+        let mut singles = vec![0u32; db.n_items() as usize];
+        let mut items = 0u64;
+        let mut chunk = 0u64;
+        while let Some(r) = pool.next(t) {
+            ctrl.faults.fire("f1", t, chunk);
+            chunk += 1;
+            items += (db.offsets()[r.end] - db.offsets()[r.start]) as u64;
+            count_singletons_into(db, r, &mut singles);
+        }
+        (singles, items)
+    })?;
     record_exec(&metrics, &pool);
     ctrl.gate("f1", run_start)?;
     // Work units stay what they were under the static split — items
     // actually scanned by each thread — so imbalance remains comparable
     // across scheduling modes.
-    let f1_work: Vec<u64> = partials.iter().map(|(_, _, items)| *items).collect();
+    let f1_work: Vec<u64> = partials.iter().map(|(_, items)| *items).collect();
     span.finish(f1_work);
 
     let span = metrics.phase("reduce", 1);
     let mut counts = vec![0u32; db.n_items() as usize];
-    let mut pair_table = pair_buckets.map(|m| vec![0u32; m]);
-    for (part, pairs, _) in &partials {
+    for (part, _) in &partials {
         for (c, v) in counts.iter_mut().zip(part) {
             *c += v;
-        }
-        if let (Some(total), Some(local)) = (pair_table.as_mut(), pairs.as_ref()) {
-            for (t, v) in total.iter_mut().zip(local) {
-                *t += v;
-            }
         }
     }
     let f1 = frequent_from_counts(&counts, min_support);
     span.finish_serial();
 
     let f1_item_list = f1_items(&f1);
+    // `None` (the knob off, or an unaddressable array) counts `C_2` in
+    // the hash tree like every other level.
+    let pair_index = cfg
+        .base
+        .pair_array
+        .then(|| PairIndex::new(&f1_item_list, db.n_items()))
+        .flatten();
     // With `reuse_scratch`, one counting scratch per worker lives across
     // all iterations (re-targeted per tree) instead of being reallocated.
     let scratch_pool = cfg
@@ -153,6 +153,38 @@ pub fn try_mine(
         if prev.len() < 2 {
             break;
         }
+        let db_ranges = || -> Vec<Range<usize>> {
+            match cfg.db_partition {
+                DbPartition::Block => block_ranges(db.len(), p),
+                DbPartition::WeightedStatic { kmax } => weighted_ranges(db, p, kmax),
+                DbPartition::WeightedPerIteration => weighted_ranges_for_k(db, p, k),
+            }
+        };
+
+        if let Some(index) = pair_index.as_ref().filter(|_| k == 2) {
+            let span = metrics.phase("count", k);
+            let (arrays, meters) =
+                count_pairs(db, index, &db_ranges(), cfg.scheduling, ctrl, &metrics)?;
+            ctrl.gate("count", run_start)?;
+            let mut total_meter = WorkMeter::default();
+            for (rm, m) in run_meters.iter_mut().zip(&meters) {
+                rm.merge(m);
+                total_meter.merge(m);
+            }
+            span.finish(meters.iter().map(WorkMeter::work_units).collect());
+
+            let span = metrics.phase("extract", k);
+            let total = reduce_into_first(arrays).expect("one array per thread");
+            let fk = index.frequent(&total, min_support);
+            span.finish_serial();
+            iter_stats.push(index.iter_stats(fk.len(), total_meter));
+            if fk.is_empty() {
+                break;
+            }
+            levels.push(fk);
+            k += 1;
+            continue;
+        }
 
         // Candidate generation.
         let span = metrics.phase("candgen", k);
@@ -172,15 +204,6 @@ pub fn try_mine(
             let mut work = vec![0u64; p];
             work[0] = pairs;
             (out, work, pairs)
-        };
-        let cands = if k == 2 {
-            if let (Some(m), Some(table)) = (pair_buckets, pair_table.as_ref()) {
-                cands.filtered(|_, it| table[pair_bucket(it[0], it[1], m)] >= min_support)
-            } else {
-                cands
-            }
-        } else {
-            cands
         };
         span.finish(candgen_work);
         ctrl.gate("candgen", run_start)?;
@@ -232,11 +255,7 @@ pub fn try_mine(
 
         // Parallel support counting.
         let span = metrics.phase("count", k);
-        let db_ranges: Vec<Range<usize>> = match cfg.db_partition {
-            DbPartition::Block => block_ranges(db.len(), p),
-            DbPartition::WeightedStatic { kmax } => weighted_ranges(db, p, kmax),
-            DbPartition::WeightedPerIteration => weighted_ranges_for_k(db, p, k),
-        };
+        let db_ranges = db_ranges();
         let opts = CountOptions {
             short_circuit: cfg.base.short_circuit,
             visited: cfg.base.visited,
@@ -384,6 +403,38 @@ pub fn try_mine(
         metrics: metrics.snapshot(),
     };
     Ok((result, stats))
+}
+
+/// Counts the pairs of the transactions in `ranges` (one seed range per
+/// thread) into one private [`PairIndex`] array per thread, drawing
+/// chunks from a [`ChunkPool`] in phase `count`: each claim checkpoints
+/// the control's token and fires its `count` fault site. Returns the
+/// arrays and meters (`txns`, `hits` = pair increments) in thread order;
+/// the caller gates the phase and sums the arrays.
+pub fn count_pairs(
+    db: &Database,
+    index: &PairIndex,
+    ranges: &[Range<usize>],
+    scheduling: Scheduling,
+    ctrl: &RunControl,
+    metrics: &MetricsRegistry,
+) -> Result<(Vec<Vec<u32>>, Vec<WorkMeter>), MiningError> {
+    let pool = ChunkPool::new(ranges, scheduling).with_cancel_token(ctrl.cancel.clone());
+    let outcomes = try_run_threads(pool.n_threads(), "count", &ctrl.cancel, |t| {
+        let mut counts = index.zeroed();
+        let mut rank_buf = Vec::new();
+        let mut meter = WorkMeter::default();
+        let mut chunk = 0u64;
+        while let Some(r) = pool.next(t) {
+            ctrl.faults.fire("count", t, chunk);
+            chunk += 1;
+            meter.txns += r.len() as u64;
+            meter.hits += index.count_into(db, r, &mut counts, &mut rank_buf);
+        }
+        (counts, meter)
+    })?;
+    record_exec(metrics, &pool);
+    Ok(outcomes.into_iter().unzip())
 }
 
 /// Candidate generation balanced across `p` threads at *member*

@@ -36,8 +36,8 @@ pub struct VerticalConfig {
     /// How the parallel driver distributes first-level classes.
     pub scheduling: Scheduling,
     /// Hybrid switch level `s`: [`crate::mine_hybrid`] counts levels
-    /// `k ≤ s` with the CCPD hash tree, then transposes `F_s` and mines
-    /// deeper levels vertically. Clamped to at least 1.
+    /// `k ≤ s` with CCPD, then transposes `F_s` and mines deeper levels
+    /// vertically. Clamped to at least 1.
     pub switch_level: u32,
 }
 

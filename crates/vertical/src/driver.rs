@@ -10,6 +10,7 @@
 
 use crate::config::VerticalConfig;
 use crate::tidset::{Backend, KernelStats, TidSet};
+use arm_core::PairIndex;
 use arm_dataset::{partition::block_ranges, Database, Item, Tid};
 use arm_faults::{try_run_threads, MiningError, RunControl};
 
@@ -105,6 +106,14 @@ pub(crate) fn build_root(
     root
 }
 
+/// The pair index over the root class's items (ranks = member
+/// indices), or `None` when its counter array is unaddressable — the
+/// root then intersects every pair.
+pub(crate) fn root_pairs(root: &[Member], n_items: u32) -> Option<PairIndex> {
+    let items: Vec<Item> = root.iter().map(|m| m.item).collect();
+    PairIndex::new(&items, n_items)
+}
+
 /// Converts every member of a class to `target` (members already there
 /// are untouched, so repeated calls are idempotent).
 pub(crate) fn convert_members(
@@ -130,10 +139,15 @@ pub(crate) fn convert_members(
 /// recurses while `max_k` allows. The child class re-decides its tidset
 /// backend by its own density — deep classes are typically much sparser
 /// than the root.
+///
+/// At the root, `pair_row` holds the pair counts of member `i` with each
+/// later member ([`PairIndex::row`]); a pair below `min_support` is
+/// skipped without intersecting, since its tidset would be dropped anyway.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn extend_one(
     class: &[Member],
     i: usize,
+    pair_row: Option<&[u32]>,
     prefix: &mut Vec<Item>,
     min_support: u32,
     max_k: Option<u32>,
@@ -145,8 +159,17 @@ pub(crate) fn extend_one(
     let a = &class[i];
     let mut child: Vec<Member> = Vec::new();
     let mut total_support = 0u64;
-    for b in &class[i + 1..] {
+    for (d, b) in class[i + 1..].iter().enumerate() {
+        if pair_row.is_some_and(|row| row[d] < min_support) {
+            continue;
+        }
         let tids = a.tids.intersect(&b.tids, cfg.galloping, stats);
+        debug_assert!(
+            pair_row.is_none_or(|row| row[d] == tids.support()),
+            "tidset support disagrees with the pair count of ({}, {})",
+            a.item,
+            b.item
+        );
         if tids.support() >= min_support {
             total_support += tids.support() as u64;
             child.push(Member { item: b.item, tids });
@@ -186,6 +209,7 @@ pub(crate) fn extend_all(
         extend_one(
             class,
             i,
+            None,
             prefix,
             min_support,
             max_k,
@@ -232,17 +256,26 @@ pub fn mine_vertical_stats(
         let total: u64 = root.iter().map(|m| m.tids.support() as u64).sum();
         let target = cfg.choose(total, root.len(), db.len());
         convert_members(&mut root, target, n_words_for(db.len()), &mut stats);
+        let pairs = root_pairs(&root, db.n_items()).map(|index| {
+            let mut counts = index.zeroed();
+            index.count_into(db, 0..db.len(), &mut counts, &mut Vec::new());
+            (index, counts)
+        });
         let mut prefix = Vec::new();
-        extend_all(
-            &root,
-            &mut prefix,
-            min_support,
-            max_k,
-            cfg,
-            db.len(),
-            &mut stats,
-            &mut out,
-        );
+        for i in 0..root.len() {
+            extend_one(
+                &root,
+                i,
+                pairs.as_ref().map(|(index, counts)| index.row(counts, i)),
+                &mut prefix,
+                min_support,
+                max_k,
+                cfg,
+                db.len(),
+                &mut stats,
+                &mut out,
+            );
+        }
     }
     out.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
     (out, stats)

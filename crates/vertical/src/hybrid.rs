@@ -2,9 +2,9 @@
 //! that breadth-first counting wins on shallow, wide levels while
 //! tidlist intersection wins on deep, narrow ones).
 //!
-//! Levels `k ≤ switch_level` run as plain CCPD: hash-tree counting over
-//! the horizontal database, which amortizes beautifully while candidate
-//! sets are huge. The surviving `F_s` itemsets are then *transposed*
+//! Levels `k ≤ switch_level` run as plain CCPD: counting over the
+//! horizontal database (the pair array at `k = 2`, the hash tree beyond),
+//! which amortizes beautifully while candidate sets are huge. The surviving `F_s` itemsets are then *transposed*
 //! into tidsets — one shared `(s-1)`-prefix intersection per equivalence
 //! class plus one intersection per member — and the deep levels finish
 //! vertically with the same weighted class scheduling as
@@ -84,7 +84,7 @@ fn mine_deep_class(
         debug_assert_eq!(
             tids.len() as u32,
             fs.support(i as usize),
-            "transposed tidset disagrees with the hash-tree count for {items:?}"
+            "transposed tidset disagrees with the CCPD count for {items:?}"
         );
         total_support += tids.len() as u64;
         members.push(Member {
@@ -99,6 +99,7 @@ fn mine_deep_class(
         extend_one(
             &members,
             i,
+            None,
             &mut prefix,
             min_support,
             max_k,

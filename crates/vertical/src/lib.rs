@@ -16,7 +16,7 @@
 //! * [`parallel`] — [`mine_eclat_parallel`]: first-level equivalence
 //!   classes as weighted tasks on the `arm-exec` chunk pool, with a
 //!   deterministic merge;
-//! * [`hybrid`] — [`mine_hybrid`]: CCPD hash-tree counting for the
+//! * [`hybrid`] — [`mine_hybrid`]: CCPD counting for the
 //!   shallow levels, then transpose `F_s` and finish vertically.
 //!
 //! ```

@@ -10,22 +10,27 @@
 //! under *any* schedule — itemset order never depends on which thread
 //! ran which class.
 //!
-//! Class weights for the initial split are the suffix sums of member
-//! supports: member `i` joins with every later member, so the tidset
-//! lengths it touches are `Σ_{j ≥ i} |tids_j|`. The default `Guided` mode
-//! re-balances mis-estimates at run time.
+//! Before the classes are mined, a `count` phase counts every pair of
+//! frequent items into per-thread triangular arrays over the
+//! transactions (the `C_2` kernel of [`arm_core::pairs`], as Zaki's
+//! Eclat finds `F_2` horizontally). The root DFS then intersects only
+//! the pairs that are frequent, and root class `i` is weighted by the
+//! summed supports of its frequent pairs `(i, j)` — the tidset lengths
+//! its children start from. The default `Guided` mode re-balances
+//! mis-estimates at run time.
 
 use crate::config::VerticalConfig;
 use crate::driver::{
-    build_root, convert_members, extend_one, n_words_for, try_transpose, ClassBuf,
+    build_root, convert_members, extend_one, n_words_for, root_pairs, try_transpose, ClassBuf,
 };
 use crate::tidset::KernelStats;
-use arm_dataset::{Database, Item};
+use arm_core::pairs::reduce_into_first;
+use arm_dataset::{block_ranges, Database, Item};
 use arm_exec::ChunkPool;
 use arm_faults::{try_run_threads, MiningError, RunControl};
 use arm_hashtree::WorkMeter;
 use arm_metrics::{Counter, MetricsRegistry};
-use arm_parallel::{record_exec, ParallelRunStats};
+use arm_parallel::{count_pairs, record_exec, ParallelRunStats};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -83,9 +88,9 @@ pub fn mine_eclat_parallel(
 }
 
 /// [`mine_eclat_parallel`] under a [`RunControl`]: cancellation is
-/// observed per transpose block and per class-range claim, worker panics
-/// return as [`MiningError::WorkerPanicked`], and fault-plan sites fire
-/// in phases `transpose` and `mine`.
+/// observed per transpose block, per pair-count chunk and per class-range
+/// claim, worker panics return as [`MiningError::WorkerPanicked`], and
+/// fault-plan sites fire in phases `transpose`, `count` and `mine`.
 pub fn try_mine_eclat_parallel(
     db: &Database,
     min_support: u32,
@@ -151,8 +156,8 @@ fn mine_parallel_impl(
         span.finish(transpose_work);
         ctrl.gate("transpose", run_start)?;
 
-        // Root class, weights, and the class-level backend choice are
-        // cheap and serial (one pass over the frequent singletons).
+        // The root class and its backend choice are cheap and serial
+        // (one pass over the frequent singletons).
         let span = metrics.phase("classes", 1);
         let mut root_stats = KernelStats::default();
         let mut root = build_root(tidlists, min_support, &mut root_stats);
@@ -160,25 +165,45 @@ fn mine_parallel_impl(
             out.push((vec![m.item], m.tids.support()));
         }
         let run_deep = max_k != Some(1) && !root.is_empty();
-        let mut weights: Vec<u64> = Vec::new();
         if run_deep {
             let total: u64 = root.iter().map(|m| m.tids.support() as u64).sum();
             let target = cfg.choose(total, root.len(), db.len());
             convert_members(&mut root, target, n_words_for(db.len()), &mut root_stats);
-            // Suffix sums: class i's DFS joins member i with every later
-            // member, so its first-level cost tracks Σ_{j ≥ i} support_j.
-            weights = vec![0u64; root.len()];
-            let mut suffix = 0u64;
-            for i in (0..root.len()).rev() {
-                suffix += root[i].tids.support() as u64;
-                weights[i] = suffix;
-            }
         }
         span.finish_serial();
         fold_kernel_stats(&metrics, 0, &root_stats);
         ctrl.gate("classes", run_start)?;
 
         if run_deep {
+            // `None` only when the pair array is unaddressable; the root
+            // then intersects every pair.
+            let pairs = match root_pairs(&root, db.n_items()) {
+                Some(index) => {
+                    let span = metrics.phase("count", 2);
+                    let ranges = block_ranges(db.len(), p);
+                    let (arrays, meters) =
+                        count_pairs(db, &index, &ranges, cfg.scheduling, ctrl, &metrics)?;
+                    ctrl.gate("count", run_start)?;
+                    let counts = reduce_into_first(arrays).expect("one array per thread");
+                    span.finish(meters.iter().map(WorkMeter::work_units).collect());
+                    Some((index, counts))
+                }
+                None => None,
+            };
+            let pair_row = |i: usize| pairs.as_ref().map(|(index, counts)| index.row(counts, i));
+            // Class i's children start from the tidsets of its frequent
+            // pairs, so it weighs their summed supports; without pair
+            // counts it intersects every later member: Σ_{j ≥ i} support_j.
+            let weights: Vec<u64> = (0..root.len())
+                .map(|i| match pair_row(i) {
+                    Some(row) => row
+                        .iter()
+                        .filter(|&&c| c >= min_support)
+                        .map(|&c| c as u64)
+                        .sum(),
+                    None => root[i..].iter().map(|m| m.tids.support() as u64).sum(),
+                })
+                .collect();
             let owned_seeds;
             let seed_ranges: &[Range<usize>] = match seeds {
                 Some(s) => s,
@@ -218,6 +243,7 @@ fn mine_parallel_impl(
                             extend_one(
                                 root_ref,
                                 ci,
+                                pair_row(ci),
                                 &mut prefix,
                                 min_support,
                                 max_k,

@@ -9,6 +9,9 @@
 //! ```
 //!
 //! Text input: one transaction per line, whitespace-separated item ids.
+//!
+//! Mining starts from `AprioriConfig::default()`, so `C_2` is counted in
+//! the pair array (`pair_array`); no flag selects the `k = 2` hash tree.
 
 use parallel_arm::cli::{mining_config, Args, MINING_FLAGS, MINING_OPTS};
 use parallel_arm::prelude::*;

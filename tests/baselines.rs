@@ -1,7 +1,7 @@
 //! Cross-algorithm agreement: the optimized parallel CCPD, sequential
-//! Apriori, the vertical (Eclat-style) miner, the two-scan Partition
-//! algorithm, and the DHP pair-filtered variant must all produce the
-//! same frequent itemsets.
+//! Apriori (counting `C_2` in the pair array and in the paper's hash
+//! tree), the vertical (Eclat-style) miner and the two-scan Partition
+//! algorithm must all produce the same frequent itemsets.
 
 use parallel_arm::prelude::*;
 
@@ -33,74 +33,10 @@ fn five_miners_agree() {
     let partition = parallel_arm::core::mine_partition(&db, frac, 4, None);
     assert_eq!(partition, apriori, "Partition");
 
-    let dhp_cfg = AprioriConfig {
-        pair_filter_buckets: Some(1 << 12),
+    let tree_cfg = AprioriConfig {
+        pair_array: false,
         ..apriori_cfg
     };
-    let dhp = parallel_arm::core::mine(&db, &dhp_cfg).all_itemsets();
-    assert_eq!(dhp, apriori, "DHP");
-}
-
-#[test]
-fn dhp_filter_shrinks_c2() {
-    let db = synthetic();
-    let base_cfg = AprioriConfig {
-        min_support: Support::Fraction(0.01),
-        max_k: Some(2),
-        ..AprioriConfig::default()
-    };
-    let base = parallel_arm::core::mine(&db, &base_cfg);
-    let dhp = parallel_arm::core::mine(
-        &db,
-        &AprioriConfig {
-            pair_filter_buckets: Some(1 << 14),
-            ..base_cfg
-        },
-    );
-    let c2_base = base.iter_stats[1].n_candidates;
-    let c2_dhp = dhp.iter_stats[1].n_candidates;
-    assert!(
-        c2_dhp < c2_base / 2,
-        "DHP should prune most of C2: {c2_dhp} vs {c2_base}"
-    );
-    // ... without losing any frequent itemset.
-    assert_eq!(dhp.all_itemsets(), base.all_itemsets());
-    assert_eq!(dhp.iter_stats[1].n_frequent, base.iter_stats[1].n_frequent);
-}
-
-#[test]
-fn dhp_in_parallel_driver() {
-    let db = synthetic();
-    let cfg = AprioriConfig {
-        min_support: Support::Fraction(0.01),
-        pair_filter_buckets: Some(1 << 12),
-        ..AprioriConfig::default()
-    };
-    let expected = parallel_arm::core::mine(&db, &cfg).all_itemsets();
-    for p in [1usize, 3] {
-        let (r, _) = ccpd::mine(&db, &ParallelConfig::new(cfg.clone(), p));
-        assert_eq!(r.all_itemsets(), expected, "P={p}");
-    }
-}
-
-#[test]
-fn tiny_bucket_table_still_lossless() {
-    // With absurdly few buckets almost nothing is pruned (counts
-    // saturate above minsup), but correctness must hold.
-    let db = synthetic();
-    let base_cfg = AprioriConfig {
-        min_support: Support::Fraction(0.01),
-        max_k: Some(3),
-        ..AprioriConfig::default()
-    };
-    let base = parallel_arm::core::mine(&db, &base_cfg).all_itemsets();
-    let dhp = parallel_arm::core::mine(
-        &db,
-        &AprioriConfig {
-            pair_filter_buckets: Some(7),
-            ..base_cfg
-        },
-    )
-    .all_itemsets();
-    assert_eq!(dhp, base);
+    let tree = parallel_arm::core::mine(&db, &tree_cfg).all_itemsets();
+    assert_eq!(tree, apriori, "Apriori with the k = 2 hash tree");
 }

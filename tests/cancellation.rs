@@ -8,7 +8,8 @@
 //! * [`CancelToken::cancel_after_checks`] stops the run at an exact
 //!   logical point, and observation latency is bounded: after the
 //!   trigger at check `n`, each of the `P` workers lands at most one
-//!   further checkpoint, so `checks() ≤ n + P`;
+//!   further checkpoint, so `checks() ≤ n + P` — in every phase,
+//!   the `k = 2` pair-array count of CCPD and Eclat included;
 //! * the error names a phase the miner actually has;
 //! * an already-expired deadline surfaces as `DeadlineExceeded` even
 //!   when the database is empty (zero chunk claims) or `P == 0` — the
@@ -75,7 +76,7 @@ impl Miner {
         match self {
             Miner::Ccpd => &["f1", "candgen", "build", "freeze", "count", "extract"],
             Miner::Pccd => &["f1", "candgen", "count", "extract"],
-            Miner::Eclat => &["transpose", "classes", "mine"],
+            Miner::Eclat => &["transpose", "classes", "count", "mine"],
             Miner::Hybrid => &[
                 "f1",
                 "candgen",
@@ -180,6 +181,56 @@ fn cancel_after_checks_bounds_observation_latency() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn cancellation_latency_covers_the_pair_count_phase() {
+    // CCPD capped at k = 2 and parallel Eclat each have exactly one
+    // `count` phase: the k = 2 pair-array count. Walk the trigger forward
+    // from the first check until it lands there, holding the latency
+    // bound at every step.
+    for miner in [Miner::Ccpd, Miner::Eclat] {
+        for &p in &[1usize, 2, 4, max_threads()] {
+            for mode in [Scheduling::Static, Scheduling::Guided] {
+                let mut landed = false;
+                for n in 1u64.. {
+                    let token = CancelToken::new().cancel_after_checks(n);
+                    let ctrl = RunControl::with_cancel(token.clone());
+                    let outcome = match miner {
+                        Miner::Ccpd => {
+                            let mut cfg = pcfg(p, mode);
+                            cfg.base.max_k = Some(2);
+                            assert!(cfg.base.pair_array);
+                            ccpd::try_mine(db(), &cfg, &ctrl).map(|_| ())
+                        }
+                        _ => miner.run(db(), p, mode, &ctrl).map(|_| ()),
+                    };
+                    match outcome {
+                        Err(MiningError::Cancelled { phase, .. }) => {
+                            assert!(
+                                token.checks() <= n + p as u64,
+                                "{miner:?} p={p} mode={mode:?} n={n}: {} checks in {phase}",
+                                token.checks()
+                            );
+                            if phase == "count" {
+                                landed = true;
+                                break;
+                            }
+                        }
+                        Ok(()) => break,
+                        Err(other) => {
+                            panic!("{miner:?} p={p} mode={mode:?} n={n}: unexpected {other:?}")
+                        }
+                    }
+                }
+                assert!(
+                    landed,
+                    "{miner:?} p={p} mode={mode:?}: the run finished before any trigger \
+                     landed in the pair count"
+                );
             }
         }
     }

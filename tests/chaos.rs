@@ -3,9 +3,9 @@
 //!
 //! A [`FaultPlan`] arms panic or delay sites at each instrumented point
 //! (CCPD's f1/build/count claims, PCCD's count, parallel Eclat's
-//! transpose and class-mining loop, the hybrid's vertical stage); the
-//! matrix below drives every miner × site × thread count × scheduling
-//! mode and asserts the containment contract:
+//! transpose, pair count and class-mining loop, the hybrid's vertical
+//! stage); the matrix below drives every miner × site × thread count ×
+//! scheduling mode and asserts the containment contract:
 //!
 //! * a panic site surfaces as a clean [`MiningError::WorkerPanicked`]
 //!   naming the phase, with every worker joined (the process would abort
@@ -102,7 +102,8 @@ impl Miner {
         match self {
             Miner::Ccpd => &["f1", "build", "count"],
             Miner::Pccd => &["count"],
-            Miner::Eclat | Miner::Hybrid => &["transpose", "mine"],
+            Miner::Eclat => &["transpose", "count", "mine"],
+            Miner::Hybrid => &["transpose", "mine"],
         }
     }
 
@@ -111,7 +112,7 @@ impl Miner {
         match self {
             Miner::Ccpd => &["f1", "candgen", "build", "freeze", "count", "extract"],
             Miner::Pccd => &["f1", "candgen", "count", "extract"],
-            Miner::Eclat => &["transpose", "classes", "mine"],
+            Miner::Eclat => &["transpose", "classes", "count", "mine"],
             Miner::Hybrid => &[
                 "f1",
                 "candgen",

@@ -66,6 +66,43 @@ fn parallel_drivers_agree_with_sequential_on_twenty_datasets() {
     }
 }
 
+/// `IterStats` of `k = 2`: `(|C_2|, |F_2|)`.
+fn c2_f2(r: &MiningResult) -> (usize, usize) {
+    let s = &r.iter_stats[1];
+    assert_eq!(s.k, 2);
+    (s.n_candidates, s.n_frequent)
+}
+
+#[test]
+fn pair_array_and_k2_hash_tree_agree_on_twenty_datasets() {
+    let tree_cfg = AprioriConfig {
+        pair_array: false,
+        ..cfg()
+    };
+    for seed in 0..N_SEEDS {
+        let db = dataset(seed);
+        let minsup = db.absolute_support(FRACTION);
+        let naive = mine_levelwise(&db, minsup, None);
+        let array = parallel_arm::core::mine(&db, &cfg());
+        let tree = parallel_arm::core::mine(&db, &tree_cfg);
+        assert_eq!(array.all_itemsets(), naive, "seed {seed}: array vs naive");
+        assert_eq!(tree.all_itemsets(), naive, "seed {seed}: tree vs naive");
+        assert_eq!(c2_f2(&array), c2_f2(&tree), "seed {seed}: k = 2 stats");
+        assert_eq!(array.iter_stats[1].tree_bytes, 0, "seed {seed}");
+        assert!(tree.iter_stats[1].tree_bytes > 0, "seed {seed}");
+        for p in [1usize, 2, 4, 8] {
+            for (name, base) in [("array", cfg()), ("tree", tree_cfg.clone())] {
+                let pc = ParallelConfig::new(base, p);
+                let (r, _) = ccpd::mine(&db, &pc);
+                assert_eq!(r.all_itemsets(), naive, "seed {seed}: CCPD {name} P={p}");
+                assert_eq!(c2_f2(&r), c2_f2(&tree), "seed {seed}: CCPD {name} P={p}");
+                let (h, _) = mine_hybrid(&db, &pc, &VerticalConfig::default());
+                assert_eq!(h, naive, "seed {seed}: hybrid {name} P={p}");
+            }
+        }
+    }
+}
+
 #[test]
 fn vertical_miners_agree_with_apriori_on_twenty_datasets() {
     for seed in 0..N_SEEDS {
