@@ -247,11 +247,11 @@ fn db_partitioning(scale: ScaleMode, reps: usize) {
 
     let mut csv = Csv::new(
         "ablation_db_partition.csv",
-        "strategy,model_seconds,count_imbalance",
+        "strategy,count_seconds,count_imbalance",
     );
     println!(
         "{:<22} {:>12} {:>16}",
-        "strategy", "model (s)", "count imbalance"
+        "strategy", "count (s)", "count imbalance"
     );
     for (name, part) in [
         ("block", DbPartition::Block),
@@ -269,7 +269,7 @@ fn db_partitioning(scale: ScaleMode, reps: usize) {
         let mut imb = 0.0;
         for _ in 0..reps {
             let (_, stats) = ccpd::mine(&db, &cfg);
-            secs = secs.min(stats.simulated_time_of(&["count"]));
+            secs = secs.min(stats.wall_of(&["count"]).as_secs_f64());
             imb = stats.imbalance_of_heaviest("count");
         }
         println!("{name:<22} {secs:>12.4} {imb:>16.3}");

@@ -207,7 +207,7 @@ fn main() {
     // ---- RunReport: one instrumented CCPD run over the same dataset ----
     // Exercises the observability layer end-to-end: phase timers, lock
     // telemetry on the shared tree build, and per-thread work land in one
-    // `arm-run-report/v1` document alongside the knob snapshot above.
+    // `arm-run-report/v2` document alongside the knob snapshot above.
     let base = AprioriConfig {
         min_support: Support::Fraction(0.005),
         max_k: timing_max_k(scale),

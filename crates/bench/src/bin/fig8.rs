@@ -7,9 +7,10 @@
 //! * TREE: bitonic indirection hash (§4.1);
 //! * COMP-TREE: both.
 //!
-//! Reported: % improvement in work-model execution time over the base
-//! (the paper's metric is computation-time improvement; the work model
-//! removes the single-host-core limitation, see DESIGN.md).
+//! Reported: % improvement in measured computation wall time (the
+//! candgen, build and count phases, best of the reps) over the base —
+//! the paper's metric. Threads beyond the host's cores are
+//! oversubscribed, so only the imbalance columns are host-independent.
 //!
 //! Sets `pair_array: false`: TREE balances the hash tree, so `C_2`, its
 //! largest level, is counted in the paper's tree.
@@ -49,7 +50,8 @@ fn run(
         let (result, stats) = ccpd::mine(db, &cfg);
         // The paper reports improvements "only based on the computation
         // time" — candidate generation, tree build, and counting.
-        best = best.min(stats.simulated_time_of(&["candgen", "build", "count"]));
+        let secs = stats.wall_of(&["candgen", "build", "count"]).as_secs_f64();
+        best = best.min(secs);
         imbalance = stats.imbalance_of_heaviest("candgen");
         last = Some((result, stats));
     }

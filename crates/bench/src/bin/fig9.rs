@@ -32,7 +32,8 @@ fn run(db: &Database, p: usize, short_circuit: bool, reps: usize, max_k: Option<
     let _ = ccpd::mine(db, &cfg); // warm-up
     for _ in 0..reps {
         let (_, stats) = ccpd::mine(db, &cfg);
-        best = best.min(stats.simulated_time_of(&["candgen", "build", "count"]));
+        let secs = stats.wall_of(&["candgen", "build", "count"]).as_secs_f64();
+        best = best.min(secs);
     }
     best
 }

@@ -202,7 +202,7 @@ impl Csv {
     }
 }
 
-/// Writes `reports` as one `arm-run-report/v1` JSON document next to the
+/// Writes `reports` as one `arm-run-report/v2` JSON document next to the
 /// CSV outputs (`ARM_OUT`, else `EXPERIMENTS-data/`), returning the path
 /// written. Every figure binary funnels its runs through this so all
 /// machine-readable output shares one schema.
@@ -224,13 +224,19 @@ pub fn pct_improvement(base: f64, optimized: f64) -> f64 {
     (base - optimized) / base * 100.0
 }
 
+/// The host's core count (`available_parallelism`, 1 if unknown). Wall
+/// times at thread counts above it are oversubscribed.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Prints the standard experiment banner.
 pub fn banner(what: &str, scale: ScaleMode) {
     println!("== {what} ==");
     println!(
         "scale: {} | host cores: {} | reproduction of Zaki et al. SC'96/KAIS'01",
         scale.label(),
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        host_cores()
     );
     println!();
 }

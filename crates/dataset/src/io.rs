@@ -145,7 +145,12 @@ pub fn read_text<R: Read>(r: R, n_items: u32) -> io::Result<Database> {
         if txns.iter().all(|t| t.is_empty()) {
             1
         } else {
-            max_item + 1
+            max_item.checked_add(1).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("item id {max_item} too large"),
+                )
+            })?
         }
     } else {
         n_items
@@ -229,6 +234,9 @@ mod tests {
         let back = read_text("3 1 2\n9".as_bytes(), 0).unwrap();
         assert_eq!(back.n_items(), 10);
         assert_eq!(back.transaction(0), &[1, 2, 3]);
+        // The largest id leaves no room for `max item + 1`.
+        let err = read_text("4294967295".as_bytes(), 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -43,11 +43,11 @@ pub enum Counter {
     ChunksExecuted = 10,
     /// Chunks migrated onto this thread by a successful steal.
     /// Nothing increments this since the stealing scheduler was removed;
-    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
+    /// kept (reads 0) because the `perfbench/` wall-clock benchmark names it.
     ChunksStolen = 11,
     /// Steal probes this thread issued, successful or not.
     /// Nothing increments this since the stealing scheduler was removed;
-    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
+    /// kept (reads 0) because the `perfbench/` wall-clock benchmark names it.
     StealAttempts = 12,
     /// Failed CAS iterations on the shared scheduling cursor.
     CursorCasRetries = 13,

@@ -12,7 +12,7 @@ use crate::json::{parse, Json};
 use crate::registry::{Counter, MetricsSnapshot, PhaseRecord};
 
 /// Schema tag written into every report file.
-pub const SCHEMA: &str = "arm-run-report/v1";
+pub const SCHEMA: &str = "arm-run-report/v2";
 
 /// One phase entry of a report.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -59,14 +59,6 @@ pub struct ThreadReport {
     pub ctr_cas_retries: u64,
     /// Scheduler chunks this thread claimed and executed.
     pub chunks_executed: u64,
-    /// Chunks migrated onto this thread by a successful steal.
-    /// Nothing increments this since the stealing scheduler was removed;
-    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
-    pub chunks_stolen: u64,
-    /// Steal probes this thread issued, successful or not.
-    /// Nothing increments this since the stealing scheduler was removed;
-    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
-    pub steal_attempts: u64,
     /// Failed CAS iterations on the shared scheduling cursor.
     pub cursor_cas_retries: u64,
 }
@@ -91,14 +83,6 @@ pub struct LockReport {
 pub struct SchedReport {
     /// Total chunks claimed and executed.
     pub chunks_executed: u64,
-    /// Chunks that migrated between threads via stealing.
-    /// Nothing increments this since the stealing scheduler was removed;
-    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
-    pub chunks_stolen: u64,
-    /// Steal probes issued, successful or not.
-    /// Nothing increments this since the stealing scheduler was removed;
-    /// kept for `arm-run-report/v1` schema compatibility (reads 0).
-    pub steal_attempts: u64,
     /// Failed CAS iterations on shared scheduling cursors.
     pub cursor_cas_retries: u64,
 }
@@ -169,10 +153,6 @@ pub struct RunReport {
     pub metrics_enabled: bool,
     /// End-to-end wall time in seconds.
     pub wall_seconds: f64,
-    /// Work-model speedup (see `ParallelRunStats::simulated_speedup`).
-    pub simulated_speedup: f64,
-    /// Work-model run time on dedicated cores, in seconds.
-    pub simulated_seconds: f64,
     /// Phases in execution order.
     pub phases: Vec<PhaseReport>,
     /// Per-thread work and telemetry.
@@ -197,7 +177,7 @@ pub const PHASE_CSV_HEADER: &str =
 
 /// Header row matching [`RunReport::summary_csv_row`].
 pub const SUMMARY_CSV_HEADER: &str = "algorithm,dataset,n_threads,min_support,wall_seconds,\
-simulated_speedup,leaf_lock_acquires,leaf_lock_contended,leaf_lock_wait_ns,ctr_increments,\
+leaf_lock_acquires,leaf_lock_contended,leaf_lock_wait_ns,ctr_increments,\
 ctr_cas_retries,tree_bytes";
 
 impl RunReport {
@@ -245,8 +225,6 @@ impl RunReport {
             row.ctr_increments = snap.get(t, Counter::CtrIncrements);
             row.ctr_cas_retries = snap.get(t, Counter::CtrCasRetries);
             row.chunks_executed = snap.get(t, Counter::ChunksExecuted);
-            row.chunks_stolen = snap.get(t, Counter::ChunksStolen);
-            row.steal_attempts = snap.get(t, Counter::StealAttempts);
             row.cursor_cas_retries = snap.get(t, Counter::CursorCasRetries);
         }
         self.locks = LockReport {
@@ -258,8 +236,6 @@ impl RunReport {
         };
         self.sched = SchedReport {
             chunks_executed: snap.total(Counter::ChunksExecuted),
-            chunks_stolen: snap.total(Counter::ChunksStolen),
-            steal_attempts: snap.total(Counter::StealAttempts),
             cursor_cas_retries: snap.total(Counter::CursorCasRetries),
         };
         self.vertical = VerticalReport {
@@ -290,14 +266,6 @@ impl RunReport {
             ("metrics_enabled".into(), Json::Bool(self.metrics_enabled)),
             ("wall_seconds".into(), Json::Float(self.wall_seconds)),
             (
-                "simulated_speedup".into(),
-                Json::Float(self.simulated_speedup),
-            ),
-            (
-                "simulated_seconds".into(),
-                Json::Float(self.simulated_seconds),
-            ),
-            (
                 "phases".into(),
                 Json::Arr(self.phases.iter().map(phase_value).collect()),
             ),
@@ -319,8 +287,6 @@ impl RunReport {
                 "sched".into(),
                 Json::Obj(vec![
                     ("chunks_executed".into(), int(self.sched.chunks_executed)),
-                    ("chunks_stolen".into(), int(self.sched.chunks_stolen)),
-                    ("steal_attempts".into(), int(self.sched.steal_attempts)),
                     (
                         "cursor_cas_retries".into(),
                         int(self.sched.cursor_cas_retries),
@@ -379,8 +345,6 @@ impl RunReport {
                 .and_then(Json::as_bool)
                 .ok_or("missing metrics_enabled")?,
             wall_seconds: f64_field(v, "wall_seconds")?,
-            simulated_speedup: f64_field(v, "simulated_speedup")?,
-            simulated_seconds: f64_field(v, "simulated_seconds")?,
             ..RunReport::default()
         };
         for p in arr_field(v, "phases")? {
@@ -406,12 +370,8 @@ impl RunReport {
                 lock_wait_ns: u64_field(t, "lock_wait_ns")?,
                 ctr_increments: u64_field(t, "ctr_increments")?,
                 ctr_cas_retries: u64_field(t, "ctr_cas_retries")?,
-                // Scheduling fields arrived after v1 reports were first
-                // written; absent means zero so older files still parse.
-                chunks_executed: u64_field_or(t, "chunks_executed", 0)?,
-                chunks_stolen: u64_field_or(t, "chunks_stolen", 0)?,
-                steal_attempts: u64_field_or(t, "steal_attempts", 0)?,
-                cursor_cas_retries: u64_field_or(t, "cursor_cas_retries", 0)?,
+                chunks_executed: u64_field(t, "chunks_executed")?,
+                cursor_cas_retries: u64_field(t, "cursor_cas_retries")?,
             });
         }
         let l = v.get("locks").ok_or("missing locks")?;
@@ -422,31 +382,22 @@ impl RunReport {
             ctr_increments: u64_field(l, "ctr_increments")?,
             ctr_cas_retries: u64_field(l, "ctr_cas_retries")?,
         };
-        // Like the per-thread chunk fields, "sched" postdates the first v1
-        // reports: a missing section (or missing keys) reads as zeros.
-        if let Some(s) = v.get("sched") {
-            r.sched = SchedReport {
-                chunks_executed: u64_field_or(s, "chunks_executed", 0)?,
-                chunks_stolen: u64_field_or(s, "chunks_stolen", 0)?,
-                steal_attempts: u64_field_or(s, "steal_attempts", 0)?,
-                cursor_cas_retries: u64_field_or(s, "cursor_cas_retries", 0)?,
-            };
-        }
-        // "vertical" postdates "sched": absent reads as zeros too.
-        if let Some(s) = v.get("vertical") {
-            r.vertical = VerticalReport {
-                intersections: u64_field_or(s, "intersections", 0)?,
-                words_anded: u64_field_or(s, "words_anded", 0)?,
-                tidset_bytes: u64_field_or(s, "tidset_bytes", 0)?,
-            };
-        }
-        // "faults" postdates "vertical": absent reads as zeros too.
-        if let Some(s) = v.get("faults") {
-            r.faults = FaultReport {
-                cancel_checks: u64_field_or(s, "cancel_checks", 0)?,
-                faults_injected: u64_field_or(s, "faults_injected", 0)?,
-            };
-        }
+        let s = v.get("sched").ok_or("missing sched")?;
+        r.sched = SchedReport {
+            chunks_executed: u64_field(s, "chunks_executed")?,
+            cursor_cas_retries: u64_field(s, "cursor_cas_retries")?,
+        };
+        let s = v.get("vertical").ok_or("missing vertical")?;
+        r.vertical = VerticalReport {
+            intersections: u64_field(s, "intersections")?,
+            words_anded: u64_field(s, "words_anded")?,
+            tidset_bytes: u64_field(s, "tidset_bytes")?,
+        };
+        let s = v.get("faults").ok_or("missing faults")?;
+        r.faults = FaultReport {
+            cancel_checks: u64_field(s, "cancel_checks")?,
+            faults_injected: u64_field(s, "faults_injected")?,
+        };
         let m = v.get("mem").ok_or("missing mem")?;
         r.mem = MemReport {
             tree_bytes: u64_field(m, "tree_bytes")?,
@@ -495,13 +446,12 @@ impl RunReport {
     /// One CSV row summarizing the run ([`SUMMARY_CSV_HEADER`]).
     pub fn summary_csv_row(&self) -> String {
         format!(
-            "{},{},{},{},{:.6},{:.4},{},{},{},{},{},{}",
+            "{},{},{},{},{:.6},{},{},{},{},{},{}",
             self.algorithm,
             self.dataset,
             self.n_threads,
             self.min_support,
             self.wall_seconds,
-            self.simulated_speedup,
             self.locks.leaf_acquires,
             self.locks.leaf_contended,
             self.locks.leaf_wait_ns,
@@ -576,8 +526,6 @@ fn thread_value(t: &ThreadReport) -> Json {
         ("ctr_increments".into(), int(t.ctr_increments)),
         ("ctr_cas_retries".into(), int(t.ctr_cas_retries)),
         ("chunks_executed".into(), int(t.chunks_executed)),
-        ("chunks_stolen".into(), int(t.chunks_stolen)),
-        ("steal_attempts".into(), int(t.steal_attempts)),
         ("cursor_cas_retries".into(), int(t.cursor_cas_retries)),
     ])
 }
@@ -603,16 +551,6 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing integer field {key}"))
-}
-
-/// Like [`u64_field`] but an absent key yields `default` (a present
-/// non-integer value is still an error). Used for fields added after the
-/// first v1 reports were written.
-fn u64_field_or(v: &Json, key: &str, default: u64) -> Result<u64, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => x.as_u64().ok_or_else(|| format!("non-integer field {key}")),
-    }
 }
 
 fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
@@ -642,8 +580,6 @@ mod tests {
     fn sample() -> RunReport {
         let mut r = RunReport::new("ccpd", "T10.I4.D100K", 2, 50);
         r.wall_seconds = 1.25;
-        r.simulated_speedup = 1.8;
-        r.simulated_seconds = 0.7;
         r.set_phases(&[
             PhaseRecord {
                 name: "count",
@@ -676,12 +612,10 @@ mod tests {
         r.locks.leaf_acquires = 123;
         r.locks.leaf_contended = 4;
         r.threads[0].chunks_executed = 5;
-        r.threads[1].chunks_stolen = 2;
+        r.threads[1].cursor_cas_retries = 2;
         r.sched = SchedReport {
             chunks_executed: 9,
-            chunks_stolen: 2,
-            steal_attempts: 6,
-            cursor_cas_retries: 1,
+            cursor_cas_retries: 2,
         };
         r.vertical = VerticalReport {
             intersections: 17,
@@ -773,83 +707,20 @@ mod tests {
     }
 
     #[test]
-    fn parses_reports_predating_sched_fields() {
-        // A v1 report written before the scheduling layer existed: thread
-        // objects lack the chunk/steal fields and there is no "sched"
-        // section. It must parse with those values defaulting to zero.
-        let mut old = sample();
-        old.threads.iter_mut().for_each(|t| {
-            t.chunks_executed = 0;
-            t.chunks_stolen = 0;
-            t.steal_attempts = 0;
-            t.cursor_cas_retries = 0;
-        });
-        old.sched = SchedReport::default();
-        fn strip(v: Json) -> Json {
-            const NEW_KEYS: &[&str] = &[
-                "sched",
-                "chunks_executed",
-                "chunks_stolen",
-                "steal_attempts",
-                "cursor_cas_retries",
-            ];
-            match v {
-                Json::Obj(fields) => Json::Obj(
-                    fields
-                        .into_iter()
-                        .filter(|(k, _)| !NEW_KEYS.contains(&k.as_str()))
-                        .map(|(k, x)| (k, strip(x)))
-                        .collect(),
-                ),
-                Json::Arr(items) => Json::Arr(items.into_iter().map(strip).collect()),
-                other => other,
-            }
-        }
-        let text = strip(old.to_value()).pretty();
-        assert!(!text.contains("chunks_executed") && !text.contains("sched"));
-        let back = RunReport::from_json(&text).expect("old report must parse");
-        assert_eq!(back, old);
-    }
-
-    #[test]
-    fn parses_reports_predating_vertical_section() {
-        // Reports written before the vertical-mining subsystem have no
-        // "vertical" section; it must read back as all-zero totals.
-        let mut old = sample();
-        old.vertical = VerticalReport::default();
-        let stripped: Vec<(String, Json)> = match old.to_value() {
-            Json::Obj(fields) => fields
-                .into_iter()
-                .filter(|(k, _)| k != "vertical")
-                .collect(),
-            _ => unreachable!(),
-        };
-        let text = Json::Obj(stripped).pretty();
-        assert!(!text.contains("vertical"));
-        let back = RunReport::from_json(&text).expect("pre-vertical report must parse");
-        assert_eq!(back, old);
-    }
-
-    #[test]
-    fn parses_reports_predating_faults_section() {
-        // Reports written before the fault layer have no "faults" section;
-        // it must read back as all-zero totals.
-        let mut old = sample();
-        old.faults = FaultReport::default();
-        let stripped: Vec<(String, Json)> = match old.to_value() {
-            Json::Obj(fields) => fields.into_iter().filter(|(k, _)| k != "faults").collect(),
-            _ => unreachable!(),
-        };
-        let text = Json::Obj(stripped).pretty();
-        assert!(!text.contains("cancel_checks"));
-        let back = RunReport::from_json(&text).expect("pre-faults report must parse");
-        assert_eq!(back, old);
-    }
-
-    #[test]
     fn from_json_rejects_missing_fields() {
         assert!(RunReport::from_json("{}").is_err());
         assert!(RunReport::from_json("[1, 2]").is_err());
         assert!(reports_from_json("{\"reports\": 5}").is_err());
+        // v2 has no pre-section read path: every section is required.
+        for section in ["sched", "vertical", "faults"] {
+            let Json::Obj(fields) = sample().to_value() else {
+                unreachable!()
+            };
+            let kept = fields.into_iter().filter(|(k, _)| k != section).collect();
+            assert!(
+                RunReport::from_value(&Json::Obj(kept)).is_err(),
+                "{section}"
+            );
+        }
     }
 }

@@ -54,10 +54,10 @@ proptest! {
         algo in vec(0usize..PALETTE.len(), 0..6),
         dataset in vec(0usize..PALETTE.len(), 0..6),
         scalars in (0usize..64, 0u32..1_000_000, any::<bool>()),
-        floats in vec(0.0f64..1.0e9, 3),
+        wall_seconds in 0.0f64..1.0e9,
         phases in vec((0usize..NAMES.len(), 1u32..16, vec(0u64..MAX_INT, 0..5)), 0..6),
-        threads in vec(vec(0u64..MAX_INT, 15), 0..5),
-        lock_mem in vec(0u64..MAX_INT, 19),
+        threads in vec(vec(0u64..MAX_INT, 13), 0..5),
+        lock_mem in vec(0u64..MAX_INT, 17),
         iters in vec((1u32..16, vec(0u64..MAX_INT, 4)), 0..6),
         phase_floats in vec(0.0f64..1.0e6, 12),
     ) {
@@ -68,9 +68,7 @@ proptest! {
             n_threads,
             min_support,
             metrics_enabled,
-            wall_seconds: floats[0],
-            simulated_speedup: floats[1],
-            simulated_seconds: floats[2],
+            wall_seconds,
             phases: phases
                 .iter()
                 .enumerate()
@@ -99,9 +97,7 @@ proptest! {
                     ctr_increments: v[9],
                     ctr_cas_retries: v[10],
                     chunks_executed: v[11],
-                    chunks_stolen: v[12],
-                    steal_attempts: v[13],
-                    cursor_cas_retries: v[14],
+                    cursor_cas_retries: v[12],
                 })
                 .collect(),
             locks: LockReport {
@@ -113,18 +109,16 @@ proptest! {
             },
             sched: SchedReport {
                 chunks_executed: lock_mem[10],
-                chunks_stolen: lock_mem[11],
-                steal_attempts: lock_mem[12],
-                cursor_cas_retries: lock_mem[13],
+                cursor_cas_retries: lock_mem[11],
             },
             vertical: VerticalReport {
-                intersections: lock_mem[14],
-                words_anded: lock_mem[15],
-                tidset_bytes: lock_mem[16],
+                intersections: lock_mem[12],
+                words_anded: lock_mem[13],
+                tidset_bytes: lock_mem[14],
             },
             faults: FaultReport {
-                cancel_checks: lock_mem[17],
-                faults_injected: lock_mem[18],
+                cancel_checks: lock_mem[15],
+                faults_injected: lock_mem[16],
             },
             mem: MemReport {
                 tree_bytes: lock_mem[5],

@@ -634,7 +634,6 @@ mod tests {
         assert!(names.contains(&"freeze"));
         assert!(names.contains(&"count"));
         assert!(names.contains(&"extract"));
-        assert!(stats.simulated_speedup() >= 1.0);
         assert!(stats.total_work("count") > 0);
     }
 

@@ -9,8 +9,8 @@
 //!   database partition heuristic;
 //! * [`scratch`] — the per-worker counting-scratch pool both drivers keep
 //!   alive across iterations;
-//! * [`stats`] — per-phase wall/work records and the simulated-speedup
-//!   model documented in DESIGN.md;
+//! * [`stats`] — per-phase measured wall time and per-thread work
+//!   records, with the load-balance metrics of Figs. 8–10;
 //! * [`report`] — folds a run into the machine-readable
 //!   [`arm_metrics::RunReport`] schema the bench binaries emit.
 //!
@@ -31,7 +31,7 @@
 //! };
 //! let (result, stats) = ccpd::mine(&db, &ParallelConfig::new(base, 2));
 //! assert_eq!(result.support_of(&[1, 4, 5]), Some(2));
-//! assert!(stats.simulated_speedup() >= 1.0);
+//! assert!(stats.wall_of(&["count"]) <= stats.wall);
 //! ```
 
 pub mod ccpd;

@@ -1,18 +1,11 @@
-//! Phase-level statistics and the simulated-speedup work model.
+//! Phase-level statistics of a parallel mining run.
 //!
-//! Every mining phase records its wall time and (when it runs on multiple
-//! threads) a per-thread work tally in abstract units. The model in
-//! [`ParallelRunStats::simulated_speedup`] derives the speedup the run
-//! *would* achieve on dedicated cores: a parallel phase's cost shrinks
-//! from `sum(work)` to `max(work)` (its critical path), serial phases
-//! don't shrink at all (Amdahl).
-//!
-//! This is the substitution documented in DESIGN.md for the paper's
-//! 12-processor SGI host: load-balance effects — the whole point of the
-//! COMP/TREE optimizations — are properties of the *work distribution*,
-//! which the model measures exactly, independent of how many physical
-//! cores the benchmark host has. On a genuinely multi-core host, compare
-//! with wall-clock ([`ParallelRunStats::wall`]) across thread counts too.
+//! Every mining phase records its measured wall time and (when it runs on
+//! multiple threads) a per-thread work tally in abstract units. Timing
+//! figures read the wall times ([`ParallelRunStats::wall`],
+//! [`ParallelRunStats::wall_of`]); the work tallies give the load-balance
+//! metrics ([`ParallelRunStats::max_imbalance`],
+//! [`ParallelRunStats::imbalance_of_heaviest`]) behind Figs. 8–10.
 
 use arm_hashtree::WorkMeter;
 use arm_metrics::MetricsSnapshot;
@@ -53,107 +46,17 @@ impl ParallelRunStats {
             .sum()
     }
 
-    /// Work-model speedup over an ideal 1-thread execution of the same
-    /// work (see module docs). Phases are weighted by their measured wall
-    /// time; a parallel phase's ideal cost is `wall * max(work)/sum(work)`.
-    ///
-    /// The model treats each phase's wall time as proportional to the
-    /// total work it performed, which holds exactly when the host
-    /// serializes threads (1 core) and approximately otherwise.
-    pub fn simulated_speedup(&self) -> f64 {
-        let mut seq = 0.0f64;
-        let mut par = 0.0f64;
-        for ph in &self.phases {
-            let w = ph.wall.as_secs_f64();
-            match &ph.thread_work {
-                None => {
-                    seq += w;
-                    par += w;
-                }
-                Some(tw) => {
-                    let sum: u64 = tw.iter().sum();
-                    let max = tw.iter().copied().max().unwrap_or(0);
-                    seq += w;
-                    // A phase that recorded no work units still took `w`
-                    // seconds of overhead; treat it as unshrinkable.
-                    // Parenthesized so `max == sum` contributes exactly
-                    // `w`: `(w * max) / sum` can round one ulp above `w`,
-                    // which would push the speedup below 1.0.
-                    par += if sum > 0 {
-                        w * (max as f64 / sum as f64)
-                    } else {
-                        w
-                    };
-                }
-            }
-        }
-        if par == 0.0 {
-            1.0
-        } else {
-            seq / par
-        }
-    }
-
-    /// Estimated run time on `n_threads` dedicated cores, in seconds:
-    /// serial phases at their measured wall, parallel phases shrunk to
-    /// their critical path (`wall * max(work)/sum(work)`). Comparable
-    /// across configurations measured on the same host; the numerator of
-    /// [`ParallelRunStats::simulated_speedup`].
-    pub fn simulated_time(&self) -> f64 {
-        let mut par = 0.0f64;
-        for ph in &self.phases {
-            let w = ph.wall.as_secs_f64();
-            match &ph.thread_work {
-                None => par += w,
-                Some(tw) => {
-                    let sum: u64 = tw.iter().sum();
-                    let max = tw.iter().copied().max().unwrap_or(0);
-                    // Parenthesized so `max == sum` contributes exactly
-                    // `w`: `(w * max) / sum` can round one ulp above `w`,
-                    // which would push the speedup below 1.0.
-                    par += if sum > 0 {
-                        w * (max as f64 / sum as f64)
-                    } else {
-                        w
-                    };
-                }
-            }
-        }
-        par
-    }
-
-    /// Total serialized work time in seconds (the 1-core equivalent):
-    /// the sum of all phase walls.
-    pub fn serialized_time(&self) -> f64 {
-        self.phases.iter().map(|p| p.wall.as_secs_f64()).sum()
-    }
-
-    /// [`ParallelRunStats::simulated_time`] restricted to the named
-    /// phases. The paper's Figs. 8–10 report improvements "only based on
-    /// the computation time"; passing `["candgen", "build", "count"]`
+    /// Summed wall time of the phases named in `names`, across every
+    /// iteration. The paper's Figs. 8–10 report improvements "only based
+    /// on the computation time"; passing `["candgen", "build", "count"]`
     /// reproduces that accounting (it excludes freeze/extract/reduce
     /// bookkeeping whose jitter would otherwise drown small effects).
-    pub fn simulated_time_of(&self, names: &[&str]) -> f64 {
-        let mut par = 0.0f64;
-        for ph in self.phases.iter().filter(|p| names.contains(&p.name)) {
-            let w = ph.wall.as_secs_f64();
-            match &ph.thread_work {
-                None => par += w,
-                Some(tw) => {
-                    let sum: u64 = tw.iter().sum();
-                    let max = tw.iter().copied().max().unwrap_or(0);
-                    // Parenthesized so `max == sum` contributes exactly
-                    // `w`: `(w * max) / sum` can round one ulp above `w`,
-                    // which would push the speedup below 1.0.
-                    par += if sum > 0 {
-                        w * (max as f64 / sum as f64)
-                    } else {
-                        w
-                    };
-                }
-            }
-        }
-        par
+    pub fn wall_of(&self, names: &[&str]) -> Duration {
+        self.phases
+            .iter()
+            .filter(|p| names.contains(&p.name))
+            .map(|p| p.wall)
+            .sum()
     }
 
     /// The worst per-phase imbalance across all counting phases — the
@@ -224,36 +127,20 @@ mod tests {
     }
 
     #[test]
-    fn perfectly_balanced_two_threads_doubles() {
-        let s = stats(vec![ph("count", 100, Some(vec![50, 50]))]);
-        assert!((s.simulated_speedup() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn amdahl_serial_fraction_caps_speedup() {
-        // Half the time serial: speedup = 1 / (0.5 + 0.25) ≈ 1.333.
+    fn wall_of_sums_named_phases_across_iterations() {
         let s = stats(vec![
             ph("freeze", 100, None),
-            ph("count", 100, Some(vec![50, 50])),
+            ph("count", 30, Some(vec![90, 10])),
+            ph("candgen", 5, None),
+            ph("count", 20, Some(vec![50, 50])),
         ]);
-        assert!((s.simulated_speedup() - 4.0 / 3.0).abs() < 1e-9);
-        assert_eq!(s.serial_wall(), Duration::from_millis(100));
-    }
-
-    #[test]
-    fn imbalance_degrades_speedup() {
-        let balanced = stats(vec![ph("count", 100, Some(vec![50, 50]))]);
-        let skewed = stats(vec![ph("count", 100, Some(vec![90, 10]))]);
-        assert!(skewed.simulated_speedup() < balanced.simulated_speedup());
-        assert!((skewed.phases[0].imbalance() - 1.8).abs() < 1e-9);
-        assert!((skewed.max_imbalance("count") - 1.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_work_phase_is_harmless() {
-        let s = stats(vec![ph("count", 0, Some(vec![0, 0]))]);
-        assert_eq!(s.simulated_speedup(), 1.0);
-        assert_eq!(s.phases[0].imbalance(), 1.0);
+        assert_eq!(s.wall_of(&["count"]), Duration::from_millis(50));
+        assert_eq!(
+            s.wall_of(&["candgen", "build", "count"]),
+            Duration::from_millis(55)
+        );
+        assert_eq!(s.wall_of(&[]), Duration::ZERO);
+        assert_eq!(s.serial_wall(), Duration::from_millis(105));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The shared vertical-mining machinery: database transposition, class
-//! construction, and the prefix-class DFS — plus the sequential driver
-//! [`mine_vertical`] built from them.
+//! construction, and the prefix-class DFS the drivers in
+//! [`crate::parallel`] and [`crate::hybrid`] are built from.
 //!
 //! The DFS is split into [`extend_one`] (grow one member of a class) and
-//! [`extend_all`] (grow every member in order) so the sequential driver
-//! and the parallel one in [`crate::parallel`] emit *identical* itemset
-//! sets: a parallel task is exactly one `extend_one` call, and a class's
-//! subtree never depends on any other class's traversal.
+//! [`extend_all`] (grow every member in order): a parallel task is
+//! exactly one `extend_one` call, and a class's subtree never depends on
+//! any other class's traversal, so every schedule emits the same itemsets.
 
 use crate::config::VerticalConfig;
 use crate::tidset::{Backend, KernelStats, TidSet};
@@ -40,15 +39,12 @@ pub(crate) fn n_words_for(n_txns: usize) -> usize {
 /// thread (= tid) order, so the result is deterministic and each list
 /// stays sorted. Returns the lists and the per-thread work tally
 /// (items visited).
-pub(crate) fn transpose(db: &Database, p: usize) -> (Vec<Vec<Tid>>, Vec<u64>) {
-    try_transpose(db, p, &RunControl::default()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`transpose`]: each worker checkpoints the control's token
-/// once before scanning its block (the block is one indivisible unit of
-/// transposition work) and fires fault-plan sites in phase `transpose`.
-/// A cancelled run's partial lists are discarded by the caller's phase
-/// gate, never merged into results.
+///
+/// Each worker checkpoints the control's token once before scanning its
+/// block (the block is one indivisible unit of transposition work) and
+/// fires fault-plan sites in phase `transpose`. A cancelled run's
+/// partial lists are discarded by the caller's phase gate, never merged
+/// into results.
 pub(crate) fn try_transpose(
     db: &Database,
     p: usize,
@@ -221,71 +217,9 @@ pub(crate) fn extend_all(
     }
 }
 
-/// Sequential vertical miner. Bit-identical output (order included) to
-/// [`arm_core::mine_eclat`]: length-then-lex over the same itemsets.
-pub fn mine_vertical(
-    db: &Database,
-    min_support: u32,
-    max_k: Option<u32>,
-    cfg: &VerticalConfig,
-) -> Vec<(Vec<Item>, u32)> {
-    mine_vertical_stats(db, min_support, max_k, cfg).0
-}
-
-/// [`mine_vertical`] plus the run's [`KernelStats`].
-pub fn mine_vertical_stats(
-    db: &Database,
-    min_support: u32,
-    max_k: Option<u32>,
-    cfg: &VerticalConfig,
-) -> (Vec<(Vec<Item>, u32)>, KernelStats) {
-    let mut stats = KernelStats::default();
-    // `max_k = Some(0)` allows no itemset of any length — uniform across
-    // every miner in the workspace (see the max_k edge-case suite).
-    if max_k == Some(0) {
-        return (Vec::new(), stats);
-    }
-    let min_support = min_support.max(1);
-    let (tidlists, _) = transpose(db, 1);
-    let mut root = build_root(tidlists, min_support, &mut stats);
-    let mut out: Vec<(Vec<Item>, u32)> = root
-        .iter()
-        .map(|m| (vec![m.item], m.tids.support()))
-        .collect();
-    if max_k != Some(1) && !root.is_empty() {
-        let total: u64 = root.iter().map(|m| m.tids.support() as u64).sum();
-        let target = cfg.choose(total, root.len(), db.len());
-        convert_members(&mut root, target, n_words_for(db.len()), &mut stats);
-        let pairs = root_pairs(&root, db.n_items()).map(|index| {
-            let mut counts = index.zeroed();
-            index.count_into(db, 0..db.len(), &mut counts, &mut Vec::new());
-            (index, counts)
-        });
-        let mut prefix = Vec::new();
-        for i in 0..root.len() {
-            extend_one(
-                &root,
-                i,
-                pairs.as_ref().map(|(index, counts)| index.row(counts, i)),
-                &mut prefix,
-                min_support,
-                max_k,
-                cfg,
-                db.len(),
-                &mut stats,
-                &mut out,
-            );
-        }
-    }
-    out.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
-    (out, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TidBackend;
-    use arm_core::mine_eclat;
 
     fn paper_db() -> Database {
         Database::from_transactions(
@@ -303,71 +237,16 @@ mod tests {
     #[test]
     fn transpose_is_deterministic_across_thread_counts() {
         let db = paper_db();
-        let (one, w1) = transpose(&db, 1);
+        let transpose = |p| try_transpose(&db, p, &RunControl::default()).unwrap();
+        let (one, w1) = transpose(1);
         assert_eq!(w1, vec![db.total_items() as u64]);
         for p in [2, 3, 4, 8] {
-            let (many, w) = transpose(&db, p);
+            let (many, w) = transpose(p);
             assert_eq!(many, one, "p={p}");
             assert_eq!(w.iter().sum::<u64>(), db.total_items() as u64);
             assert_eq!(w.len(), p);
         }
         assert_eq!(one[4], vec![0, 2, 3]);
         assert_eq!(one[0], Vec::<Tid>::new());
-    }
-
-    #[test]
-    fn matches_core_eclat_bit_identical() {
-        let db = paper_db();
-        for backend in [TidBackend::Auto, TidBackend::Sorted, TidBackend::Bitmap] {
-            for galloping in [false, true] {
-                let cfg = VerticalConfig {
-                    backend,
-                    galloping,
-                    ..VerticalConfig::default()
-                };
-                for minsup in 1..=4 {
-                    for max_k in [None, Some(1), Some(2), Some(3), Some(10)] {
-                        assert_eq!(
-                            mine_vertical(&db, minsup, max_k, &cfg),
-                            mine_eclat(&db, minsup, max_k),
-                            "backend={backend:?} gallop={galloping} minsup={minsup} max_k={max_k:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn max_k_zero_is_empty() {
-        let db = paper_db();
-        assert!(mine_vertical(&db, 1, Some(0), &VerticalConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn stats_reflect_backend() {
-        let db = paper_db();
-        let (_, sorted) = mine_vertical_stats(
-            &db,
-            2,
-            None,
-            &VerticalConfig::default().with_backend(TidBackend::Sorted),
-        );
-        assert!(sorted.intersections > 0);
-        assert_eq!(sorted.words_anded, 0, "no AND on the sorted backend");
-        let (_, bitmap) = mine_vertical_stats(
-            &db,
-            2,
-            None,
-            &VerticalConfig::default().with_backend(TidBackend::Bitmap),
-        );
-        assert_eq!(bitmap.intersections, sorted.intersections);
-        assert!(bitmap.words_anded > 0);
-    }
-
-    #[test]
-    fn empty_database() {
-        let db = Database::from_transactions(4, Vec::<Vec<u32>>::new()).unwrap();
-        assert!(mine_vertical(&db, 1, None, &VerticalConfig::default()).is_empty());
     }
 }

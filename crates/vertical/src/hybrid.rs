@@ -115,7 +115,7 @@ fn mine_deep_class(
 /// beyond. Uses `pcfg.n_threads` workers throughout; `pcfg.base.max_k`
 /// caps the overall depth exactly as in the other miners. Returns the
 /// canonical length-then-lex itemsets (bit-identical to
-/// `ccpd::mine(..).0.all_itemsets()` and [`crate::mine_vertical`]) and
+/// `ccpd::mine(..).0.all_itemsets()` and [`crate::mine_eclat_parallel`]) and
 /// the stitched stats of both regimes (CCPD phases followed by the
 /// vertical transpose/classes/mine/merge phases).
 pub fn mine_hybrid(

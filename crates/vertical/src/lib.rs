@@ -11,11 +11,11 @@
 //!   bitmaps) and their intersection kernels;
 //! * [`config`] — the [`VerticalConfig`] knobs: backend policy, density
 //!   threshold, galloping merge, class scheduling, hybrid switch level;
-//! * [`driver`] — transposition, prefix-class DFS, and the sequential
-//!   [`mine_vertical`] (bit-identical to [`arm_core::mine_eclat`]);
+//! * [`driver`] — transposition and the prefix-class DFS;
 //! * [`parallel`] — [`mine_eclat_parallel`]: first-level equivalence
 //!   classes as weighted tasks on the `arm-exec` chunk pool, with a
-//!   deterministic merge;
+//!   deterministic merge (bit-identical to [`arm_core::mine_eclat`] at
+//!   any thread count, `1` included);
 //! * [`hybrid`] — [`mine_hybrid`]: CCPD counting for the
 //!   shallow levels, then transpose `F_s` and finish vertically.
 //!
@@ -41,7 +41,6 @@ pub mod tidset;
 
 pub use arm_faults::{CancelToken, FaultKind, FaultPlan, MiningError, RunControl};
 pub use config::{TidBackend, VerticalConfig};
-pub use driver::{mine_vertical, mine_vertical_stats};
 pub use hybrid::{mine_hybrid, try_mine_hybrid};
 pub use parallel::{
     class_seeds, mine_eclat_parallel, mine_eclat_parallel_seeded, try_mine_eclat_parallel,

@@ -6,9 +6,8 @@
 //! need no locks. Threads append `(class_index, itemsets)` buffers;
 //! the merge sorts by class index and applies the final length-then-lex
 //! canonical order, which makes the result bit-identical to the
-//! sequential [`crate::mine_vertical`] (and [`arm_core::mine_eclat`])
-//! under *any* schedule — itemset order never depends on which thread
-//! ran which class.
+//! sequential oracle [`arm_core::mine_eclat`] under *any* schedule —
+//! itemset order never depends on which thread ran which class.
 //!
 //! Before the classes are mined, a `count` phase counts every pair of
 //! frequent items into per-thread triangular arrays over the
@@ -67,7 +66,7 @@ pub fn class_seeds(weights: &[u64], p: usize) -> Vec<Range<usize>> {
 
 /// Parallel Eclat over `n_threads` workers. Returns the frequent
 /// itemsets in canonical length-then-lex order (bit-identical to
-/// [`crate::mine_vertical`]) and the run's phase/telemetry stats.
+/// [`arm_core::mine_eclat`]) and the run's phase/telemetry stats.
 pub fn mine_eclat_parallel(
     db: &Database,
     min_support: u32,
@@ -292,7 +291,7 @@ fn mine_parallel_impl(
 mod tests {
     use super::*;
     use crate::config::TidBackend;
-    use crate::driver::mine_vertical;
+    use arm_core::mine_eclat;
     use arm_exec::Scheduling;
 
     fn paper_db() -> Database {
@@ -338,12 +337,38 @@ mod tests {
                 let cfg = VerticalConfig::default()
                     .with_backend(backend)
                     .with_scheduling(mode);
-                let want = mine_vertical(&db, 2, None, &cfg);
+                let want = mine_eclat(&db, 2, None);
                 for p in [1, 2, 4, 8] {
                     let (got, stats) = mine_eclat_parallel(&db, 2, None, &cfg, p);
                     assert_eq!(got, want, "backend={backend:?} mode={mode:?} p={p}");
                     assert_eq!(stats.n_threads, p);
                     assert!(stats.phases.iter().any(|ph| ph.name == "mine"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matches_core_eclat_bit_identical() {
+        let db = paper_db();
+        for backend in [TidBackend::Auto, TidBackend::Sorted, TidBackend::Bitmap] {
+            for galloping in [false, true] {
+                let cfg = VerticalConfig {
+                    backend,
+                    galloping,
+                    ..VerticalConfig::default()
+                };
+                for minsup in 1..=4 {
+                    for max_k in [None, Some(0), Some(1), Some(2), Some(3), Some(10)] {
+                        for p in [1, 2] {
+                            assert_eq!(
+                                mine_eclat_parallel(&db, minsup, max_k, &cfg, p).0,
+                                mine_eclat(&db, minsup, max_k),
+                                "backend={backend:?} gallop={galloping} minsup={minsup} \
+                                 max_k={max_k:?} p={p}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -364,7 +389,7 @@ mod tests {
     fn seeded_split_is_schedule_invariant() {
         let db = paper_db();
         let cfg = VerticalConfig::default();
-        let want = mine_vertical(&db, 2, None, &cfg);
+        let want = mine_eclat(&db, 2, None);
         // Root classes: items 1, 2, 4, 5 → 4 classes. Adversarial tiles.
         for seeds in [
             vec![0..4, 4..4, 4..4, 4..4],
@@ -391,6 +416,37 @@ mod tests {
         if stats.metrics.enabled {
             assert!(stats.metrics.total(Counter::TidsetIntersections) > 0);
             assert!(stats.metrics.total(Counter::TidsetBytes) > 0);
+        }
+    }
+
+    #[test]
+    fn stats_reflect_backend() {
+        let db = paper_db();
+        let run = |backend| {
+            let cfg = VerticalConfig::default().with_backend(backend);
+            let (_, stats) = mine_eclat_parallel(&db, 2, None, &cfg, 1);
+            let total = |c| stats.metrics.total(c);
+            (
+                total(Counter::TidsetIntersections),
+                total(Counter::TidsetWordsAnded),
+            )
+        };
+        let (sorted_isects, sorted_words) = run(TidBackend::Sorted);
+        let (bitmap_isects, bitmap_words) = run(TidBackend::Bitmap);
+        assert_eq!(sorted_words, 0, "no AND on the sorted backend");
+        assert_eq!(bitmap_isects, sorted_isects);
+        if MetricsRegistry::enabled() {
+            assert!(sorted_isects > 0);
+            assert!(bitmap_words > 0);
+        }
+    }
+
+    #[test]
+    fn empty_database() {
+        let db = Database::from_transactions(4, Vec::<Vec<u32>>::new()).unwrap();
+        for p in [1, 2] {
+            let (got, _) = mine_eclat_parallel(&db, 1, None, &VerticalConfig::default(), p);
+            assert!(got.is_empty());
         }
     }
 }

@@ -40,10 +40,10 @@ fn main() {
         );
     }
     println!(
-        "\nparallel run: wall {:?}, simulated speedup on {} threads: {:.2}x",
-        run.wall,
+        "\nparallel run on {} threads: wall {:?}, count imbalance {:.2}",
         run.n_threads,
-        run.simulated_speedup()
+        run.wall,
+        run.max_imbalance("count")
     );
 
     // Rule generation (step 2 of the mining task).

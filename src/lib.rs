@@ -39,7 +39,7 @@
 //! // ... and derive association rules.
 //! let rules = generate_rules(&result, 0.9);
 //! assert!(result.total_frequent() > 0);
-//! assert!(stats.simulated_speedup() >= 1.0);
+//! assert!(stats.wall_of(&["count"]) <= stats.wall);
 //! let _ = rules;
 //! ```
 
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use arm_parallel::{ccpd, pccd, run_report, ParallelConfig, ParallelRunStats, Scheduling};
     pub use arm_quest::{generate, QuestParams};
     pub use arm_vertical::{
-        mine_eclat_parallel, mine_hybrid, mine_vertical, try_mine_eclat_parallel, try_mine_hybrid,
-        TidBackend, VerticalConfig,
+        mine_eclat_parallel, mine_hybrid, try_mine_eclat_parallel, try_mine_hybrid, TidBackend,
+        VerticalConfig,
     };
 }

@@ -285,9 +285,10 @@ fn vertical_randomized_class_splits_are_bit_identical_to_sequential() {
     // The vertical miner under the same adversarial regime: 8 threads,
     // randomized (possibly empty or wildly skewed) seed tilings of the
     // first-level class space, every round bit-identical to the
-    // sequential miner for both tidset backends.
+    // sequential oracle for both tidset backends.
+    use parallel_arm::core::mine_eclat;
     use parallel_arm::vertical::{
-        mine_eclat_parallel_seeded, mine_vertical, TidBackend, VerticalConfig,
+        mine_eclat_parallel, mine_eclat_parallel_seeded, TidBackend, VerticalConfig,
     };
 
     let mut p = QuestParams::paper(10, 4, 1_000).with_seed(42);
@@ -300,25 +301,23 @@ fn vertical_randomized_class_splits_are_bit_identical_to_sequential() {
 
     for backend in [TidBackend::Sorted, TidBackend::Bitmap] {
         let cfg = VerticalConfig::default().with_backend(backend);
-        let expected = mine_vertical(&db, minsup, None, &cfg);
+        let expected = mine_eclat(&db, minsup, None);
         assert!(!expected.is_empty());
+        // Parallel runs do exactly the one-thread intersection count
+        // (tasks are disjoint class subtrees — no duplicated work).
+        let (_, one) = mine_eclat_parallel(&db, minsup, None, &cfg, 1);
+        let one_isects = one.metrics.total(Counter::TidsetIntersections);
         for round in 0..ROUNDS {
             let mut rng = StdRng::seed_from_u64(0xECA7 ^ round);
             let seeds = random_splits(&mut rng, n_classes, THREADS);
             let (got, stats) = mine_eclat_parallel_seeded(&db, minsup, None, &cfg, THREADS, &seeds);
             assert_eq!(got, expected, "backend={backend:?} round {round}");
             assert_eq!(stats.n_threads, THREADS);
-            if MetricsRegistry::enabled() {
-                // Parallel runs do exactly the sequential intersection count
-                // (tasks are disjoint class subtrees — no duplicated work).
-                let (_, seq_stats) =
-                    parallel_arm::vertical::mine_vertical_stats(&db, minsup, None, &cfg);
-                assert_eq!(
-                    stats.metrics.total(Counter::TidsetIntersections),
-                    seq_stats.intersections,
-                    "backend={backend:?} round {round}"
-                );
-            }
+            assert_eq!(
+                stats.metrics.total(Counter::TidsetIntersections),
+                one_isects,
+                "backend={backend:?} round {round}"
+            );
         }
     }
 }

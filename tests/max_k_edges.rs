@@ -12,7 +12,7 @@
 
 use parallel_arm::core::{mine_eclat, mine_partition, mine_with, naive::mine_levelwise};
 use parallel_arm::prelude::*;
-use parallel_arm::vertical::{mine_eclat_parallel, mine_vertical};
+use parallel_arm::vertical::mine_eclat_parallel;
 
 const FRACTION: f64 = 0.02;
 
@@ -46,10 +46,6 @@ fn all_miners(db: &Database, max_k: Option<u32>) -> Vec<(String, Mined)> {
         (
             "partition".to_string(),
             mine_partition(db, FRACTION, 2, max_k),
-        ),
-        (
-            "vertical".to_string(),
-            mine_vertical(db, minsup, max_k, &VerticalConfig::default()),
         ),
     ];
     for p in [1usize, 4] {
