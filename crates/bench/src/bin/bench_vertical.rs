@@ -13,8 +13,6 @@
 //! * **skewed** — the sparse workload under a Zipf-tailed transaction
 //!   length distribution (the scheduling stressor).
 //!
-//! The hybrid driver rides along on the sparse workload for reference.
-//!
 //! Two gates, reflected in the exit code so CI can smoke-run this:
 //!
 //! 1. **Correctness** — every backend × P must match the sequential
@@ -120,40 +118,6 @@ fn main() {
                 print_row(&row);
                 rows.push(row);
             }
-        }
-    }
-
-    // Hybrid reference rows (sparse workload, adaptive backend).
-    {
-        use arm_core::{AprioriConfig, Support};
-        use arm_parallel::ParallelConfig;
-        let base = AprioriConfig {
-            min_support: Support::Fraction(0.005),
-            ..AprioriConfig::default()
-        };
-        let expected = mine_eclat(&sparse, sparse_minsup, None);
-        for &p in &threads {
-            let pcfg = ParallelConfig::new(base.clone(), p);
-            let vcfg = VerticalConfig::default();
-            let (wall, (itemsets, stats)) =
-                time_best(reps, || arm_vertical::mine_hybrid(&sparse, &pcfg, &vcfg));
-            if itemsets != expected {
-                eprintln!("DIVERGENCE: hybrid P={p}");
-                diverged = true;
-            }
-            let row = Row {
-                dataset: "T10.I4.D100K",
-                algorithm: "hybrid",
-                backend: "auto",
-                threads: p,
-                wall_seconds: wall,
-                mine_imbalance: stats.imbalance_of_heaviest("mine"),
-                intersections: stats.metrics.total(Counter::TidsetIntersections),
-                words_anded: stats.metrics.total(Counter::TidsetWordsAnded),
-                tidset_kb: stats.metrics.total(Counter::TidsetBytes) / 1024,
-            };
-            print_row(&row);
-            rows.push(row);
         }
     }
 

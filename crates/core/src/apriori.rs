@@ -16,7 +16,7 @@ use arm_mem::counters::reduce;
 use arm_mem::{FlatCounters, LocalCounters};
 use arm_metrics::{Counter, MetricsRegistry, PhaseSpan, TalliedCounters};
 
-/// Per-iteration measurements (feed Figs. 6, 7, 10 and the work model).
+/// Per-iteration measurements (feed Figs. 6, 7 and 10).
 #[derive(Debug, Clone)]
 pub struct IterStats {
     /// Iteration number `k`.

@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is a list of injection sites keyed by
 //! `phase × thread × chunk-index`; the drivers call [`FaultPlan::fire`]
 //! at each instrumented point (one per claimed chunk in CCPD's F1/build/
-//! count, PCCD's count, the parallel Eclat class loop, and the hybrid
-//! transpose). A matching site either panics — exercising the
+//! count, PCCD's count, and the parallel Eclat transpose, pair count and
+//! class loop). A matching site either panics — exercising the
 //! containment path — or sleeps, skewing the schedule without changing
 //! any result. Wildcard keys (`thread`/`chunk` = `None`) let randomized
 //! suites hit "whichever worker gets there first" while staying

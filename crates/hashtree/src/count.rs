@@ -100,9 +100,10 @@ impl Default for CountOptions {
     }
 }
 
-/// Per-thread abstract work tally, the basis of the simulated-speedup
-/// model (see DESIGN.md): load-balance effects show up as differences in
-/// per-thread work regardless of how many physical cores execute it.
+/// Per-thread abstract work tally, the basis of the work-unit imbalance
+/// metric behind Figs. 8–10 (see DESIGN.md): load-balance effects show up
+/// as differences in per-thread work regardless of how many physical
+/// cores execute it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorkMeter {
     /// Transactions processed.
@@ -924,8 +925,8 @@ mod tests {
     }
 
     /// The iterative and recursive walks must not merely agree on counts —
-    /// their WorkMeter tallies must be bit-identical, since the simulated
-    /// speedup model is built on those tallies.
+    /// their WorkMeter tallies must be bit-identical, since the imbalance
+    /// metrics and the traced per-layer counts are built on those tallies.
     #[test]
     fn iterative_walk_meter_is_bit_identical() {
         let db = paper_db();

@@ -22,8 +22,8 @@
 //! behavior and the differential oracle), while the default `Guided` mode
 //! re-balances the same indices at run time without changing any result.
 //!
-//! Every phase records wall time and per-thread work for the speedup model
-//! in [`crate::stats`].
+//! Every phase records wall time and per-thread work for the imbalance
+//! metrics in [`crate::stats`].
 
 use crate::config::{DbPartition, ParallelConfig};
 use crate::scratch::ScratchPool;

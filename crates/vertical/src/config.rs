@@ -35,10 +35,6 @@ pub struct VerticalConfig {
     pub galloping: bool,
     /// How the parallel driver distributes first-level classes.
     pub scheduling: Scheduling,
-    /// Hybrid switch level `s`: [`crate::mine_hybrid`] counts levels
-    /// `k ≤ s` with CCPD, then transposes `F_s` and mines deeper levels
-    /// vertically. Clamped to at least 1.
-    pub switch_level: u32,
 }
 
 impl Default for VerticalConfig {
@@ -48,7 +44,6 @@ impl Default for VerticalConfig {
             density_threshold: 1.0 / 64.0,
             galloping: true,
             scheduling: Scheduling::default(),
-            switch_level: 2,
         }
     }
 }
@@ -74,12 +69,6 @@ impl VerticalConfig {
     /// Builder-style scheduling setter.
     pub fn with_scheduling(mut self, s: Scheduling) -> Self {
         self.scheduling = s;
-        self
-    }
-
-    /// Builder-style switch-level setter.
-    pub fn with_switch_level(mut self, s: u32) -> Self {
-        self.switch_level = s;
         self
     }
 
@@ -114,7 +103,6 @@ mod tests {
         assert_eq!(c.backend, TidBackend::Auto);
         assert!(c.galloping);
         assert_eq!(c.scheduling, Scheduling::Guided);
-        assert_eq!(c.switch_level, 2);
         assert!((c.density_threshold - 1.0 / 64.0).abs() < 1e-12);
     }
 
@@ -144,10 +132,8 @@ mod tests {
     fn builders() {
         let c = VerticalConfig::default()
             .with_backend(TidBackend::Sorted)
-            .with_scheduling(Scheduling::Static)
-            .with_switch_level(3);
+            .with_scheduling(Scheduling::Static);
         assert_eq!(c.backend, TidBackend::Sorted);
         assert_eq!(c.scheduling, Scheduling::Static);
-        assert_eq!(c.switch_level, 3);
     }
 }

@@ -1,6 +1,6 @@
 //! The shared vertical-mining machinery: database transposition, class
-//! construction, and the prefix-class DFS the drivers in
-//! [`crate::parallel`] and [`crate::hybrid`] are built from.
+//! construction, and the prefix-class DFS the driver in
+//! [`crate::parallel`] is built from.
 //!
 //! The DFS is split into [`extend_one`] (grow one member of a class) and
 //! [`extend_all`] (grow every member in order): a parallel task is

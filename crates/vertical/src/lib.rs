@@ -1,5 +1,5 @@
 //! Parallel vertical mining: bitmap tidsets, word-AND intersection
-//! kernels, and a hybrid Apriori→vertical driver.
+//! kernels, and the parallel Eclat driver.
 //!
 //! The paper's CCPD algorithm counts candidates against the horizontal
 //! database every iteration. The authors' follow-up work replaces deep
@@ -10,14 +10,12 @@
 //! * [`tidset`] — the [`TidSet`] representations (sorted lists vs dense
 //!   bitmaps) and their intersection kernels;
 //! * [`config`] — the [`VerticalConfig`] knobs: backend policy, density
-//!   threshold, galloping merge, class scheduling, hybrid switch level;
+//!   threshold, galloping merge, class scheduling;
 //! * [`driver`] — transposition and the prefix-class DFS;
 //! * [`parallel`] — [`mine_eclat_parallel`]: first-level equivalence
 //!   classes as weighted tasks on the `arm-exec` chunk pool, with a
 //!   deterministic merge (bit-identical to [`arm_core::mine_eclat`] at
-//!   any thread count, `1` included);
-//! * [`hybrid`] — [`mine_hybrid`]: CCPD counting for the
-//!   shallow levels, then transpose `F_s` and finish vertically.
+//!   any thread count, `1` included).
 //!
 //! ```
 //! use arm_dataset::Database;
@@ -35,16 +33,14 @@
 
 pub mod config;
 pub mod driver;
-pub mod hybrid;
 pub mod parallel;
 pub mod tidset;
 
 pub use arm_faults::{CancelToken, FaultKind, FaultPlan, MiningError, RunControl};
 pub use config::{TidBackend, VerticalConfig};
-pub use hybrid::{mine_hybrid, try_mine_hybrid};
 pub use parallel::{
-    class_seeds, mine_eclat_parallel, mine_eclat_parallel_seeded, try_mine_eclat_parallel,
-    TryMineOutcome,
+    class_seeds, mine_eclat_parallel, mine_eclat_parallel_seeded, mine_hybrid,
+    try_mine_eclat_parallel, TryMineOutcome,
 };
 pub use tidset::{
     and_words, intersect_galloping, intersect_linear, intersect_sorted, Backend, KernelStats,

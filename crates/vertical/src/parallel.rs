@@ -4,8 +4,8 @@
 //! A task is one root-class member's entire DFS subtree
 //! ([`crate::driver::extend_one`]), so tasks touch disjoint outputs and
 //! need no locks. Threads append `(class_index, itemsets)` buffers;
-//! the merge sorts by class index and applies the final length-then-lex
-//! canonical order, which makes the result bit-identical to the
+//! the merge orders them by class index and stable-sorts by length,
+//! which yields the canonical length-then-lex order, bit-identical to the
 //! sequential oracle [`arm_core::mine_eclat`] under *any* schedule —
 //! itemset order never depends on which thread ran which class.
 //!
@@ -29,7 +29,7 @@ use arm_exec::ChunkPool;
 use arm_faults::{try_run_threads, MiningError, RunControl};
 use arm_hashtree::WorkMeter;
 use arm_metrics::{Counter, MetricsRegistry};
-use arm_parallel::{count_pairs, record_exec, ParallelRunStats};
+use arm_parallel::{count_pairs, record_exec, ParallelConfig, ParallelRunStats};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -86,6 +86,26 @@ pub fn mine_eclat_parallel(
     .unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// [`mine_eclat_parallel`] under the horizontal miners' config: support
+/// resolved against `db`, depth cap from `pcfg.base`, `pcfg.n_threads`
+/// workers. It exists only because `perfbench/` still times a `hybrid`
+/// row through it, and goes with the benchmark change that removes
+/// perfbench's hybrid rows (ROADMAP items 1–2).
+#[doc(hidden)]
+pub fn mine_hybrid(
+    db: &Database,
+    pcfg: &ParallelConfig,
+    vcfg: &VerticalConfig,
+) -> (Vec<(Vec<Item>, u32)>, ParallelRunStats) {
+    mine_eclat_parallel(
+        db,
+        pcfg.base.min_support.absolute(db.len()),
+        pcfg.base.max_k,
+        vcfg,
+        pcfg.n_threads,
+    )
+}
+
 /// [`mine_eclat_parallel`] under a [`RunControl`]: cancellation is
 /// observed per transpose block, per pair-count chunk and per class-range
 /// claim, worker panics return as [`MiningError::WorkerPanicked`], and
@@ -126,7 +146,7 @@ pub fn mine_eclat_parallel_seeded(
 }
 
 /// Folds one task-local [`KernelStats`] into thread `t`'s metrics shard.
-pub(crate) fn fold_kernel_stats(metrics: &MetricsRegistry, t: usize, s: &KernelStats) {
+fn fold_kernel_stats(metrics: &MetricsRegistry, t: usize, s: &KernelStats) {
     let shard = metrics.shard(t);
     shard.add(Counter::TidsetIntersections, s.intersections);
     shard.add(Counter::TidsetWordsAnded, s.words_anded);
@@ -270,7 +290,17 @@ fn mine_parallel_impl(
             for (_, mut chunk) in by_class {
                 out.append(&mut chunk);
             }
-            out.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
+            // A stable sort by length alone is canonical: each class
+            // buffer is a DFS preorder over a lexicographic prefix tree,
+            // so its itemsets of any one length are already in lex order,
+            // and the buffers follow F1 in ascending class index, which is
+            // ascending first item.
+            out.sort_by_key(|(s, _)| s.len());
+            debug_assert!(
+                out.windows(2)
+                    .all(|w| (w[0].0.len(), &w[0].0) < (w[1].0.len(), &w[1].0)),
+                "merged itemsets are not in strict length-then-lex order"
+            );
             span.finish_serial();
         }
     }

@@ -32,7 +32,7 @@ pub struct KernelStats {
     /// Bytes of tidset storage materialized (outputs and conversions).
     pub tidset_bytes: u64,
     /// Abstract work units (merge: `|a| + |b|`; AND: words touched) —
-    /// the quantity the scheduling work model weighs.
+    /// the per-thread tally behind the `mine` phase's imbalance.
     pub work_units: u64,
 }
 
@@ -165,8 +165,8 @@ impl TidSet {
 }
 
 /// Sorted-slice intersection dispatching on the `galloping` knob, with
-/// [`KernelStats`] bookkeeping. The slice-level entry point used where a
-/// full [`TidSet`] wrapper would force a copy (hybrid transposition).
+/// [`KernelStats`] bookkeeping: the sorted-list arm of
+/// [`TidSet::intersect`].
 pub fn intersect_sorted(
     a: &[Tid],
     b: &[Tid],

@@ -13,7 +13,7 @@
 //! Mining starts from `AprioriConfig::default()`, so `C_2` is counted in
 //! the pair array (`pair_array`); no flag selects the `k = 2` hash tree.
 
-use parallel_arm::cli::{mining_config, Args, MINING_FLAGS, MINING_OPTS};
+use parallel_arm::cli::{mining_config, Args, CliError, MINING_FLAGS, MINING_OPTS};
 use parallel_arm::prelude::*;
 
 const EXTRA_OPTS: &[&str] = &["format", "confidence", "threads", "summary", "top"];
@@ -41,6 +41,20 @@ fn main() {
         usage();
     }
     let input = &args.positional()[0];
+    let fail = |e: CliError| -> ! {
+        eprintln!("error: {e}");
+        usage();
+    };
+    let cfg = mining_config(&args).unwrap_or_else(|e| fail(e));
+    let threads: usize = args
+        .get_parsed("threads", 1, "an integer")
+        .unwrap_or_else(|e| fail(e));
+    let confidence: f64 = args
+        .get_parsed("confidence", 0.8, "a fraction")
+        .unwrap_or_else(|e| fail(e));
+    let top: usize = args
+        .get_parsed("top", 20, "an integer")
+        .unwrap_or_else(|e| fail(e));
 
     let db = match args.get("format").unwrap_or("text") {
         "bin" => parallel_arm::dataset::io::load(input),
@@ -55,16 +69,6 @@ fn main() {
         eprintln!("error: cannot read {input}: {e}");
         std::process::exit(1);
     });
-
-    let cfg = mining_config(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        usage();
-    });
-    let threads: usize = args.get_parsed("threads", 1, "an integer").unwrap_or(1);
-    let confidence: f64 = args
-        .get_parsed("confidence", 0.8, "a fraction")
-        .unwrap_or(0.8);
-    let top: usize = args.get_parsed("top", 20, "an integer").unwrap_or(20);
 
     eprintln!(
         "mining {} transactions over {} items ({} threads)...",

@@ -114,70 +114,73 @@ impl Args {
     }
 }
 
+impl CliError {
+    fn bad(key: &str, value: &str, expected: &'static str) -> Self {
+        CliError::BadValue {
+            key: key.into(),
+            value: value.into(),
+            expected,
+        }
+    }
+}
+
 /// Builds an [`AprioriConfig`] from common mining options:
-/// `--support` (fraction like `0.005`, or absolute like `50t`),
-/// `--placement`, `--hash` (`mod` | `bitonic`), `--leaf-threshold`,
-/// `--fanout` (fixed; `auto` = adaptive), `--max-k`,
-/// `--no-short-circuit`, `--visited` (`node` | `level`).
+/// `--support` (fraction in `(0, 1]` like `0.005`, or positive absolute
+/// count like `50t`), `--placement`, `--hash` (`mod` | `bitonic`),
+/// `--leaf-threshold` (≥ 1), `--fanout` (fixed, ≥ 1; `auto` = adaptive),
+/// `--max-k`, `--no-short-circuit`, `--visited` (`node` | `level`).
 pub fn mining_config(args: &Args) -> Result<AprioriConfig, CliError> {
     let mut cfg = AprioriConfig::default();
 
     if let Some(s) = args.get("support") {
-        cfg.min_support = if let Some(abs) = s.strip_suffix('t') {
-            Support::Absolute(abs.parse().map_err(|_| CliError::BadValue {
-                key: "support".into(),
-                value: s.into(),
-                expected: "a fraction (0.005) or absolute count (50t)",
-            })?)
-        } else {
-            Support::Fraction(s.parse().map_err(|_| CliError::BadValue {
-                key: "support".into(),
-                value: s.into(),
-                expected: "a fraction (0.005) or absolute count (50t)",
-            })?)
+        const EXPECTED: &str = "a fraction in (0, 1] (0.005) or a positive count (50t)";
+        let bad = || CliError::bad("support", s, EXPECTED);
+        cfg.min_support = match s.strip_suffix('t') {
+            Some(abs) => match abs.parse::<u32>() {
+                Ok(n) if n >= 1 => Support::Absolute(n),
+                _ => return Err(bad()),
+            },
+            // NaN fails both comparisons.
+            None => match s.parse::<f64>() {
+                Ok(f) if f > 0.0 && f <= 1.0 => Support::Fraction(f),
+                _ => return Err(bad()),
+            },
         };
     }
     if let Some(p) = args.get("placement") {
-        cfg.placement = p
-            .parse::<PlacementPolicy>()
-            .map_err(|_| CliError::BadValue {
-                key: "placement".into(),
-                value: p.into(),
-                expected: "CCPD|SPP|LPP|GPP|L-SPP|L-LPP|L-GPP|LCA-GPP",
-            })?;
+        cfg.placement = p.parse::<PlacementPolicy>().map_err(|_| {
+            CliError::bad("placement", p, "CCPD|SPP|LPP|GPP|L-SPP|L-LPP|L-GPP|LCA-GPP")
+        })?;
     }
     if let Some(h) = args.get("hash") {
         cfg.hash_scheme = match h {
             "mod" | "interleaved" => HashScheme::Interleaved,
             "bitonic" => HashScheme::Bitonic,
-            _ => {
-                return Err(CliError::BadValue {
-                    key: "hash".into(),
-                    value: h.into(),
-                    expected: "mod | bitonic",
-                })
-            }
+            _ => return Err(CliError::bad("hash", h, "mod | bitonic")),
         };
     }
-    cfg.leaf_threshold = args.get_parsed("leaf-threshold", cfg.leaf_threshold, "an integer")?;
+    if let Some(t) = args.get("leaf-threshold") {
+        cfg.leaf_threshold = match t.parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => return Err(CliError::bad("leaf-threshold", t, "a positive integer")),
+        };
+    }
     if let Some(f) = args.get("fanout") {
         if f == "auto" {
             cfg.adaptive_fanout = true;
         } else {
             cfg.adaptive_fanout = false;
-            cfg.fixed_fanout = f.parse().map_err(|_| CliError::BadValue {
-                key: "fanout".into(),
-                value: f.into(),
-                expected: "an integer or 'auto'",
-            })?;
+            cfg.fixed_fanout = match f.parse::<u32>() {
+                Ok(n) if n >= 1 => n,
+                _ => return Err(CliError::bad("fanout", f, "a positive integer or 'auto'")),
+            };
         }
     }
     if let Some(mk) = args.get("max-k") {
-        cfg.max_k = Some(mk.parse().map_err(|_| CliError::BadValue {
-            key: "max-k".into(),
-            value: mk.into(),
-            expected: "an integer",
-        })?);
+        cfg.max_k = Some(
+            mk.parse()
+                .map_err(|_| CliError::bad("max-k", mk, "an integer"))?,
+        );
     }
     if args.flag("no-short-circuit") {
         cfg.short_circuit = false;
@@ -186,13 +189,7 @@ pub fn mining_config(args: &Args) -> Result<AprioriConfig, CliError> {
         cfg.visited = match v {
             "node" => VisitedMode::PerNode,
             "level" => VisitedMode::LevelPath,
-            _ => {
-                return Err(CliError::BadValue {
-                    key: "visited".into(),
-                    value: v.into(),
-                    expected: "node | level",
-                })
-            }
+            _ => return Err(CliError::bad("visited", v, "node | level")),
         };
     }
     Ok(cfg)
@@ -291,6 +288,11 @@ mod tests {
     fn mining_config_bad_values() {
         for (k, v) in [
             ("support", "lots"),
+            ("support", "nan"),
+            ("support", "-3"),
+            ("support", "0t"),
+            ("fanout", "0"),
+            ("leaf-threshold", "0"),
             ("placement", "ZPP"),
             ("hash", "sha256"),
             ("visited", "maybe"),

@@ -17,7 +17,7 @@
 //! | [`hashtree`] | the candidate hash tree: concurrent build, placement freeze, counting |
 //! | [`core`] | sequential Apriori, candidate generation, rule generation |
 //! | [`parallel`] | CCPD and PCCD with phase/work statistics |
-//! | [`vertical`] | tidset (Eclat) mining: bitmap/list backends, parallel and hybrid drivers |
+//! | [`vertical`] | tidset (Eclat) mining: bitmap/list backends, the parallel driver |
 //! | [`faults`] | cancellation tokens, deadline/fault injection, panic-contained `try_mine_*` errors |
 //! | [`metrics`] | phase timers, lock/counter telemetry, `RunReport` JSON/CSV |
 //!
@@ -70,7 +70,6 @@ pub mod prelude {
     pub use arm_parallel::{ccpd, pccd, run_report, ParallelConfig, ParallelRunStats, Scheduling};
     pub use arm_quest::{generate, QuestParams};
     pub use arm_vertical::{
-        mine_eclat_parallel, mine_hybrid, try_mine_eclat_parallel, try_mine_hybrid, TidBackend,
-        VerticalConfig,
+        mine_eclat_parallel, try_mine_eclat_parallel, TidBackend, VerticalConfig,
     };
 }

@@ -56,9 +56,7 @@ fn pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
 }
 
 fn vcfg(mode: Scheduling) -> VerticalConfig {
-    VerticalConfig::default()
-        .with_scheduling(mode)
-        .with_switch_level(2)
+    VerticalConfig::default().with_scheduling(mode)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -66,35 +64,23 @@ enum Miner {
     Ccpd,
     Pccd,
     Eclat,
-    Hybrid,
 }
 
 impl Miner {
-    const ALL: [Miner; 4] = [Miner::Ccpd, Miner::Pccd, Miner::Eclat, Miner::Hybrid];
+    const ALL: [Miner; 3] = [Miner::Ccpd, Miner::Pccd, Miner::Eclat];
 
     fn phases(self) -> &'static [&'static str] {
         match self {
             Miner::Ccpd => &["f1", "candgen", "build", "freeze", "count", "extract"],
             Miner::Pccd => &["f1", "candgen", "count", "extract"],
             Miner::Eclat => &["transpose", "classes", "count", "mine"],
-            Miner::Hybrid => &[
-                "f1",
-                "candgen",
-                "build",
-                "freeze",
-                "count",
-                "extract",
-                "transpose",
-                "classes",
-                "mine",
-            ],
         }
     }
 
     /// The phase the first gate reports when the token is dead on entry.
     fn first_phase(self) -> &'static str {
         match self {
-            Miner::Ccpd | Miner::Pccd | Miner::Hybrid => "f1",
+            Miner::Ccpd | Miner::Pccd => "f1",
             Miner::Eclat => "transpose",
         }
     }
@@ -114,7 +100,6 @@ impl Miner {
                 vertical::try_mine_eclat_parallel(db, minsup, Some(4), &vcfg(mode), p, ctrl)
                     .map(|(r, _)| r)
             }
-            Miner::Hybrid => try_mine_hybrid(db, &pcfg(p, mode), &vcfg(mode), ctrl).map(|(r, _)| r),
         }
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! A [`FaultPlan`] arms panic or delay sites at each instrumented point
 //! (CCPD's f1/build/count claims, PCCD's count, parallel Eclat's
-//! transpose, pair count and class-mining loop, the hybrid's vertical
-//! stage); the matrix below drives every miner × site × thread count ×
-//! scheduling mode and asserts the containment contract:
+//! transpose, pair count and class-mining loop); the matrix below drives
+//! every miner × site × thread count × scheduling mode and asserts the
+//! containment contract:
 //!
 //! * a panic site surfaces as a clean [`MiningError::WorkerPanicked`]
 //!   naming the phase, with every worker joined (the process would abort
@@ -77,9 +77,7 @@ fn pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
 }
 
 fn vcfg(mode: Scheduling) -> VerticalConfig {
-    VerticalConfig::default()
-        .with_scheduling(mode)
-        .with_switch_level(2)
+    VerticalConfig::default().with_scheduling(mode)
 }
 
 const MODES: [Scheduling; 2] = [Scheduling::Static, Scheduling::Guided];
@@ -91,11 +89,10 @@ enum Miner {
     Ccpd,
     Pccd,
     Eclat,
-    Hybrid,
 }
 
 impl Miner {
-    const ALL: [Miner; 4] = [Miner::Ccpd, Miner::Pccd, Miner::Eclat, Miner::Hybrid];
+    const ALL: [Miner; 3] = [Miner::Ccpd, Miner::Pccd, Miner::Eclat];
 
     /// The fault sites instrumented in this miner's drivers.
     fn sites(self) -> &'static [&'static str] {
@@ -103,7 +100,6 @@ impl Miner {
             Miner::Ccpd => &["f1", "build", "count"],
             Miner::Pccd => &["count"],
             Miner::Eclat => &["transpose", "count", "mine"],
-            Miner::Hybrid => &["transpose", "mine"],
         }
     }
 
@@ -113,17 +109,6 @@ impl Miner {
             Miner::Ccpd => &["f1", "candgen", "build", "freeze", "count", "extract"],
             Miner::Pccd => &["f1", "candgen", "count", "extract"],
             Miner::Eclat => &["transpose", "classes", "count", "mine"],
-            Miner::Hybrid => &[
-                "f1",
-                "candgen",
-                "build",
-                "freeze",
-                "count",
-                "extract",
-                "transpose",
-                "classes",
-                "mine",
-            ],
         }
     }
 
@@ -139,9 +124,6 @@ impl Miner {
                 let minsup = (db().len() as f64 * 0.02).ceil() as u32;
                 vertical::try_mine_eclat_parallel(db(), minsup, Some(4), &vcfg(mode), p, ctrl)
                     .map(|(r, _)| r)
-            }
-            Miner::Hybrid => {
-                try_mine_hybrid(db(), &pcfg(p, mode), &vcfg(mode), ctrl).map(|(r, _)| r)
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use parallel_arm::core::{mine_eclat, mine_partition, naive::mine_levelwise};
 use parallel_arm::prelude::*;
-use parallel_arm::vertical::mine_eclat_parallel;
+use parallel_arm::vertical::{mine_eclat_parallel, mine_hybrid};
 
 const N_SEEDS: u64 = 20;
 const FRACTION: f64 = 0.02;
@@ -121,20 +121,5 @@ fn vertical_miners_agree_with_apriori_on_twenty_datasets() {
         // Unoptimized path (linear merge, static schedule, lists only).
         let (un, _) = mine_eclat_parallel(&db, minsup, None, &VerticalConfig::unoptimized(), 1);
         assert_eq!(un, expected, "seed {seed}: unoptimized vertical");
-    }
-}
-
-#[test]
-fn hybrid_driver_agrees_with_apriori_on_twenty_datasets() {
-    for seed in 0..N_SEEDS {
-        let db = dataset(seed);
-        let expected = parallel_arm::core::mine(&db, &cfg()).all_itemsets();
-        for switch_level in [1u32, 2, 3] {
-            for p in [1usize, 2, 4, 8] {
-                let vc = VerticalConfig::default().with_switch_level(switch_level);
-                let (got, _) = mine_hybrid(&db, &ParallelConfig::new(cfg(), p), &vc);
-                assert_eq!(got, expected, "seed {seed}: hybrid s={switch_level} P={p}");
-            }
-        }
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! `Some(0)` used to leak F1 out of the level-wise miners; this suite
 //! pins the uniform semantics across apriori, naive, eclat, partition,
-//! CCPD, PCCD, the vertical miners, and the hybrid driver.
+//! CCPD, PCCD, and the vertical miners.
 
 use parallel_arm::core::{mine_eclat, mine_partition, mine_with, naive::mine_levelwise};
 use parallel_arm::prelude::*;
@@ -56,8 +56,6 @@ fn all_miners(db: &Database, max_k: Option<u32>) -> Vec<(String, Mined)> {
         out.push((format!("pccd-p{p}"), r.all_itemsets()));
         let (r, _) = mine_eclat_parallel(db, minsup, max_k, &VerticalConfig::default(), p);
         out.push((format!("par-eclat-p{p}"), r));
-        let (r, _) = mine_hybrid(db, &pc, &VerticalConfig::default());
-        out.push((format!("hybrid-p{p}"), r));
     }
     out
 }
