@@ -5,11 +5,11 @@ use crate::config::{AprioriConfig, HashScheme};
 use crate::f1::frequent_singletons;
 use crate::generation::{adaptive_fanout, equivalence_classes, generate_class};
 use crate::level::FrequentLevel;
-use crate::pairs::PairIndex;
+use crate::pairs::{EntryTrim, PairIndex};
 use arm_balance::{AnyHash, IndirectionHash, ModHash};
-use arm_dataset::{Database, Item};
+use arm_dataset::{Database, DatabaseBuilder, Item};
 use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
+    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, TreeBuilder, TxnTrim,
     WorkMeter,
 };
 use arm_mem::counters::reduce;
@@ -167,6 +167,11 @@ pub fn mine_with(
     // With `reuse_scratch` this single scratch (and all its buffers)
     // serves every iteration, re-targeted at each new tree.
     let mut scratch = CountScratch::new(db.n_items(), 0);
+    // With `trim_transactions`: `F_2` as a bitset for the k = 3 entry
+    // trim, and the hit-trimmed database the next level counts over
+    // (`None` = the input).
+    let mut f2 = None;
+    let mut trimmed: Option<Database> = None;
 
     let mut k = 2u32;
     loop {
@@ -192,6 +197,9 @@ pub fn mine_with(
             }
             let span = phase(metrics, "extract", k);
             let fk = index.frequent(&counts, min_support);
+            if config.trim_transactions {
+                f2 = Some(index.frequent_pairs(&counts, min_support));
+            }
             if let Some(s) = span {
                 s.finish_serial();
             }
@@ -248,12 +256,17 @@ pub fn mine_with(
             shard.add(Counter::TreeNodes, tree.n_nodes() as u64);
         }
 
-        // Support counting.
+        // Support counting, over the previous level's survivors when
+        // trimming.
         let span = phase(metrics, "count", k);
-        let filter = config
+        let counted = trimmed.take();
+        let input = counted.as_ref().unwrap_or(db);
+        let trim = config
             .trim_transactions
-            .then(|| ItemFilter::from_candidates(&cands, db.n_items()));
-        let filter = filter.as_ref();
+            .then(|| EntryTrim::new(&cands, db.n_items(), f2.as_ref()));
+        let mut survivors = config
+            .hit_trim_at(k)
+            .then(|| DatabaseBuilder::new(db.n_items()));
         if config.reuse_scratch {
             scratch.retarget(tree.n_nodes());
         } else {
@@ -267,56 +280,39 @@ pub fn mine_with(
             });
         }
         let mut meter = WorkMeter::default();
-        let counts: Vec<u32> = if tree.counters_inline() {
-            let mut cref = CounterRef::Inline;
-            tree.count_partition(
+        let mut count = |cref: &mut CounterRef<'_>| {
+            tree.count_trimmed(
                 &hash,
-                db,
-                0..db.len(),
-                filter,
+                input,
+                0..input.len(),
+                trim.as_ref().map(|t| t as &dyn TxnTrim),
                 &mut scratch,
-                &mut cref,
+                cref,
                 opts,
                 &mut meter,
-            );
+                survivors.as_mut(),
+            )
+        };
+        let counts: Vec<u32> = if tree.counters_inline() {
+            count(&mut CounterRef::Inline);
             tree.inline_counts()
         } else if config.placement.per_thread_counters() {
             let mut local = LocalCounters::new(cands.len());
-            {
-                let mut cref = CounterRef::Local(&mut local);
-                tree.count_partition(
-                    &hash,
-                    db,
-                    0..db.len(),
-                    filter,
-                    &mut scratch,
-                    &mut cref,
-                    opts,
-                    &mut meter,
-                );
-            }
+            count(&mut CounterRef::Local(&mut local));
             reduce(&[local])
         } else {
             let shared = FlatCounters::new(cands.len());
-            {
-                let tallied = metrics.map(|m| TalliedCounters::new(&shared, m.shard(0)));
-                let mut cref = match &tallied {
-                    Some(t) => CounterRef::Shared(t),
-                    None => CounterRef::Shared(&shared),
-                };
-                tree.count_partition(
-                    &hash,
-                    db,
-                    0..db.len(),
-                    filter,
-                    &mut scratch,
-                    &mut cref,
-                    opts,
-                    &mut meter,
-                );
+            match metrics {
+                Some(m) => count(&mut CounterRef::Shared(&TalliedCounters::new(
+                    &shared,
+                    m.shard(0),
+                ))),
+                None => count(&mut CounterRef::Shared(&shared)),
             }
             shared.snapshot()
         };
+        drop(counted);
+        trimmed = survivors.map(DatabaseBuilder::finish);
         if let Some(m) = metrics {
             m.shard(0)
                 .add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);

@@ -125,6 +125,14 @@ impl AprioriConfig {
         }
     }
 
+    /// Whether the level-`k` count pass hands the next level a hit-trimmed
+    /// database (DHP's transaction trimming, see `arm_hashtree::count`):
+    /// with `trim_transactions`, from `k = 3` on, except at the `max_k`
+    /// level, which has no next level.
+    pub fn hit_trim_at(&self, k: u32) -> bool {
+        self.trim_transactions && k >= 3 && self.max_k != Some(k)
+    }
+
     /// Builder-style support setter.
     pub fn with_support(mut self, s: Support) -> Self {
         self.min_support = s;
@@ -163,6 +171,17 @@ mod tests {
         assert!(opt.iterative_walk && !base.iterative_walk);
         assert!(opt.reuse_scratch && !base.reuse_scratch);
         assert!(opt.pair_array && !base.pair_array);
+    }
+
+    #[test]
+    fn hit_trim_levels() {
+        let cfg = AprioriConfig {
+            max_k: Some(5),
+            ..AprioriConfig::default()
+        };
+        let levels: Vec<u32> = (1..=5).filter(|&k| cfg.hit_trim_at(k)).collect();
+        assert_eq!(levels, vec![3, 4]);
+        assert!(!(1..=6).any(|k| AprioriConfig::unoptimized().hit_trim_at(k)));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use generation::{
     generate_class_member,
 };
 pub use level::FrequentLevel;
-pub use pairs::PairIndex;
+pub use pairs::{EntryTrim, FrequentPairs, PairIndex};
 pub use partition_algo::mine_partition;
 pub use rules::{generate_rules, Rule};
 pub use summaries::{closed_itemsets, maximal_itemsets};

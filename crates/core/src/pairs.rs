@@ -12,11 +12,16 @@
 //! Each worker counts its transaction ranges into a private array
 //! ([`PairIndex::count_into`]); the arrays are summed by [`reduce_into_first`]
 //! and [`PairIndex::frequent`] reads `F_2` off the total in canonical order.
+//!
+//! The same total also yields the `k = 3` entry trim ([`EntryTrim`]): a
+//! bitset of `F_2` over the array's indices ([`FrequentPairs`]), against
+//! which each transaction drops the items with fewer than two frequent
+//! partners in it before the `C_3` walk.
 
 use crate::apriori::IterStats;
 use crate::level::FrequentLevel;
 use arm_dataset::{Database, Item};
-use arm_hashtree::{CandidateSet, WorkMeter};
+use arm_hashtree::{CandidateSet, ItemFilter, TxnTrim, WorkMeter};
 use std::ops::Range;
 
 /// Rank of an item outside `F_1`.
@@ -151,6 +156,16 @@ impl PairIndex {
         FrequentLevel::new(sets, supports)
     }
 
+    /// `F_2` as a bitset over this index's array: the pairs whose count
+    /// reaches `min_support`.
+    pub fn frequent_pairs(&self, counts: &[u32], min_support: u32) -> FrequentPairs<'_> {
+        let mut bits = vec![0u64; self.len.div_ceil(64)];
+        for (i, _) in counts.iter().enumerate().filter(|(_, &c)| c >= min_support) {
+            bits[i / 64] |= 1 << (i % 64);
+        }
+        FrequentPairs { index: self, bits }
+    }
+
     /// The `k = 2` iteration record of a run counted with this index:
     /// every pair is a candidate and a join pair, and no tree exists.
     pub fn iter_stats(&self, n_frequent: usize, meter: WorkMeter) -> IterStats {
@@ -164,6 +179,87 @@ impl PairIndex {
             join_pairs: self.len as u64,
             meter,
         }
+    }
+}
+
+/// `F_2` as a bitset over a [`PairIndex`]'s array
+/// ([`PairIndex::frequent_pairs`]): `C(|F_1|, 2)` bits.
+pub struct FrequentPairs<'a> {
+    index: &'a PairIndex,
+    bits: Vec<u64>,
+}
+
+impl FrequentPairs<'_> {
+    /// True when the items of ranks `a < b` form a frequent pair.
+    #[inline]
+    fn contains(&self, a: u32, b: u32) -> bool {
+        let i = self.index.index(a, b);
+        self.bits[i / 64] & (1 << (i % 64)) != 0
+    }
+}
+
+/// The per-transaction trim of a `k ≥ 3` count pass: the candidates'
+/// [`ItemFilter`], then, at `k = 3` with `F_2` at hand, the
+/// frequent-partner rule. If a transaction contains `X ∈ C_3`, each item
+/// of `X` forms a frequent pair with both other items of `X`, so an item
+/// with fewer than two frequent partners among the transaction's items is
+/// in no contained candidate and is dropped losslessly. The rule runs
+/// once per transaction (no fixpoint).
+pub struct EntryTrim<'a> {
+    filter: ItemFilter,
+    pairs: Option<&'a FrequentPairs<'a>>,
+}
+
+impl<'a> EntryTrim<'a> {
+    /// The trim for counting `cands` over items `0..n_items`; `f2` is used
+    /// only when `cands` is `C_3`.
+    pub fn new(cands: &CandidateSet, n_items: u32, f2: Option<&'a FrequentPairs<'a>>) -> Self {
+        EntryTrim {
+            filter: ItemFilter::from_candidates(cands, n_items),
+            pairs: f2.filter(|_| cands.k() == 3),
+        }
+    }
+}
+
+impl TxnTrim for EntryTrim<'_> {
+    fn trim_into(&self, txn: &[Item], out: &mut Vec<Item>) {
+        let Some(f2) = self.pairs else {
+            return self.filter.retain_into(txn, out);
+        };
+        let index = f2.index;
+        // `out` holds the ranks of the filtered items, then one partner
+        // count per item; the survivors are compacted to its front.
+        out.clear();
+        out.extend(
+            txn.iter()
+                .filter(|&&i| self.filter.contains(i))
+                .map(|&i| index.rank[i as usize]),
+        );
+        let m = out.len();
+        if m < 3 {
+            out.clear();
+            return;
+        }
+        // Every candidate item is in F_1, so every rank is real.
+        debug_assert!(out.iter().all(|&r| r != NOT_FREQUENT));
+        out.resize(2 * m, 0);
+        let (ranks, partners) = out.split_at_mut(m);
+        for (i, &a) in ranks.iter().enumerate() {
+            for (j, &b) in ranks.iter().enumerate().skip(i + 1) {
+                if f2.contains(a, b) {
+                    partners[i] += 1;
+                    partners[j] += 1;
+                }
+            }
+        }
+        let mut kept = 0;
+        for i in 0..m {
+            if out[m + i] >= 2 {
+                out[kept] = index.items[out[i] as usize];
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 }
 
@@ -184,6 +280,7 @@ pub fn reduce_into_first(arrays: Vec<Vec<u32>>) -> Option<Vec<u32>> {
 mod tests {
     use super::*;
     use crate::{frequent_singletons, generate_candidates};
+    use arm_hashtree::naive_counts;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -352,6 +449,33 @@ mod tests {
                 })
                 .collect();
             prop_assert_eq!(reduce_into_first(parts).unwrap(), whole);
+        }
+
+        /// The k = 3 entry trim is lossless: every `C_3` candidate has the
+        /// same support over the entry-trimmed database as over the full
+        /// one.
+        #[test]
+        fn trim_lossless_entry_trim_keeps_c3_supports(
+            txns in proptest::collection::vec(proptest::collection::vec(0u32..24, 0..12), 0..60),
+            minsup in 1u32..4,
+        ) {
+            let db = Database::from_transactions(24, txns).unwrap();
+            let (_, items) = f1_items(&db, minsup);
+            let idx = PairIndex::new(&items, db.n_items()).unwrap();
+            let mut counts = idx.zeroed();
+            idx.count_into(&db, 0..db.len(), &mut counts, &mut Vec::new());
+            let (c3, _) = generate_candidates(&idx.frequent(&counts, minsup));
+            let f2 = idx.frequent_pairs(&counts, minsup);
+            let trim = EntryTrim::new(&c3, db.n_items(), Some(&f2));
+            let mut out = Vec::new();
+            let trimmed = Database::from_transactions(
+                db.n_items(),
+                db.iter().map(|t| {
+                    trim.trim_into(t, &mut out);
+                    out.clone()
+                }),
+            ).unwrap();
+            prop_assert_eq!(naive_counts(&c3, &trimmed), naive_counts(&c3, &db));
         }
     }
 }

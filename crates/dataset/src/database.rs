@@ -236,6 +236,31 @@ impl DatabaseBuilder {
         Ok(())
     }
 
+    /// Appends a transaction that is already sorted, duplicate-free and in
+    /// range (a trimmed copy of a transaction of a database over the same
+    /// items), skipping [`push`](Self::push)'s sort. The invariants are
+    /// checked in debug builds only.
+    pub fn push_sorted(&mut self, txn: &[Item]) {
+        debug_assert!(txn.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(txn.last().is_none_or(|&i| i < self.n_items));
+        self.items.extend_from_slice(txn);
+        self.offsets.push(
+            u32::try_from(self.items.len()).expect("database exceeds u32 item-offset capacity"),
+        );
+    }
+
+    /// Appends every transaction of `db` (a database over the same items),
+    /// in order.
+    pub fn append(&mut self, db: &Database) {
+        debug_assert_eq!(db.n_items, self.n_items);
+        let base = self.items.len();
+        let offsets = &db.offsets[1..];
+        self.offsets.extend(offsets.iter().map(|&o| {
+            u32::try_from(base + o as usize).expect("database exceeds u32 item-offset capacity")
+        }));
+        self.items.extend_from_slice(&db.items);
+    }
+
     /// Number of transactions pushed so far.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1
@@ -324,6 +349,20 @@ mod tests {
         let via_index: Vec<_> = (0..d.len()).map(|i| d.transaction(i)).collect();
         assert_eq!(via_iter, via_index);
         assert_eq!(d.iter().len(), 3);
+    }
+
+    #[test]
+    fn push_sorted_and_append_concatenate() {
+        let mut a = DatabaseBuilder::new(100);
+        a.push_sorted(&[1, 2]);
+        a.push_sorted(&[]);
+        let a = a.finish();
+        let mut b = DatabaseBuilder::new(100);
+        b.push_sorted(&[3]);
+        b.append(&a);
+        b.append(&db(&[]));
+        b.append(&db(&[&[4, 5]]));
+        assert_eq!(b.finish(), db(&[&[3], &[1, 2], &[], &[4, 5]]));
     }
 
     #[test]

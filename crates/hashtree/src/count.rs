@@ -16,11 +16,25 @@
 //!   item is hashed once into a reusable table in [`CountScratch`]; the
 //!   walk indexes the table instead of re-hashing the same item at every
 //!   tree level (and paying enum dispatch per call for `AnyHash`).
-//! * **Transaction trimming** ([`ItemFilter`], passed to
-//!   [`count_transaction`]): items that appear in no candidate can never
-//!   affect a containment test, so they are dropped from the transaction
-//!   before the walk — losslessly shrinking the subset space the walk
-//!   enumerates.
+//! * **Transaction trimming** ([`TxnTrim`], [`count_trimmed`]): before
+//!   the walk each transaction is cut to the items that can still be part
+//!   of a candidate it contains, which shrinks the subset space the walk
+//!   enumerates without changing a single count. Three rules, each
+//!   lossless:
+//!   - *item filter* ([`ItemFilter`]): an item in no candidate never
+//!     satisfies a containment test;
+//!   - *entry trim* (any other [`TxnTrim`]; Apriori and CCPD use the `k = 3`
+//!     pair rule of `arm_core::pairs`): if a transaction contains
+//!     `X ∈ C_3`, each item of `X` forms a frequent pair with both other
+//!     items of `X`, so an item with fewer than two frequent partners in
+//!     the transaction is in no contained candidate;
+//!   - *hit trim* (DHP's transaction trimming): if a transaction contains
+//!     `X ∈ C_{k+1}`, all `k + 1` of `X`'s `k`-subsets are `C_k`
+//!     candidates it contains, and each item of `X` lies in `k` of them.
+//!     So a pass that is asked for survivors tallies, per item, the
+//!     contained candidates it belongs to, and writes out only the items
+//!     with at least `k` hits — and only when at least `k + 1` remain.
+//!     That output is the database the `k + 1` pass reads.
 //! * **Explicit-stack traversal** ([`CountOptions::iterative`]): the
 //!   recursive walk (a 12-argument frame per level) is replaced by an
 //!   iterative loop over a small reusable frame stack, visiting nodes in
@@ -32,7 +46,7 @@
 use crate::freeze::{AnyFrozenTree, FrozenTree};
 use crate::policy::LeafLayout;
 use arm_balance::HashFn;
-use arm_dataset::{Database, Item};
+use arm_dataset::{Database, DatabaseBuilder, Item};
 use arm_mem::{LocalCounters, SharedCounters, WordStore, NULL_HANDLE};
 use std::ops::Range;
 
@@ -203,6 +217,20 @@ impl ItemFilter {
     }
 }
 
+/// A lossless per-transaction trim applied before the walk: it may drop
+/// only items that are in no candidate the transaction contains.
+pub trait TxnTrim: Sync {
+    /// Writes the items of `txn` that survive the trim into `out`
+    /// (cleared first), preserving order.
+    fn trim_into(&self, txn: &[Item], out: &mut Vec<Item>);
+}
+
+impl TxnTrim for ItemFilter {
+    fn trim_into(&self, txn: &[Item], out: &mut Vec<Item>) {
+        self.retain_into(txn, out);
+    }
+}
+
 /// One level of the explicit-stack walk: the node being expanded and the
 /// remaining range of transaction positions to hash at this level.
 #[derive(Clone, Copy)]
@@ -219,7 +247,7 @@ struct Frame {
 /// Reusable per-thread scratch: the transaction bitmap, the VISITED
 /// stamp storage (epoch-tagged so clearing is O(1) per transaction), and
 /// the fast-path buffers (hash memo table, trimmed-transaction buffer,
-/// explicit-walk frame stack). All allocations survive
+/// explicit-walk frame stack, hit-trim tallies). All allocations survive
 /// [`CountScratch::retarget`], so a driver holding one scratch per thread
 /// across iterations performs no per-iteration allocation beyond a
 /// possible one-time growth.
@@ -240,6 +268,12 @@ pub struct CountScratch {
     /// Explicit-walk stack ([`CountOptions::iterative`]); at most `k + 1`
     /// frames deep.
     frames: Vec<Frame>,
+    /// Per-item contained-candidate tallies of the hit trim; sized on the
+    /// first pass that asks for survivors and all-zero between
+    /// transactions.
+    item_hits: Vec<u32>,
+    /// The current transaction's hit-trim survivors.
+    kept: Vec<Item>,
 }
 
 impl CountScratch {
@@ -256,6 +290,8 @@ impl CountScratch {
             hash_memo: Vec::new(),
             trimmed: Vec::new(),
             frames: Vec::new(),
+            item_hits: Vec::new(),
+            kept: Vec::new(),
         }
     }
 
@@ -353,6 +389,8 @@ struct VisitCtx {
     short_circuit: bool,
     /// Bits per path step in the packed signature.
     bits: u32,
+    /// Tally per-item hits for the hit trim.
+    tally: bool,
 }
 
 /// Counts one transaction against the tree.
@@ -371,14 +409,33 @@ pub fn count_transaction<S: WordStore, F: HashFn>(
     opts: CountOptions,
     meter: &mut WorkMeter,
 ) {
+    let trim = filter.map(|f| f as &dyn TxnTrim);
+    count_txn(tree, hash, txn, trim, scratch, counter, opts, meter, None);
+}
+
+/// The one counting walk behind every entry point: trims `txn` with
+/// `trim`, walks it, and — when `survivors` is given — appends its
+/// hit-trimmed copy there (see the module docs).
+#[allow(clippy::too_many_arguments)]
+fn count_txn<S: WordStore, F: HashFn>(
+    tree: &FrozenTree<S>,
+    hash: &F,
+    txn: &[Item],
+    trim: Option<&dyn TxnTrim>,
+    scratch: &mut CountScratch,
+    counter: &mut CounterRef<'_>,
+    opts: CountOptions,
+    meter: &mut WorkMeter,
+    survivors: Option<&mut DatabaseBuilder>,
+) {
     debug_assert_eq!(hash.fanout(), tree.fanout);
     // The trim and memo buffers live in the scratch but are walked while
     // the scratch's stamps are mutated, so they are moved out for the call
     // and restored at the end (keeping their allocations).
     let mut trimmed = std::mem::take(&mut scratch.trimmed);
-    let txn: &[Item] = match filter {
-        Some(f) => {
-            f.retain_into(txn, &mut trimmed);
+    let txn: &[Item] = match trim {
+        Some(t) => {
+            t.trim_into(txn, &mut trimmed);
             &trimmed
         }
         None => txn,
@@ -395,9 +452,13 @@ pub fn count_transaction<S: WordStore, F: HashFn>(
         // i.e. on internal short-circuiting (see VisitedMode docs).
         short_circuit: opts.short_circuit || level_path,
         bits,
+        tally: survivors.is_some(),
     };
     if level_path {
         scratch.ensure_levels(tree.k, tree.fanout);
+    }
+    if ctx.tally && scratch.item_hits.len() < scratch.bitmap.len() * 64 {
+        scratch.item_hits.resize(scratch.bitmap.len() * 64, 0);
     }
     scratch.begin_txn(txn);
     meter.txns += 1;
@@ -414,6 +475,20 @@ pub fn count_transaction<S: WordStore, F: HashFn>(
         walk(
             tree, hash, txn, memo, 0, tree.root, 0, 0, 0, ctx, scratch, counter, meter,
         );
+    }
+    if let Some(out) = survivors {
+        // Hit trim: keep the items of at least k contained candidates,
+        // resetting every tally this transaction raised.
+        scratch.kept.clear();
+        for &i in txn {
+            let hits = std::mem::take(&mut scratch.item_hits[i as usize]);
+            if hits >= tree.k {
+                scratch.kept.push(i);
+            }
+        }
+        if scratch.kept.len() as u32 > tree.k {
+            out.push_sorted(&scratch.kept);
+        }
     }
     scratch.hash_memo = memo_buf;
     scratch.trimmed = trimmed;
@@ -433,16 +508,41 @@ pub fn count_partition<S: WordStore, F: HashFn>(
     opts: CountOptions,
     meter: &mut WorkMeter,
 ) {
+    let trim = filter.map(|f| f as &dyn TxnTrim);
+    count_trimmed(
+        tree, hash, db, range, trim, scratch, counter, opts, meter, None,
+    );
+}
+
+/// Counts a range of transactions like [`count_partition`], trimming each
+/// one with `trim` before its walk. With `survivors`, every transaction
+/// that can still contain a `C_{k+1}` candidate is appended there, cut to
+/// its hit-trim survivors, in range order: the database the next pass
+/// reads.
+#[allow(clippy::too_many_arguments)]
+pub fn count_trimmed<S: WordStore, F: HashFn>(
+    tree: &FrozenTree<S>,
+    hash: &F,
+    db: &Database,
+    range: Range<usize>,
+    trim: Option<&dyn TxnTrim>,
+    scratch: &mut CountScratch,
+    counter: &mut CounterRef<'_>,
+    opts: CountOptions,
+    meter: &mut WorkMeter,
+    mut survivors: Option<&mut DatabaseBuilder>,
+) {
     for i in range {
-        count_transaction(
+        count_txn(
             tree,
             hash,
             db.transaction(i),
-            filter,
+            trim,
             scratch,
             counter,
             opts,
             meter,
+            survivors.as_deref_mut(),
         );
     }
 }
@@ -493,7 +593,7 @@ fn enter_node<S: WordStore>(
         }
         meter.node_visits += 1;
         meter.leaf_scans += 1;
-        scan_leaf(tree, handle, scratch, counter, meter);
+        scan_leaf(tree, handle, ctx.tally, scratch, counter, meter);
         return None;
     }
 
@@ -623,6 +723,7 @@ fn walk_iterative<S: WordStore, F: HashFn>(
 fn scan_leaf<S: WordStore>(
     tree: &FrozenTree<S>,
     leaf: u32,
+    tally: bool,
     scratch: &mut CountScratch,
     counter: &mut CounterRef<'_>,
     meter: &mut WorkMeter,
@@ -648,6 +749,11 @@ fn scan_leaf<S: WordStore>(
         }
         if contained {
             meter.hits += 1;
+            if tally {
+                for j in 0..k {
+                    scratch.item_hits[tree.store.load(block, off + 1 + j) as usize] += 1;
+                }
+            }
             match counter {
                 CounterRef::Inline => {
                     tree.store.fetch_add(block, off + 1 + k, 1);
@@ -680,13 +786,33 @@ impl AnyFrozenTree {
         opts: CountOptions,
         meter: &mut WorkMeter,
     ) {
+        let trim = filter.map(|f| f as &dyn TxnTrim);
+        self.count_trimmed(hash, db, range, trim, scratch, counter, opts, meter, None);
+    }
+
+    /// Counts a range of transactions with trimming and optional
+    /// survivors (see [`count_trimmed`]), dispatching the storage backend
+    /// once.
+    #[allow(clippy::too_many_arguments)]
+    pub fn count_trimmed<F: HashFn>(
+        &self,
+        hash: &F,
+        db: &Database,
+        range: Range<usize>,
+        trim: Option<&dyn TxnTrim>,
+        scratch: &mut CountScratch,
+        counter: &mut CounterRef<'_>,
+        opts: CountOptions,
+        meter: &mut WorkMeter,
+        survivors: Option<&mut DatabaseBuilder>,
+    ) {
         match self {
-            AnyFrozenTree::Contiguous(t) => {
-                count_partition(t, hash, db, range, filter, scratch, counter, opts, meter)
-            }
-            AnyFrozenTree::Scatter(t) => {
-                count_partition(t, hash, db, range, filter, scratch, counter, opts, meter)
-            }
+            AnyFrozenTree::Contiguous(t) => count_trimmed(
+                t, hash, db, range, trim, scratch, counter, opts, meter, survivors,
+            ),
+            AnyFrozenTree::Scatter(t) => count_trimmed(
+                t, hash, db, range, trim, scratch, counter, opts, meter, survivors,
+            ),
         }
     }
 

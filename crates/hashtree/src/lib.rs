@@ -62,8 +62,8 @@ pub mod policy;
 pub use build::TreeBuilder;
 pub use candidates::CandidateSet;
 pub use count::{
-    count_partition, count_transaction, is_subset, naive_counts, CountOptions, CountScratch,
-    CounterRef, ItemFilter, VisitedMode, WorkMeter,
+    count_partition, count_transaction, count_trimmed, is_subset, naive_counts, CountOptions,
+    CountScratch, CounterRef, ItemFilter, TxnTrim, VisitedMode, WorkMeter,
 };
 pub use freeze::{freeze_policy, freeze_with, AnyFrozenTree, FrozenTree};
 pub use policy::{CounterPlacement, EmitOrder, LeafLayout, PlacementPolicy, StoreKind};

@@ -2,16 +2,18 @@
 //! subset counting for every placement policy, hash function, visited
 //! mode, short-circuit setting, and fast-path knob (hash memoization,
 //! transaction trimming, explicit-stack traversal), over arbitrary
-//! candidate sets and databases.
+//! candidate sets and databases. The `trim_lossless_*` properties check
+//! that the hit trim's survivors lose nothing the next level counts.
 
 use arm_balance::{BitonicHash, HashFn, IndirectionHash, ModHash};
-use arm_dataset::Database;
+use arm_dataset::{Database, DatabaseBuilder};
 use arm_hashtree::{
     freeze_policy, naive_counts, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter,
-    PlacementPolicy, TreeBuilder, VisitedMode, WorkMeter,
+    PlacementPolicy, TreeBuilder, TxnTrim, VisitedMode, WorkMeter,
 };
 use proptest::collection::{btree_set, vec};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const N_ITEMS: u32 = 14;
 
@@ -101,8 +103,158 @@ fn count_with(
     }
 }
 
+/// Strategy: `C_k` for `k` in 2..=4, as every k-subset of a few random
+/// patterns (so that `C_{k+1}` is not empty) plus some random k-itemsets.
+fn patterned_candidates() -> impl Strategy<Value = CandidateSet> {
+    (
+        2usize..5,
+        vec(btree_set(0..N_ITEMS, 5..8), 1..4),
+        vec(btree_set(0..N_ITEMS, 4..5), 0..10),
+    )
+        .prop_map(|(k, patterns, extra)| {
+            let mut sets: BTreeSet<Vec<u32>> = extra
+                .into_iter()
+                .map(|s| s.into_iter().take(k).collect())
+                .collect();
+            for p in patterns {
+                let p: Vec<u32> = p.into_iter().collect();
+                subsets(&p, k, &mut Vec::new(), &mut sets);
+            }
+            let mut c = CandidateSet::new(k as u32);
+            for s in &sets {
+                c.push(s);
+            }
+            c
+        })
+}
+
+/// Adds every `k`-subset of `items` (extending `prefix`) to `out`.
+fn subsets(items: &[u32], k: usize, prefix: &mut Vec<u32>, out: &mut BTreeSet<Vec<u32>>) {
+    if prefix.len() == k {
+        out.insert(prefix.clone());
+        return;
+    }
+    for (i, &x) in items.iter().enumerate() {
+        prefix.push(x);
+        subsets(&items[i + 1..], k, prefix, out);
+        prefix.pop();
+    }
+}
+
+/// `C_{k+1}` of `cands` by brute force: every (k+1)-itemset all of whose
+/// k-subsets are in `cands`.
+fn next_level(cands: &CandidateSet) -> CandidateSet {
+    let k = cands.k() as usize;
+    let known: BTreeSet<Vec<u32>> = cands.iter().map(|(_, s)| s.to_vec()).collect();
+    let mut next = CandidateSet::new(k as u32 + 1);
+    for x in &known {
+        for j in x[k - 1] + 1..N_ITEMS {
+            let mut y = x.clone();
+            y.push(j);
+            let mut subs = BTreeSet::new();
+            subsets(&y, k, &mut Vec::new(), &mut subs);
+            if subs.is_subset(&known) {
+                next.push(&y);
+            }
+        }
+    }
+    next
+}
+
+/// One trimmed count pass (item filter on) over `db`, with or without
+/// survivors: the counts, the meter and the survivors.
+fn count_surviving(
+    cands: &CandidateSet,
+    db: &Database,
+    fanout: u32,
+    policy: PlacementPolicy,
+    opts: CountOptions,
+    survivors: bool,
+) -> (Vec<u32>, WorkMeter, Option<Database>) {
+    let hash = ModHash::new(fanout);
+    let b = TreeBuilder::new(cands, &hash, 2);
+    b.insert_all();
+    let tree = freeze_policy(&b, policy);
+    let filter = ItemFilter::from_candidates(cands, N_ITEMS);
+    let mut scratch = CountScratch::new(N_ITEMS, tree.n_nodes());
+    let mut meter = WorkMeter::default();
+    let mut out = survivors.then(|| DatabaseBuilder::new(N_ITEMS));
+    let mut count = |cref: &mut CounterRef<'_>| {
+        tree.count_trimmed(
+            &hash,
+            db,
+            0..db.len(),
+            Some(&filter as &dyn TxnTrim),
+            &mut scratch,
+            cref,
+            opts,
+            &mut meter,
+            out.as_mut(),
+        )
+    };
+    let counts = if tree.counters_inline() {
+        count(&mut CounterRef::Inline);
+        tree.inline_counts()
+    } else if policy.per_thread_counters() {
+        let mut local = arm_mem::LocalCounters::new(cands.len());
+        count(&mut CounterRef::Local(&mut local));
+        arm_mem::counters::reduce(&[local])
+    } else {
+        let shared = arm_mem::FlatCounters::new(cands.len());
+        count(&mut CounterRef::Shared(&shared));
+        shared.snapshot()
+    };
+    (counts, meter, out.map(DatabaseBuilder::finish))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Asking for survivors changes nothing about the pass itself: same
+    /// counts, same work meter.
+    #[test]
+    fn trim_lossless_survivors_keep_counts(
+        cands in patterned_candidates(),
+        db in vec(vec(0..N_ITEMS, 0..12), 0..30)
+            .prop_map(|t| Database::from_transactions(N_ITEMS, t).unwrap()),
+        policy_ix in 0usize..8,
+        fanout in 2u32..6,
+        level_path in any::<bool>(),
+    ) {
+        let policy = PlacementPolicy::ALL[policy_ix];
+        let opts = CountOptions {
+            visited: if level_path { VisitedMode::LevelPath } else { VisitedMode::PerNode },
+            ..CountOptions::default()
+        };
+        let (plain, plain_meter, none) = count_surviving(&cands, &db, fanout, policy, opts, false);
+        let (with, with_meter, some) = count_surviving(&cands, &db, fanout, policy, opts, true);
+        prop_assert!(none.is_none() && some.is_some());
+        prop_assert_eq!(&plain, &naive_counts(&cands, &db));
+        prop_assert_eq!(with, plain);
+        prop_assert_eq!(with_meter, plain_meter);
+    }
+
+    /// The hit trim is lossless for the next level: every `C_{k+1}`
+    /// candidate has the same support over the survivors as over the
+    /// input, and no survivor is shorter than `k + 1`.
+    #[test]
+    fn trim_lossless_survivors_keep_next_level_supports(
+        cands in patterned_candidates(),
+        db in vec(vec(0..N_ITEMS, 0..12), 0..30)
+            .prop_map(|t| Database::from_transactions(N_ITEMS, t).unwrap()),
+        policy_ix in 0usize..8,
+        fanout in 2u32..6,
+    ) {
+        let k = cands.k() as usize;
+        let next = next_level(&cands);
+        let policy = PlacementPolicy::ALL[policy_ix];
+        let (_, _, survivors) =
+            count_surviving(&cands, &db, fanout, policy, CountOptions::default(), true);
+        let survivors = survivors.unwrap();
+        prop_assert!(survivors.len() <= db.len());
+        prop_assert!(survivors.iter().all(|t| t.len() > k));
+        prop_assert_eq!(naive_counts(&next, &survivors), naive_counts(&next, &db));
+    }
 
     #[test]
     fn counting_matches_naive(

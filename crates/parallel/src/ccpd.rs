@@ -13,7 +13,13 @@
 //!   locks (§3.1.4);
 //! * freeze: the placement policy's memory image is laid out (GPP's remap);
 //! * support counting: each thread scans its partition against the shared
-//!   tree, with counters inline / segregated / privatized per policy;
+//!   tree, with counters inline / segregated / privatized per policy. With
+//!   `trim_transactions` each transaction is first trimmed (at `k = 3` by
+//!   the `F_2` partner rule, [`arm_core::EntryTrim`]), and each claimed
+//!   chunk writes its transactions' hit-trimmed survivors to a segment
+//!   keyed by the chunk's start; the segments, concatenated in start
+//!   order, are the database the next level counts over (identical under
+//!   every scheduling mode and thread count);
 //! * extraction: the master thread selects `F_k`.
 //!
 //! The data-parallel phases (F1, tree build, both counts) draw their work from
@@ -31,14 +37,16 @@ use crate::stats::ParallelRunStats;
 use arm_core::pairs::reduce_into_first;
 use arm_core::{
     adaptive_fanout, class_weight, count_singletons_into, equivalence_classes, f1_items,
-    frequent_from_counts, generate_class, make_hash, FrequentLevel, IterStats, MiningResult,
-    PairIndex,
+    frequent_from_counts, generate_class, make_hash, EntryTrim, FrequentLevel, IterStats,
+    MiningResult, PairIndex,
 };
-use arm_dataset::{block_ranges, weighted_ranges, weighted_ranges_for_k, Database};
+use arm_dataset::{
+    block_ranges, weighted_ranges, weighted_ranges_for_k, Database, DatabaseBuilder,
+};
 use arm_exec::{ChunkPool, Scheduling};
 use arm_faults::{try_run_threads, CancelToken, MiningError, RunControl};
 use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
+    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, TreeBuilder, TxnTrim,
     WorkMeter,
 };
 use arm_mem::counters::reduce;
@@ -135,6 +143,10 @@ pub fn try_mine(
         join_pairs: 0,
         meter: WorkMeter::default(),
     }];
+    // With `trim_transactions`: `F_2` for the k = 3 entry trim, and the
+    // hit-trimmed database the next level counts over (`None` = `db`).
+    let mut f2 = None;
+    let mut trimmed: Option<Database> = None;
     // Uniform `max_k` semantics: a cap of 0 admits no level at all (the
     // k-loop below then breaks immediately on `k > m`).
     let mut levels = if cfg.base.max_k == Some(0) {
@@ -153,7 +165,7 @@ pub fn try_mine(
         if prev.len() < 2 {
             break;
         }
-        let db_ranges = || -> Vec<Range<usize>> {
+        let db_ranges = |db: &Database| -> Vec<Range<usize>> {
             match cfg.db_partition {
                 DbPartition::Block => block_ranges(db.len(), p),
                 DbPartition::WeightedStatic { kmax } => weighted_ranges(db, p, kmax),
@@ -164,7 +176,7 @@ pub fn try_mine(
         if let Some(index) = pair_index.as_ref().filter(|_| k == 2) {
             let span = metrics.phase("count", k);
             let (arrays, meters) =
-                count_pairs(db, index, &db_ranges(), cfg.scheduling, ctrl, &metrics)?;
+                count_pairs(db, index, &db_ranges(db), cfg.scheduling, ctrl, &metrics)?;
             ctrl.gate("count", run_start)?;
             let mut total_meter = WorkMeter::default();
             for (rm, m) in run_meters.iter_mut().zip(&meters) {
@@ -176,6 +188,9 @@ pub fn try_mine(
             let span = metrics.phase("extract", k);
             let total = reduce_into_first(arrays).expect("one array per thread");
             let fk = index.frequent(&total, min_support);
+            if cfg.base.trim_transactions {
+                f2 = Some(index.frequent_pairs(&total, min_support));
+            }
             span.finish_serial();
             iter_stats.push(index.iter_stats(fk.len(), total_meter));
             if fk.is_empty() {
@@ -253,20 +268,25 @@ pub fn try_mine(
         master.add(Counter::TreeBytes, tree.total_bytes() as u64);
         master.add(Counter::TreeNodes, tree.n_nodes() as u64);
 
-        // Parallel support counting.
+        // Parallel support counting, over the previous level's survivors
+        // when trimming.
         let span = metrics.phase("count", k);
-        let db_ranges = db_ranges();
+        let counted = trimmed.take();
+        let input = counted.as_ref().unwrap_or(db);
+        let db_ranges = db_ranges(input);
         let opts = CountOptions {
             short_circuit: cfg.base.short_circuit,
             visited: cfg.base.visited,
             hash_memo: cfg.base.hash_memo,
             iterative: cfg.base.iterative_walk,
         };
-        // Shared read-only trim filter for this iteration's candidates.
-        let filter = cfg
+        // Shared read-only trim for this iteration's candidates.
+        let trim = cfg
             .base
             .trim_transactions
-            .then(|| ItemFilter::from_candidates(&cands, db.n_items()));
+            .then(|| EntryTrim::new(&cands, db.n_items(), f2.as_ref()));
+        let trim = trim.as_ref().map(|t| t as &dyn TxnTrim);
+        let emit = cfg.base.hit_trim_at(k);
         let inline = tree.counters_inline();
         let per_thread = cfg.base.placement.per_thread_counters();
         let shared = (!inline && !per_thread).then(|| FlatCounters::new(cands.len()));
@@ -276,64 +296,81 @@ pub fn try_mine(
         // weighted DbPartition's cost-based boundaries still hold.
         let pool =
             ChunkPool::new(&db_ranges, cfg.scheduling).with_cancel_token(ctrl.cancel.clone());
-        let outcomes: Vec<(WorkMeter, Option<LocalCounters>)> =
-            try_run_threads(p, "count", &ctrl.cancel, |t| {
-                let shard = metrics.shard(t);
-                let mut pooled;
-                let mut fresh;
-                let scratch: &mut CountScratch = match &scratch_pool {
-                    Some(pool) => {
-                        pooled = pool.slot(t);
-                        pooled.retarget(tree.n_nodes());
-                        shard.incr(Counter::ScratchRetargets);
-                        &mut pooled
-                    }
-                    None => {
-                        fresh = CountScratch::new(db.n_items(), tree.n_nodes());
-                        shard.incr(Counter::ScratchAllocs);
-                        &mut fresh
-                    }
+        let outcomes = try_run_threads(p, "count", &ctrl.cancel, |t| {
+            let shard = metrics.shard(t);
+            let mut pooled;
+            let mut fresh;
+            let scratch: &mut CountScratch = match &scratch_pool {
+                Some(pool) => {
+                    pooled = pool.slot(t);
+                    pooled.retarget(tree.n_nodes());
+                    shard.incr(Counter::ScratchRetargets);
+                    &mut pooled
+                }
+                None => {
+                    fresh = CountScratch::new(db.n_items(), tree.n_nodes());
+                    shard.incr(Counter::ScratchAllocs);
+                    &mut fresh
+                }
+            };
+            let mut meter = WorkMeter::default();
+            let mut local = per_thread.then(|| LocalCounters::new(cands.len()));
+            let mut segments = Vec::new();
+            // Shared counters go through the tallying wrapper so striped
+            // increments and their CAS retries land in this thread's shard.
+            let tallied = shared.as_ref().map(|s| TalliedCounters::new(s, shard));
+            {
+                let mut cref = if inline {
+                    CounterRef::Inline
+                } else if let Some(l) = local.as_mut() {
+                    CounterRef::Local(l)
+                } else {
+                    // `shared` is built exactly when neither inline nor
+                    // per-thread counters are selected.
+                    CounterRef::Shared(tallied.as_ref().expect("shared counters exist"))
                 };
-                let mut meter = WorkMeter::default();
-                let mut local = per_thread.then(|| LocalCounters::new(cands.len()));
-                // Shared counters go through the tallying wrapper so striped
-                // increments and their CAS retries land in this thread's shard.
-                let tallied = shared.as_ref().map(|s| TalliedCounters::new(s, shard));
-                {
-                    let mut cref = if inline {
-                        CounterRef::Inline
-                    } else if let Some(l) = local.as_mut() {
-                        CounterRef::Local(l)
-                    } else {
-                        // `shared` is built exactly when neither inline nor
-                        // per-thread counters are selected.
-                        CounterRef::Shared(tallied.as_ref().expect("shared counters exist"))
-                    };
-                    let mut chunk = 0u64;
-                    while let Some(r) = pool.next(t) {
-                        ctrl.faults.fire("count", t, chunk);
-                        chunk += 1;
-                        tree.count_partition(
-                            &hash,
-                            db,
-                            r,
-                            filter.as_ref(),
-                            scratch,
-                            &mut cref,
-                            opts,
-                            &mut meter,
-                        );
+                let mut chunk = 0u64;
+                while let Some(r) = pool.next(t) {
+                    ctrl.faults.fire("count", t, chunk);
+                    chunk += 1;
+                    let start = r.start;
+                    let mut survivors = emit.then(|| DatabaseBuilder::new(db.n_items()));
+                    tree.count_trimmed(
+                        &hash,
+                        input,
+                        r,
+                        trim,
+                        scratch,
+                        &mut cref,
+                        opts,
+                        &mut meter,
+                        survivors.as_mut(),
+                    );
+                    if let Some(s) = survivors {
+                        segments.push((start, s.finish()));
                     }
                 }
-                shard.add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
-                (meter, local)
-            })?;
+            }
+            shard.add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
+            (meter, local, segments)
+        })?;
         record_exec(&metrics, &pool);
         ctrl.gate("count", run_start)?;
-        let meters: Vec<WorkMeter> = outcomes.iter().map(|(m, _)| *m).collect();
+        let mut meters = Vec::with_capacity(p);
+        let mut locals = Vec::new();
+        let mut segments = Vec::new();
+        for (meter, local, segs) in outcomes {
+            meters.push(meter);
+            locals.extend(local);
+            segments.extend(segs);
+        }
         let count_work: Vec<u64> = meters.iter().map(|m| m.work_units()).collect();
         for (rm, m) in run_meters.iter_mut().zip(&meters) {
             rm.merge(m);
+        }
+        drop(counted);
+        if emit {
+            trimmed = Some(concat_segments(db.n_items(), segments));
         }
         span.finish(count_work);
 
@@ -343,7 +380,6 @@ pub fn try_mine(
             tree.inline_counts()
         } else if per_thread {
             // Every worker built a local table under `per_thread`.
-            let locals: Vec<LocalCounters> = outcomes.into_iter().filter_map(|(_, l)| l).collect();
             reduce(&locals)
         } else {
             shared.expect("shared counters exist").snapshot()
@@ -403,6 +439,18 @@ pub fn try_mine(
         metrics: metrics.snapshot(),
     };
     Ok((result, stats))
+}
+
+/// Concatenates the workers' survivor segments, each keyed by the start
+/// of the chunk it came from, in start order: the next level's database,
+/// independent of which thread claimed which chunk.
+fn concat_segments(n_items: u32, mut segments: Vec<(usize, Database)>) -> Database {
+    segments.sort_unstable_by_key(|(start, _)| *start);
+    let mut next = DatabaseBuilder::new(n_items);
+    for (_, segment) in &segments {
+        next.append(segment);
+    }
+    next.finish()
 }
 
 /// Counts the pairs of the transactions in `ranges` (one seed range per

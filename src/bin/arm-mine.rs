@@ -15,6 +15,7 @@
 
 use parallel_arm::cli::{mining_config, Args, CliError, MINING_FLAGS, MINING_OPTS};
 use parallel_arm::prelude::*;
+use std::io::Write;
 
 const EXTRA_OPTS: &[&str] = &["format", "confidence", "threads", "summary", "top"];
 
@@ -82,22 +83,11 @@ fn main() {
         parallel_arm::core::mine(&db, &cfg)
     };
 
-    println!(
-        "# {} frequent itemsets (min support {} txns, longest k={})",
-        result.total_frequent(),
-        result.min_support,
-        result.max_k()
-    );
     let listed: Vec<(Vec<u32>, u32)> = match args.get("summary").unwrap_or("all") {
         "maximal" => parallel_arm::core::maximal_itemsets(&result),
         "closed" => parallel_arm::core::closed_itemsets(&result),
         _ => result.all_itemsets(),
     };
-    for (items, sup) in &listed {
-        let words: Vec<String> = items.iter().map(|i| i.to_string()).collect();
-        println!("{}\t{}", words.join(" "), sup);
-    }
-
     let mut rules = generate_rules(&result, confidence);
     rules.sort_by(|a, b| {
         b.confidence
@@ -105,11 +95,47 @@ fn main() {
             .unwrap()
             .then(b.support.cmp(&a.support))
     });
-    println!(
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let written = write_report(&mut out, &result, &listed, &rules, confidence, top)
+        .and_then(|()| out.flush());
+    match written {
+        Ok(()) => {}
+        // The reader went away (`arm-mine ... | head`): nothing left to do.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("error: cannot write output: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Writes the itemset listing and the top rules to `out`.
+fn write_report(
+    out: &mut impl Write,
+    result: &MiningResult,
+    listed: &[(Vec<u32>, u32)],
+    rules: &[Rule],
+    confidence: f64,
+    top: usize,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "# {} frequent itemsets (min support {} txns, longest k={})",
+        result.total_frequent(),
+        result.min_support,
+        result.max_k()
+    )?;
+    for (items, sup) in listed {
+        let words: Vec<String> = items.iter().map(|i| i.to_string()).collect();
+        writeln!(out, "{}\t{}", words.join(" "), sup)?;
+    }
+    writeln!(
+        out,
         "# top {} rules (confidence >= {confidence}):",
         top.min(rules.len())
-    );
+    )?;
     for r in rules.iter().take(top) {
-        println!("# {r}");
+        writeln!(out, "# {r}")?;
     }
+    Ok(())
 }

@@ -8,6 +8,7 @@
 //! across 20 seeded datasets is strong evidence each one is correct.
 
 use parallel_arm::core::{mine_eclat, mine_partition, naive::mine_levelwise};
+use parallel_arm::hashtree::VisitedMode;
 use parallel_arm::prelude::*;
 use parallel_arm::vertical::{mine_eclat_parallel, mine_hybrid};
 
@@ -101,6 +102,77 @@ fn pair_array_and_k2_hash_tree_agree_on_twenty_datasets() {
             }
         }
     }
+}
+
+/// Checks that `trimmed` (a run with `trim_transactions`) is bit-identical
+/// to `untrimmed` (the same run without), with the same candidates at
+/// every level and the same containment hits, over no more counted
+/// transactions. Returns how many levels counted strictly fewer.
+fn assert_trim_lossless(untrimmed: &MiningResult, trimmed: &MiningResult, what: &str) -> usize {
+    assert_eq!(trimmed.all_itemsets(), untrimmed.all_itemsets(), "{what}");
+    assert_eq!(
+        trimmed.iter_stats.len(),
+        untrimmed.iter_stats.len(),
+        "{what}"
+    );
+    let mut fewer = 0;
+    for (off, on) in untrimmed.iter_stats.iter().zip(&trimmed.iter_stats) {
+        let k = off.k;
+        assert_eq!(
+            (on.k, on.n_candidates, on.n_frequent),
+            (k, off.n_candidates, off.n_frequent),
+            "{what} k={k}"
+        );
+        assert_eq!(on.meter.hits, off.meter.hits, "{what} k={k}: hits");
+        assert!(on.meter.txns <= off.meter.txns, "{what} k={k}: txns");
+        fewer += usize::from(on.meter.txns < off.meter.txns);
+    }
+    fewer
+}
+
+/// Transaction trimming (the k = 3 entry trim and the hit-trimmed
+/// database each k ≥ 3 pass hands the next) changes no result: Apriori and
+/// CCPD with it on are bit-identical to runs with it off, for every
+/// placement (inline, shared and per-thread counters; contiguous and
+/// scatter stores), both VISITED modes, and every thread count under both
+/// scheduling modes.
+#[test]
+fn trimming_on_and_off_agree_for_every_placement_and_schedule() {
+    let mut fewer = 0;
+    for seed in 0..4 {
+        let db = dataset(seed);
+        for placement in PlacementPolicy::ALL {
+            for visited in [VisitedMode::PerNode, VisitedMode::LevelPath] {
+                let on = AprioriConfig {
+                    placement,
+                    visited,
+                    ..cfg()
+                };
+                let off = AprioriConfig {
+                    trim_transactions: false,
+                    ..on.clone()
+                };
+                let what = format!("seed {seed} {placement} {visited:?}");
+                let reference = parallel_arm::core::mine(&db, &off);
+                let trimmed = parallel_arm::core::mine(&db, &on);
+                fewer += assert_trim_lossless(&reference, &trimmed, &format!("{what} apriori"));
+                for scheduling in [Scheduling::Static, Scheduling::Guided] {
+                    for p in [1usize, 2, 4, 8] {
+                        let run = |base: &AprioriConfig| {
+                            let pc =
+                                ParallelConfig::new(base.clone(), p).with_scheduling(scheduling);
+                            ccpd::mine(&db, &pc).0
+                        };
+                        let what = format!("{what} CCPD {scheduling:?} P={p}");
+                        let untrimmed = run(&off);
+                        assert_eq!(untrimmed.all_itemsets(), reference.all_itemsets(), "{what}");
+                        fewer += assert_trim_lossless(&untrimmed, &run(&on), &what);
+                    }
+                }
+            }
+        }
+    }
+    assert!(fewer > 0, "trimming never shortened a counted database");
 }
 
 #[test]

@@ -79,3 +79,39 @@ fn dataset_io_roundtrip_preserves_mining_results() {
     let b = parallel_arm::core::mine(&back, &cfg).all_itemsets();
     assert_eq!(a, b);
 }
+
+/// `arm-mine data.txt | head -2`: a reader that closes the pipe early must
+/// end the run quietly, not with "failed printing to stdout" and the exit
+/// code 101 of a panic.
+#[test]
+fn arm_mine_exits_quietly_when_the_reader_closes_early() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("arm-mine-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("data.txt");
+    let db = parallel_arm::quest::generate(&QuestParams::paper(10, 4, 2_000));
+    let file = std::fs::File::create(&input).unwrap();
+    parallel_arm::dataset::io::write_text(&db, std::io::BufWriter::new(file)).unwrap();
+
+    // At 0.3% support the listing runs to a few hundred KB, far more than
+    // a pipe buffers, so the miner is still writing when the reader quits.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_arm-mine"))
+        .arg(&input)
+        .args(["--support", "0.003"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    for _ in 0..2 {
+        assert!(!lines.next().unwrap().unwrap().is_empty());
+    }
+    drop(lines);
+    let out = child.wait_with_output().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
