@@ -1,15 +1,26 @@
 //! The sequential Apriori driver (Fig. 1 of the paper), instrumented with
 //! the per-iteration statistics the evaluation figures are built from.
+//!
+//! With `pair_array` (the default) no level builds a hash tree: `C_2` is
+//! counted in the pair array ([`crate::pairs`]) and every `C_k`, `k ≥ 3`,
+//! in class arrays over per-transaction id lists ([`crate::class_array`]),
+//! each pass writing the lists the next one reads. With it off, from the
+//! first level whose class-array slot map is unaddressable, or from the
+//! level after a pass whose lists outgrew their budget
+//! ([`crate::class_array::ListBudget`]), each level builds, freezes and
+//! walks the paper's candidate hash tree, with the counting knobs
+//! (short-circuiting, placement, trimming, ...).
 
+use crate::class_array::{frequent_ids, ClassIndex, ClassScratch, IdLists, ListBudget};
 use crate::config::{AprioriConfig, HashScheme};
 use crate::f1::frequent_singletons;
 use crate::generation::{adaptive_fanout, equivalence_classes, generate_class};
 use crate::level::FrequentLevel;
-use crate::pairs::{EntryTrim, PairIndex};
+use crate::pairs::PairIndex;
 use arm_balance::{AnyHash, IndirectionHash, ModHash};
 use arm_dataset::{Database, DatabaseBuilder, Item};
 use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, TreeBuilder, TxnTrim,
+    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
     WorkMeter,
 };
 use arm_mem::counters::reduce;
@@ -167,10 +178,13 @@ pub fn mine_with(
     // With `reuse_scratch` this single scratch (and all its buffers)
     // serves every iteration, re-targeted at each new tree.
     let mut scratch = CountScratch::new(db.n_items(), 0);
-    // With `trim_transactions`: `F_2` as a bitset for the k = 3 entry
-    // trim, and the hit-trimmed database the next level counts over
-    // (`None` = the input).
+    // With the pair array: `F_2` with its rank directory. While it is
+    // set, every level k ≥ 3 counts in class arrays, over the id lists
+    // the level before wrote (`None` at k = 3: the items via `f2`).
     let mut f2 = None;
+    let mut id_lists: Option<(Database, Vec<u32>)> = None;
+    // On the tree path with `trim_transactions`, the hit-trimmed database
+    // the next level counts over (`None` = the input).
     let mut trimmed: Option<Database> = None;
 
     let mut k = 2u32;
@@ -197,9 +211,7 @@ pub fn mine_with(
             }
             let span = phase(metrics, "extract", k);
             let fk = index.frequent(&counts, min_support);
-            if config.trim_transactions {
-                f2 = Some(index.frequent_pairs(&counts, min_support));
-            }
+            f2 = Some(index.frequent_pairs(&counts, min_support));
             if let Some(s) = span {
                 s.finish_serial();
             }
@@ -212,15 +224,21 @@ pub fn mine_with(
             continue;
         }
 
-        // Candidate generation over equivalence classes.
+        // Candidate generation over equivalence classes, and the class
+        // arrays' slot map while `F_2` is at hand. An unaddressable map
+        // hands this level and every later one to the tree.
         let span = phase(metrics, "candgen", k);
         let classes = equivalence_classes(prev);
         let mut cands = CandidateSet::new(k);
-        let mut scratch_items = Vec::with_capacity(k as usize);
+        let mut scratch_items = Vec::with_capacity(2 * k as usize);
         let mut join_pairs = 0u64;
         for class in &classes {
             join_pairs += generate_class(prev, class.clone(), &mut cands, &mut scratch_items);
         }
+        let class_index = f2
+            .as_ref()
+            .filter(|_| !cands.is_empty())
+            .and_then(|_| ClassIndex::new(prev, &classes, &cands));
         if let Some(s) = span {
             s.finish_serial();
         }
@@ -228,121 +246,149 @@ pub fn mine_with(
             break;
         }
 
-        let fanout = if config.adaptive_fanout {
-            adaptive_fanout(&classes, config.leaf_threshold, k)
-        } else {
-            config.fixed_fanout
-        };
-        let hash = make_hash(config.hash_scheme, fanout, &f1_item_list, db.n_items());
-
-        // Build + freeze the candidate hash tree.
-        let span = phase(metrics, "build", k);
-        let builder = TreeBuilder::new(&cands, &hash, config.leaf_threshold);
-        match metrics {
-            Some(m) => builder.insert_all_tallied(m.shard(0)),
-            None => builder.insert_all(),
-        }
-        if let Some(s) = span {
-            s.finish_serial();
-        }
-        let span = phase(metrics, "freeze", k);
-        let tree = freeze_policy(&builder, config.placement);
-        if let Some(s) = span {
-            s.finish_serial();
-        }
-        if let Some(m) = metrics {
-            let shard = m.shard(0);
-            shard.add(Counter::TreeBytes, tree.total_bytes() as u64);
-            shard.add(Counter::TreeNodes, tree.n_nodes() as u64);
-        }
-
-        // Support counting, over the previous level's survivors when
-        // trimming.
-        let span = phase(metrics, "count", k);
-        let counted = trimmed.take();
-        let input = counted.as_ref().unwrap_or(db);
-        let trim = config
-            .trim_transactions
-            .then(|| EntryTrim::new(&cands, db.n_items(), f2.as_ref()));
-        let mut survivors = config
-            .hit_trim_at(k)
-            .then(|| DatabaseBuilder::new(db.n_items()));
-        if config.reuse_scratch {
-            scratch.retarget(tree.n_nodes());
-        } else {
-            scratch = CountScratch::new(db.n_items(), tree.n_nodes());
-        }
-        if let Some(m) = metrics {
-            m.shard(0).incr(if config.reuse_scratch {
-                Counter::ScratchRetargets
-            } else {
-                Counter::ScratchAllocs
-            });
-        }
-        let mut meter = WorkMeter::default();
-        let mut count = |cref: &mut CounterRef<'_>| {
-            tree.count_trimmed(
-                &hash,
-                input,
-                0..input.len(),
-                trim.as_ref().map(|t| t as &dyn TxnTrim),
-                &mut scratch,
-                cref,
-                opts,
-                &mut meter,
-                survivors.as_mut(),
-            )
-        };
-        let counts: Vec<u32> = if tree.counters_inline() {
-            count(&mut CounterRef::Inline);
-            tree.inline_counts()
-        } else if config.placement.per_thread_counters() {
-            let mut local = LocalCounters::new(cands.len());
-            count(&mut CounterRef::Local(&mut local));
-            reduce(&[local])
-        } else {
-            let shared = FlatCounters::new(cands.len());
-            match metrics {
-                Some(m) => count(&mut CounterRef::Shared(&TalliedCounters::new(
-                    &shared,
-                    m.shard(0),
-                ))),
-                None => count(&mut CounterRef::Shared(&shared)),
+        let (counts, meter, tree_shape) = if let Some(index) = &class_index {
+            let span = phase(metrics, "count", k);
+            let held = id_lists.take();
+            let lists = match &held {
+                Some((db, frequent)) => IdLists::Candidates { db, frequent },
+                None => IdLists::Pairs {
+                    db,
+                    f2: f2.as_ref().expect("class arrays count with F_2"),
+                },
+            };
+            let mut counts = index.zeroed();
+            // A pass over its list budget stops writing; the next level
+            // then counts on the tree.
+            let budget = ListBudget::new(db);
+            let (meter, next) = index.count_within_budget(
+                &lists,
+                0..lists.db().len(),
+                &mut counts,
+                &mut ClassScratch::default(),
+                (config.max_k != Some(k)).then(|| index.lists_builder()),
+                &budget,
+            );
+            drop(held);
+            if budget.exceeded() {
+                f2 = None;
             }
-            shared.snapshot()
+            id_lists = next.map(|next| (next.finish(), frequent_ids(&counts, min_support)));
+            if let Some(s) = span {
+                s.finish(vec![meter.work_units()]);
+            }
+            (counts, meter, (0, 0, 0))
+        } else {
+            (f2, id_lists) = (None, None);
+            let fanout = if config.adaptive_fanout {
+                adaptive_fanout(&classes, config.leaf_threshold, k)
+            } else {
+                config.fixed_fanout
+            };
+            let hash = make_hash(config.hash_scheme, fanout, &f1_item_list, db.n_items());
+
+            // Build + freeze the candidate hash tree.
+            let span = phase(metrics, "build", k);
+            let builder = TreeBuilder::new(&cands, &hash, config.leaf_threshold);
+            match metrics {
+                Some(m) => builder.insert_all_tallied(m.shard(0)),
+                None => builder.insert_all(),
+            }
+            if let Some(s) = span {
+                s.finish_serial();
+            }
+            let span = phase(metrics, "freeze", k);
+            let tree = freeze_policy(&builder, config.placement);
+            if let Some(s) = span {
+                s.finish_serial();
+            }
+            if let Some(m) = metrics {
+                let shard = m.shard(0);
+                shard.add(Counter::TreeBytes, tree.total_bytes() as u64);
+                shard.add(Counter::TreeNodes, tree.n_nodes() as u64);
+            }
+
+            // Support counting, over the previous level's survivors when
+            // trimming.
+            let span = phase(metrics, "count", k);
+            let counted = trimmed.take();
+            let input = counted.as_ref().unwrap_or(db);
+            let filter = config
+                .trim_transactions
+                .then(|| ItemFilter::from_candidates(&cands, db.n_items()));
+            let mut survivors = config
+                .hit_trim_at(k)
+                .then(|| DatabaseBuilder::new(db.n_items()));
+            if config.reuse_scratch {
+                scratch.retarget(tree.n_nodes());
+            } else {
+                scratch = CountScratch::new(db.n_items(), tree.n_nodes());
+            }
+            if let Some(m) = metrics {
+                m.shard(0).incr(if config.reuse_scratch {
+                    Counter::ScratchRetargets
+                } else {
+                    Counter::ScratchAllocs
+                });
+            }
+            let mut meter = WorkMeter::default();
+            let mut count = |cref: &mut CounterRef<'_>| {
+                tree.count_trimmed(
+                    &hash,
+                    input,
+                    0..input.len(),
+                    filter.as_ref(),
+                    &mut scratch,
+                    cref,
+                    opts,
+                    &mut meter,
+                    survivors.as_mut(),
+                )
+            };
+            let counts: Vec<u32> = if tree.counters_inline() {
+                count(&mut CounterRef::Inline);
+                tree.inline_counts()
+            } else if config.placement.per_thread_counters() {
+                let mut local = LocalCounters::new(cands.len());
+                count(&mut CounterRef::Local(&mut local));
+                reduce(&[local])
+            } else {
+                let shared = FlatCounters::new(cands.len());
+                match metrics {
+                    Some(m) => count(&mut CounterRef::Shared(&TalliedCounters::new(
+                        &shared,
+                        m.shard(0),
+                    ))),
+                    None => count(&mut CounterRef::Shared(&shared)),
+                }
+                shared.snapshot()
+            };
+            drop(counted);
+            trimmed = survivors.map(DatabaseBuilder::finish);
+            if let Some(m) = metrics {
+                m.shard(0)
+                    .add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
+            }
+            if let Some(s) = span {
+                s.finish(vec![meter.work_units()]);
+            }
+            (counts, meter, (fanout, tree.total_bytes(), tree.n_nodes()))
         };
-        drop(counted);
-        trimmed = survivors.map(DatabaseBuilder::finish);
-        if let Some(m) = metrics {
-            m.shard(0)
-                .add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
-        }
-        if let Some(s) = span {
-            s.finish(vec![meter.work_units()]);
-        }
 
         // Frequent extraction.
         let span = phase(metrics, "extract", k);
-        let mut fk_sets = CandidateSet::new(k);
-        let mut fk_supports = Vec::new();
-        for (id, items) in cands.iter() {
-            if counts[id as usize] >= min_support {
-                fk_sets.push(items);
-                fk_supports.push(counts[id as usize]);
-            }
-        }
-        let fk = FrequentLevel::new(fk_sets, fk_supports);
+        let fk = FrequentLevel::from_counts(&cands, &counts, min_support);
         if let Some(s) = span {
             s.finish_serial();
         }
 
+        let (fanout, tree_bytes, tree_nodes) = tree_shape;
         iter_stats.push(IterStats {
             k,
             n_candidates: cands.len(),
             n_frequent: fk.len(),
             fanout,
-            tree_bytes: tree.total_bytes(),
-            tree_nodes: tree.n_nodes(),
+            tree_bytes,
+            tree_nodes,
             join_pairs,
             meter,
         });
@@ -411,7 +457,11 @@ mod tests {
     #[test]
     fn all_configurations_agree() {
         let db = paper_db();
+        // The default: arrays at every level, no tree.
         let reference = mine(&db, &paper_config()).all_itemsets();
+        assert_eq!(reference, crate::naive::mine_exhaustive(&db, 2));
+        // Every tree knob, on the tree (`pair_array: false`); `fast` turns
+        // the counting fast path on and off together.
         use arm_hashtree::VisitedMode;
         for placement in PlacementPolicy::ALL {
             for scheme in [HashScheme::Interleaved, HashScheme::Bitonic] {
@@ -427,7 +477,7 @@ mod tests {
                                     fixed_fanout: 3,
                                     short_circuit: sc,
                                     visited,
-                                    pair_array: fast,
+                                    pair_array: false,
                                     placement,
                                     max_k: None,
                                     hash_memo: fast,
@@ -476,7 +526,9 @@ mod tests {
         assert_eq!(s3.k, 3);
         assert_eq!(s3.n_candidates, 1);
         assert_eq!(s3.n_frequent, 1);
-        assert!(s3.tree_bytes > 0);
+        // The class array: no tree, one hit per contained candidate.
+        assert_eq!((s3.tree_bytes, s3.tree_nodes, s3.fanout), (0, 0, 0));
+        assert_eq!((s3.join_pairs, s3.meter.hits), (3, 2));
 
         let tree = mine(
             &paper_db(),
@@ -489,40 +541,60 @@ mod tests {
         assert_eq!((t2.n_candidates, t2.n_frequent, t2.join_pairs), (6, 4, 6));
         assert!(t2.tree_bytes > 0);
         assert_eq!(t2.meter.txns, 4);
+        let t3 = &tree.iter_stats[2];
+        assert_eq!((t3.n_candidates, t3.n_frequent, t3.join_pairs), (1, 1, 3));
+        assert!(t3.tree_bytes > 0);
+        assert_eq!(t3.meter.hits, s3.meter.hits);
         assert_eq!(tree.all_itemsets(), r.all_itemsets());
     }
 
     #[test]
     fn mine_with_registry_records_phases_and_matches_plain_mine() {
         let db = paper_db();
-        let cfg = paper_config();
-        let reference = mine(&db, &cfg).all_itemsets();
+        // The default counts every level in arrays; the tree path builds
+        // and freezes a tree per level.
+        let tree_cfg = AprioriConfig {
+            pair_array: false,
+            ..paper_config()
+        };
+        for (cfg, tree) in [(paper_config(), false), (tree_cfg, true)] {
+            let reference = mine(&db, &cfg).all_itemsets();
+            let metrics = MetricsRegistry::new(1);
+            let r = mine_with(&db, &cfg, Some(&metrics));
+            assert_eq!(r.all_itemsets(), reference);
 
-        let metrics = MetricsRegistry::new(1);
-        let r = mine_with(&db, &cfg, Some(&metrics));
-        assert_eq!(r.all_itemsets(), reference);
+            let phases = metrics.take_phases();
+            for name in ["f1", "candgen", "count", "extract"] {
+                assert!(
+                    phases.iter().any(|p| p.name == name),
+                    "missing phase {name}"
+                );
+            }
+            for name in ["build", "freeze"] {
+                assert_eq!(
+                    phases.iter().any(|p| p.name == name),
+                    tree,
+                    "phase {name}, tree={tree}"
+                );
+            }
+            // Counting phases carry a single-thread work vector.
+            for k in [2, 3] {
+                let count = phases
+                    .iter()
+                    .find(|p| p.name == "count" && p.k == k)
+                    .unwrap();
+                assert_eq!(count.thread_work.as_ref().map(Vec::len), Some(1));
+                assert!(count.thread_work.as_ref().unwrap()[0] > 0);
+            }
 
-        let phases = metrics.take_phases();
-        for name in ["f1", "candgen", "build", "freeze", "count", "extract"] {
-            assert!(
-                phases.iter().any(|p| p.name == name),
-                "missing phase {name}"
-            );
-        }
-        // Counting phases carry a single-thread work vector.
-        let count2 = phases
-            .iter()
-            .find(|p| p.name == "count" && p.k == 2)
-            .unwrap();
-        assert_eq!(count2.thread_work.as_ref().map(Vec::len), Some(1));
-        assert!(count2.thread_work.as_ref().unwrap()[0] > 0);
-
-        let snap = metrics.snapshot();
-        if MetricsRegistry::enabled() {
-            assert!(snap.total(Counter::LeafLockAcquires) > 0);
-            assert!(snap.total(Counter::TreeBytes) > 0);
-        } else {
-            assert_eq!(snap.total(Counter::LeafLockAcquires), 0);
+            let snap = metrics.snapshot();
+            let locks = snap.total(Counter::LeafLockAcquires);
+            let bytes = snap.total(Counter::TreeBytes);
+            if MetricsRegistry::enabled() && tree {
+                assert!(locks > 0 && bytes > 0);
+            } else {
+                assert_eq!((locks, bytes), (0, 0), "tree={tree}");
+            }
         }
     }
 

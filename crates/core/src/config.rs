@@ -55,9 +55,12 @@ pub struct AprioriConfig {
     /// VISITED stamp storage: per-node, or the paper's reduced `k·H·P`
     /// path-tagged scheme (§4.2).
     pub visited: VisitedMode,
-    /// Count `C_2` in a triangular array over the frequent items
-    /// ([`crate::pairs`]) instead of a candidate hash tree. Off, `k = 2`
-    /// builds and counts the paper's tree like every other level.
+    /// Count in arrays instead of a candidate hash tree: `C_2` in a
+    /// triangular array over the frequent items ([`crate::pairs`]), and
+    /// every `C_k`, `k ≥ 3`, in per-class triangular arrays over
+    /// per-transaction id lists ([`crate::class_array`]). Off, every level
+    /// builds and counts the paper's tree, and the tree knobs below take
+    /// effect. PCCD ignores it.
     pub pair_array: bool,
     /// Memory placement policy (§5).
     pub placement: PlacementPolicy,
@@ -67,9 +70,10 @@ pub struct AprioriConfig {
     /// and index the memo table during the walk instead of re-hashing per
     /// node visit.
     pub hash_memo: bool,
-    /// Counting fast path: trim each transaction to the items appearing in
-    /// some candidate before walking it (lossless; the database itself
-    /// stays untouched).
+    /// Counting fast path of the hash tree: trim each transaction to the
+    /// items appearing in some candidate before walking it, and from
+    /// `k = 3` on hand the next level the hit-trimmed survivors (lossless;
+    /// the database itself stays untouched).
     pub trim_transactions: bool,
     /// Counting fast path: drive the walk with an explicit reusable frame
     /// stack instead of native recursion (identical traversal and work
@@ -125,10 +129,10 @@ impl AprioriConfig {
         }
     }
 
-    /// Whether the level-`k` count pass hands the next level a hit-trimmed
-    /// database (DHP's transaction trimming, see `arm_hashtree::count`):
-    /// with `trim_transactions`, from `k = 3` on, except at the `max_k`
-    /// level, which has no next level.
+    /// Whether the level-`k` hash-tree count pass hands the next level a
+    /// hit-trimmed database (DHP's transaction trimming, see
+    /// `arm_hashtree::count`): with `trim_transactions`, from `k = 3` on,
+    /// except at the `max_k` level, which has no next level.
     pub fn hit_trim_at(&self, k: u32) -> bool {
         self.trim_transactions && k >= 3 && self.max_k != Some(k)
     }

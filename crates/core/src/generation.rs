@@ -51,6 +51,8 @@ pub fn adaptive_fanout(classes: &[Range<u32>], leaf_threshold: usize, k: u32) ->
 
 /// Generates the candidates of one equivalence class into `out`,
 /// returning the number of join pairs considered (the class's workload).
+/// `scratch` holds each candidate and its pruning subsets, so it is the
+/// one allocation of the loop.
 ///
 /// The paper's pruning refinement is applied: the two `(k-1)`-subsets that
 /// produced the candidate are frequent by construction, so only the
@@ -111,26 +113,30 @@ pub fn generate_class_member(
     pairs
 }
 
-/// Checks the `k-2` non-parent `(k-1)`-subsets of `candidate` for
-/// frequency. (Removing index `k-1` or `k-2` yields the two parents.)
-fn survives_prune(level: &FrequentLevel, candidate: &[Item]) -> bool {
-    let k = candidate.len();
+/// Checks the `k-2` non-parent `(k-1)`-subsets of the candidate in
+/// `buf` for frequency. (Removing index `k-1` or `k-2` yields the two
+/// parents.) Each subset is built in `buf` past the candidate, which is
+/// left as it was.
+fn survives_prune(level: &FrequentLevel, buf: &mut Vec<Item>) -> bool {
+    let k = buf.len();
     if k <= 2 {
         return true; // both subsets are the parents themselves
     }
-    let mut subset = Vec::with_capacity(k - 1);
+    // Without item 0, then each next subset puts back the item dropped
+    // before and drops the following one.
+    buf.extend_from_within(1..k);
+    let mut frequent = true;
     for drop in 0..k - 2 {
-        subset.clear();
-        for (i, &item) in candidate.iter().enumerate() {
-            if i != drop {
-                subset.push(item);
-            }
+        if drop > 0 {
+            buf[k + drop - 1] = buf[drop - 1];
         }
-        if level.find(&subset).is_none() {
-            return false;
+        if level.find(&buf[k..]).is_none() {
+            frequent = false;
+            break;
         }
     }
-    true
+    buf.truncate(k);
+    frequent
 }
 
 /// Generates the full candidate set `C_k` from `F_{k-1}` (sequential).
@@ -139,7 +145,7 @@ fn survives_prune(level: &FrequentLevel, candidate: &[Item]) -> bool {
 pub fn generate_candidates(level: &FrequentLevel) -> (CandidateSet, u64) {
     let k = level.k() + 1;
     let mut out = CandidateSet::new(k);
-    let mut scratch = Vec::with_capacity(k as usize);
+    let mut scratch = Vec::with_capacity(2 * k as usize);
     let mut pairs = 0u64;
     for class in equivalence_classes(level) {
         pairs += generate_class(level, class, &mut out, &mut scratch);

@@ -21,6 +21,21 @@ impl FrequentLevel {
         FrequentLevel { itemsets, supports }
     }
 
+    /// The candidates of `cands` whose count (`counts[id]`) reaches
+    /// `min_support`, in id order.
+    pub fn from_counts(cands: &CandidateSet, counts: &[u32], min_support: u32) -> Self {
+        let mut sets = CandidateSet::new(cands.k());
+        let mut supports = Vec::new();
+        for (id, items) in cands.iter() {
+            let count = counts[id as usize];
+            if count >= min_support {
+                sets.push(items);
+                supports.push(count);
+            }
+        }
+        FrequentLevel::new(sets, supports)
+    }
+
     /// Itemset length `k`.
     pub fn k(&self) -> u32 {
         self.itemsets.k()

@@ -6,6 +6,8 @@
 //! * [`f1`] — the first (histogram) pass producing `F_1`;
 //! * [`generation`] — equivalence-class join, pruning, adaptive fan-out;
 //! * [`pairs`] — the `C_2` kernel: pair counts in a triangular array;
+//! * [`class_array`] — the `k ≥ 3` kernel: candidate counts in
+//!   per-class triangular arrays over per-transaction id lists;
 //! * [`apriori`] — the iteration driver with per-iteration statistics;
 //! * [`rules`] — confidence-based rule generation (ap-genrules);
 //! * [`naive`] — two independent reference miners for verification;
@@ -32,6 +34,7 @@
 //! ```
 
 pub mod apriori;
+pub mod class_array;
 pub mod config;
 pub mod eclat;
 pub mod f1;
@@ -45,6 +48,7 @@ pub mod summaries;
 pub mod taxonomy;
 
 pub use apriori::{f1_items, make_hash, mine, mine_with, IterStats, MiningResult};
+pub use class_array::{ClassIndex, ClassScratch, IdLists};
 pub use config::{AprioriConfig, HashScheme, Support};
 pub use eclat::mine_eclat;
 pub use f1::{count_singletons, count_singletons_into, frequent_from_counts, frequent_singletons};
@@ -53,7 +57,7 @@ pub use generation::{
     generate_class_member,
 };
 pub use level::FrequentLevel;
-pub use pairs::{EntryTrim, FrequentPairs, PairIndex};
+pub use pairs::{FrequentPairs, PairIndex};
 pub use partition_algo::mine_partition;
 pub use rules::{generate_rules, Rule};
 pub use summaries::{closed_itemsets, maximal_itemsets};

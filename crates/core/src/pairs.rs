@@ -13,15 +13,15 @@
 //! ([`PairIndex::count_into`]); the arrays are summed by [`reduce_into_first`]
 //! and [`PairIndex::frequent`] reads `F_2` off the total in canonical order.
 //!
-//! The same total also yields the `k = 3` entry trim ([`EntryTrim`]): a
-//! bitset of `F_2` over the array's indices ([`FrequentPairs`]), against
-//! which each transaction drops the items with fewer than two frequent
-//! partners in it before the `C_3` walk.
+//! The same total also yields `F_2` as a bitset over the array's indices
+//! with a rank directory ([`FrequentPairs`]): the `k = 3` class-array pass
+//! ([`crate::class_array`]) reads each transaction's `F_2` ids straight
+//! off its items with it.
 
 use crate::apriori::IterStats;
 use crate::level::FrequentLevel;
 use arm_dataset::{Database, Item};
-use arm_hashtree::{CandidateSet, ItemFilter, TxnTrim, WorkMeter};
+use arm_hashtree::{CandidateSet, WorkMeter};
 use std::ops::Range;
 
 /// Rank of an item outside `F_1`.
@@ -42,7 +42,7 @@ pub struct PairIndex {
 
 /// `C(n, 2)`, or `None` when the array of that many `u32` counters would
 /// not be addressable. (`n·(n-1)` overflows only when `4·C(n, 2)` does.)
-fn n_pairs(n: usize) -> Option<usize> {
+pub(crate) fn n_pairs(n: usize) -> Option<usize> {
     let pairs = n.checked_mul(n.saturating_sub(1))? / 2;
     pairs.checked_mul(std::mem::size_of::<u32>())?;
     Some(pairs)
@@ -156,14 +156,27 @@ impl PairIndex {
         FrequentLevel::new(sets, supports)
     }
 
-    /// `F_2` as a bitset over this index's array: the pairs whose count
-    /// reaches `min_support`.
+    /// `F_2` as a bitset over this index's array (the pairs whose count
+    /// reaches `min_support`), with the rank directory that gives each
+    /// pair its `F_2` id.
     pub fn frequent_pairs(&self, counts: &[u32], min_support: u32) -> FrequentPairs<'_> {
         let mut bits = vec![0u64; self.len.div_ceil(64)];
         for (i, _) in counts.iter().enumerate().filter(|(_, &c)| c >= min_support) {
             bits[i / 64] |= 1 << (i % 64);
         }
-        FrequentPairs { index: self, bits }
+        let before = bits
+            .iter()
+            .scan(0u32, |seen, w| {
+                let b = *seen;
+                *seen += w.count_ones();
+                Some(b)
+            })
+            .collect();
+        FrequentPairs {
+            index: self,
+            bits,
+            before,
+        }
     }
 
     /// The `k = 2` iteration record of a run counted with this index:
@@ -183,83 +196,52 @@ impl PairIndex {
 }
 
 /// `F_2` as a bitset over a [`PairIndex`]'s array
-/// ([`PairIndex::frequent_pairs`]): `C(|F_1|, 2)` bits.
+/// ([`PairIndex::frequent_pairs`]), `C(|F_1|, 2)` bits, with a per-word
+/// popcount rank directory. Bits are in canonical pair order, so the rank
+/// of a pair's bit is its position in `F_2`: its `F_2` id.
 pub struct FrequentPairs<'a> {
     index: &'a PairIndex,
     bits: Vec<u64>,
+    /// `before[w]`: the set bits of words `0..w`.
+    before: Vec<u32>,
 }
 
 impl FrequentPairs<'_> {
-    /// True when the items of ranks `a < b` form a frequent pair.
+    /// The `F_2` id of the pair of items with ranks `a < b`, if frequent.
     #[inline]
-    fn contains(&self, a: u32, b: u32) -> bool {
-        let i = self.index.index(a, b);
-        self.bits[i / 64] & (1 << (i % 64)) != 0
+    pub fn id(&self, a: u32, b: u32) -> Option<u32> {
+        self.id_at(self.index.index(a, b))
     }
-}
 
-/// The per-transaction trim of a `k ≥ 3` count pass: the candidates'
-/// [`ItemFilter`], then, at `k = 3` with `F_2` at hand, the
-/// frequent-partner rule. If a transaction contains `X ∈ C_3`, each item
-/// of `X` forms a frequent pair with both other items of `X`, so an item
-/// with fewer than two frequent partners among the transaction's items is
-/// in no contained candidate and is dropped losslessly. The rule runs
-/// once per transaction (no fixpoint).
-pub struct EntryTrim<'a> {
-    filter: ItemFilter,
-    pairs: Option<&'a FrequentPairs<'a>>,
-}
-
-impl<'a> EntryTrim<'a> {
-    /// The trim for counting `cands` over items `0..n_items`; `f2` is used
-    /// only when `cands` is `C_3`.
-    pub fn new(cands: &CandidateSet, n_items: u32, f2: Option<&'a FrequentPairs<'a>>) -> Self {
-        EntryTrim {
-            filter: ItemFilter::from_candidates(cands, n_items),
-            pairs: f2.filter(|_| cands.k() == 3),
-        }
+    /// The `F_2` id of the pair at array index `i`, if frequent.
+    #[inline]
+    fn id_at(&self, i: usize) -> Option<u32> {
+        let (word, bit) = (self.bits[i / 64], i % 64);
+        (word >> bit & 1 != 0)
+            .then(|| self.before[i / 64] + (word & ((1u64 << bit) - 1)).count_ones())
     }
-}
 
-impl TxnTrim for EntryTrim<'_> {
-    fn trim_into(&self, txn: &[Item], out: &mut Vec<Item>) {
-        let Some(f2) = self.pairs else {
-            return self.filter.retain_into(txn, out);
-        };
-        let index = f2.index;
-        // `out` holds the ranks of the filtered items, then one partner
-        // count per item; the survivors are compacted to its front.
-        out.clear();
-        out.extend(
+    /// Writes to `ids` the `F_2` ids of the frequent pairs contained in
+    /// `txn` (ascending items), in ascending order; `ranks` is scratch.
+    pub fn ids_into(&self, txn: &[Item], ranks: &mut Vec<u32>, ids: &mut Vec<u32>) {
+        let index = self.index;
+        ranks.clear();
+        ranks.extend(
             txn.iter()
-                .filter(|&&i| self.filter.contains(i))
-                .map(|&i| index.rank[i as usize]),
+                .map(|&item| index.rank[item as usize])
+                .filter(|&r| r != NOT_FREQUENT),
         );
-        let m = out.len();
-        if m < 3 {
-            out.clear();
-            return;
-        }
-        // Every candidate item is in F_1, so every rank is real.
-        debug_assert!(out.iter().all(|&r| r != NOT_FREQUENT));
-        out.resize(2 * m, 0);
-        let (ranks, partners) = out.split_at_mut(m);
+        ids.clear();
+        // Ranks ascend, so pairs come in array (= `F_2`) order.
         for (i, &a) in ranks.iter().enumerate() {
-            for (j, &b) in ranks.iter().enumerate().skip(i + 1) {
-                if f2.contains(a, b) {
-                    partners[i] += 1;
-                    partners[j] += 1;
-                }
-            }
+            let start = index.row[a as usize];
+            let first = a as usize + 1;
+            ids.extend(
+                ranks[i + 1..]
+                    .iter()
+                    .filter_map(|&b| self.id_at(start + (b as usize - first))),
+            );
         }
-        let mut kept = 0;
-        for i in 0..m {
-            if out[m + i] >= 2 {
-                out[kept] = index.items[out[i] as usize];
-                kept += 1;
-            }
-        }
-        out.truncate(kept);
     }
 }
 
@@ -280,7 +262,6 @@ pub fn reduce_into_first(arrays: Vec<Vec<u32>>) -> Option<Vec<u32>> {
 mod tests {
     use super::*;
     use crate::{frequent_singletons, generate_candidates};
-    use arm_hashtree::naive_counts;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -451,11 +432,12 @@ mod tests {
             prop_assert_eq!(reduce_into_first(parts).unwrap(), whole);
         }
 
-        /// The k = 3 entry trim is lossless: every `C_3` candidate has the
-        /// same support over the entry-trimmed database as over the full
-        /// one.
+        /// The rank directory numbers `F_2` canonically: for every frequent
+        /// pair, its id is its index in the `F_2` level, and every other
+        /// pair has none. `ids_into` lists exactly a transaction's frequent
+        /// pairs, ascending.
         #[test]
-        fn trim_lossless_entry_trim_keeps_c3_supports(
+        fn frequent_pair_ids_are_f2_positions(
             txns in proptest::collection::vec(proptest::collection::vec(0u32..24, 0..12), 0..60),
             minsup in 1u32..4,
         ) {
@@ -464,18 +446,26 @@ mod tests {
             let idx = PairIndex::new(&items, db.n_items()).unwrap();
             let mut counts = idx.zeroed();
             idx.count_into(&db, 0..db.len(), &mut counts, &mut Vec::new());
-            let (c3, _) = generate_candidates(&idx.frequent(&counts, minsup));
-            let f2 = idx.frequent_pairs(&counts, minsup);
-            let trim = EntryTrim::new(&c3, db.n_items(), Some(&f2));
-            let mut out = Vec::new();
-            let trimmed = Database::from_transactions(
-                db.n_items(),
-                db.iter().map(|t| {
-                    trim.trim_into(t, &mut out);
-                    out.clone()
-                }),
-            ).unwrap();
-            prop_assert_eq!(naive_counts(&c3, &trimmed), naive_counts(&c3, &db));
+            let f2 = idx.frequent(&counts, minsup);
+            let pairs = idx.frequent_pairs(&counts, minsup);
+            for (a, &x) in items.iter().enumerate() {
+                for (b, &y) in items.iter().enumerate().skip(a + 1) {
+                    let want = f2.find(&[x, y]).map(|i| i as u32);
+                    prop_assert_eq!(pairs.id(a as u32, b as u32), want, "({}, {})", x, y);
+                }
+            }
+            let (mut ranks, mut ids) = (Vec::new(), Vec::new());
+            for txn in db.iter() {
+                pairs.ids_into(txn, &mut ranks, &mut ids);
+                let mut want = Vec::new();
+                for (i, &x) in txn.iter().enumerate() {
+                    for &y in &txn[i + 1..] {
+                        want.extend(f2.find(&[x, y]).map(|i| i as u32));
+                    }
+                }
+                prop_assert_eq!(&ids, &want);
+                prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            }
         }
     }
 }

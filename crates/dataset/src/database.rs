@@ -271,6 +271,11 @@ impl DatabaseBuilder {
         self.len() == 0
     }
 
+    /// Number of items pushed so far, over all transactions.
+    pub fn total_items(&self) -> usize {
+        self.items.len()
+    }
+
     /// Finalizes the database.
     pub fn finish(self) -> Database {
         Database::from_raw_unchecked(self.n_items, self.offsets, self.items)
@@ -362,6 +367,7 @@ mod tests {
         b.append(&a);
         b.append(&db(&[]));
         b.append(&db(&[&[4, 5]]));
+        assert_eq!((b.len(), b.total_items()), (4, 5));
         assert_eq!(b.finish(), db(&[&[3], &[1, 2], &[], &[4, 5]]));
     }
 

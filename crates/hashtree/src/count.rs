@@ -16,18 +16,13 @@
 //!   item is hashed once into a reusable table in [`CountScratch`]; the
 //!   walk indexes the table instead of re-hashing the same item at every
 //!   tree level (and paying enum dispatch per call for `AnyHash`).
-//! * **Transaction trimming** ([`TxnTrim`], [`count_trimmed`]): before
+//! * **Transaction trimming** ([`ItemFilter`], [`count_trimmed`]): before
 //!   the walk each transaction is cut to the items that can still be part
 //!   of a candidate it contains, which shrinks the subset space the walk
-//!   enumerates without changing a single count. Three rules, each
+//!   enumerates without changing a single count. Two rules, each
 //!   lossless:
 //!   - *item filter* ([`ItemFilter`]): an item in no candidate never
 //!     satisfies a containment test;
-//!   - *entry trim* (any other [`TxnTrim`]; Apriori and CCPD use the `k = 3`
-//!     pair rule of `arm_core::pairs`): if a transaction contains
-//!     `X ∈ C_3`, each item of `X` forms a frequent pair with both other
-//!     items of `X`, so an item with fewer than two frequent partners in
-//!     the transaction is in no contained candidate;
 //!   - *hit trim* (DHP's transaction trimming): if a transaction contains
 //!     `X ∈ C_{k+1}`, all `k + 1` of `X`'s `k`-subsets are `C_k`
 //!     candidates it contains, and each item of `X` lies in `k` of them.
@@ -217,20 +212,6 @@ impl ItemFilter {
     }
 }
 
-/// A lossless per-transaction trim applied before the walk: it may drop
-/// only items that are in no candidate the transaction contains.
-pub trait TxnTrim: Sync {
-    /// Writes the items of `txn` that survive the trim into `out`
-    /// (cleared first), preserving order.
-    fn trim_into(&self, txn: &[Item], out: &mut Vec<Item>);
-}
-
-impl TxnTrim for ItemFilter {
-    fn trim_into(&self, txn: &[Item], out: &mut Vec<Item>) {
-        self.retain_into(txn, out);
-    }
-}
-
 /// One level of the explicit-stack walk: the node being expanded and the
 /// remaining range of transaction positions to hash at this level.
 #[derive(Clone, Copy)]
@@ -409,19 +390,18 @@ pub fn count_transaction<S: WordStore, F: HashFn>(
     opts: CountOptions,
     meter: &mut WorkMeter,
 ) {
-    let trim = filter.map(|f| f as &dyn TxnTrim);
-    count_txn(tree, hash, txn, trim, scratch, counter, opts, meter, None);
+    count_txn(tree, hash, txn, filter, scratch, counter, opts, meter, None);
 }
 
 /// The one counting walk behind every entry point: trims `txn` with
-/// `trim`, walks it, and — when `survivors` is given — appends its
+/// `filter`, walks it, and — when `survivors` is given — appends its
 /// hit-trimmed copy there (see the module docs).
 #[allow(clippy::too_many_arguments)]
 fn count_txn<S: WordStore, F: HashFn>(
     tree: &FrozenTree<S>,
     hash: &F,
     txn: &[Item],
-    trim: Option<&dyn TxnTrim>,
+    filter: Option<&ItemFilter>,
     scratch: &mut CountScratch,
     counter: &mut CounterRef<'_>,
     opts: CountOptions,
@@ -433,9 +413,9 @@ fn count_txn<S: WordStore, F: HashFn>(
     // the scratch's stamps are mutated, so they are moved out for the call
     // and restored at the end (keeping their allocations).
     let mut trimmed = std::mem::take(&mut scratch.trimmed);
-    let txn: &[Item] = match trim {
-        Some(t) => {
-            t.trim_into(txn, &mut trimmed);
+    let txn: &[Item] = match filter {
+        Some(f) => {
+            f.retain_into(txn, &mut trimmed);
             &trimmed
         }
         None => txn,
@@ -508,14 +488,13 @@ pub fn count_partition<S: WordStore, F: HashFn>(
     opts: CountOptions,
     meter: &mut WorkMeter,
 ) {
-    let trim = filter.map(|f| f as &dyn TxnTrim);
     count_trimmed(
-        tree, hash, db, range, trim, scratch, counter, opts, meter, None,
+        tree, hash, db, range, filter, scratch, counter, opts, meter, None,
     );
 }
 
 /// Counts a range of transactions like [`count_partition`], trimming each
-/// one with `trim` before its walk. With `survivors`, every transaction
+/// one with `filter` before its walk. With `survivors`, every transaction
 /// that can still contain a `C_{k+1}` candidate is appended there, cut to
 /// its hit-trim survivors, in range order: the database the next pass
 /// reads.
@@ -525,7 +504,7 @@ pub fn count_trimmed<S: WordStore, F: HashFn>(
     hash: &F,
     db: &Database,
     range: Range<usize>,
-    trim: Option<&dyn TxnTrim>,
+    filter: Option<&ItemFilter>,
     scratch: &mut CountScratch,
     counter: &mut CounterRef<'_>,
     opts: CountOptions,
@@ -537,7 +516,7 @@ pub fn count_trimmed<S: WordStore, F: HashFn>(
             tree,
             hash,
             db.transaction(i),
-            trim,
+            filter,
             scratch,
             counter,
             opts,
@@ -786,8 +765,7 @@ impl AnyFrozenTree {
         opts: CountOptions,
         meter: &mut WorkMeter,
     ) {
-        let trim = filter.map(|f| f as &dyn TxnTrim);
-        self.count_trimmed(hash, db, range, trim, scratch, counter, opts, meter, None);
+        self.count_trimmed(hash, db, range, filter, scratch, counter, opts, meter, None);
     }
 
     /// Counts a range of transactions with trimming and optional
@@ -799,7 +777,7 @@ impl AnyFrozenTree {
         hash: &F,
         db: &Database,
         range: Range<usize>,
-        trim: Option<&dyn TxnTrim>,
+        filter: Option<&ItemFilter>,
         scratch: &mut CountScratch,
         counter: &mut CounterRef<'_>,
         opts: CountOptions,
@@ -808,10 +786,10 @@ impl AnyFrozenTree {
     ) {
         match self {
             AnyFrozenTree::Contiguous(t) => count_trimmed(
-                t, hash, db, range, trim, scratch, counter, opts, meter, survivors,
+                t, hash, db, range, filter, scratch, counter, opts, meter, survivors,
             ),
             AnyFrozenTree::Scatter(t) => count_trimmed(
-                t, hash, db, range, trim, scratch, counter, opts, meter, survivors,
+                t, hash, db, range, filter, scratch, counter, opts, meter, survivors,
             ),
         }
     }

@@ -63,7 +63,7 @@ pub use build::TreeBuilder;
 pub use candidates::CandidateSet;
 pub use count::{
     count_partition, count_transaction, count_trimmed, is_subset, naive_counts, CountOptions,
-    CountScratch, CounterRef, ItemFilter, TxnTrim, VisitedMode, WorkMeter,
+    CountScratch, CounterRef, ItemFilter, VisitedMode, WorkMeter,
 };
 pub use freeze::{freeze_policy, freeze_with, AnyFrozenTree, FrozenTree};
 pub use policy::{CounterPlacement, EmitOrder, LeafLayout, PlacementPolicy, StoreKind};

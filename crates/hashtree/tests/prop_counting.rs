@@ -9,7 +9,7 @@ use arm_balance::{BitonicHash, HashFn, IndirectionHash, ModHash};
 use arm_dataset::{Database, DatabaseBuilder};
 use arm_hashtree::{
     freeze_policy, naive_counts, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter,
-    PlacementPolicy, TreeBuilder, TxnTrim, VisitedMode, WorkMeter,
+    PlacementPolicy, TreeBuilder, VisitedMode, WorkMeter,
 };
 use proptest::collection::{btree_set, vec};
 use proptest::prelude::*;
@@ -184,7 +184,7 @@ fn count_surviving(
             &hash,
             db,
             0..db.len(),
-            Some(&filter as &dyn TxnTrim),
+            Some(&filter),
             &mut scratch,
             cref,
             opts,

@@ -1,7 +1,7 @@
 //! CCPD — Common Candidate, Partitioned Database (§3.3).
 //!
-//! One shared candidate hash tree; the database is logically split among
-//! the workers. Every phase mirrors the paper:
+//! One shared candidate set; the database is logically split among the
+//! workers. Every phase mirrors the paper:
 //!
 //! * `F_1`: per-thread histograms over database blocks + sum reduction;
 //! * `C_2` (with `pair_array`, the default): each thread counts its
@@ -9,24 +9,39 @@
 //!   summed into thread 0's array at extraction — no candidates, no tree;
 //! * candidate generation: equivalence classes balanced across threads by
 //!   the configured scheme (§3.1.2), with adaptive parallelism (§3.1.3);
-//! * tree build: all threads insert into the shared tree under per-leaf
-//!   locks (§3.1.4);
-//! * freeze: the placement policy's memory image is laid out (GPP's remap);
-//! * support counting: each thread scans its partition against the shared
-//!   tree, with counters inline / segregated / privatized per policy. With
-//!   `trim_transactions` each transaction is first trimmed (at `k = 3` by
-//!   the `F_2` partner rule, [`arm_core::EntryTrim`]), and each claimed
-//!   chunk writes its transactions' hit-trimmed survivors to a segment
-//!   keyed by the chunk's start; the segments, concatenated in start
-//!   order, are the database the next level counts over (identical under
-//!   every scheduling mode and thread count);
+//!   with `pair_array`, the class arrays' slot map
+//!   ([`arm_core::ClassIndex`]) is built after the join;
+//! * support counting, `k ≥ 3`, with `pair_array`: each thread counts
+//!   its chunks of the per-transaction id lists into a private `|C_k|`
+//!   array (`count_classes`; at `k = 3` the lists are read off the items
+//!   through `F_2`'s rank directory). Each claimed chunk writes its
+//!   transactions' contained candidate ids to a segment keyed by the
+//!   chunk's start; the segments, concatenated in start order, are the
+//!   lists the next level counts over (identical under every scheduling
+//!   mode and thread count). A pass that writes more ids than its budget
+//!   ([`arm_core::class_array::ListBudget`]) stops writing and hands the
+//!   next level to the tree; otherwise no tree is built at any level;
+//! * on the hash-tree path (`pair_array: false`, the paper's CCPD, or
+//!   from a level whose slot map is unaddressable or that follows an
+//!   over-budget pass, and every later one):
+//!   - tree build: all threads insert into the shared tree under per-leaf
+//!     locks (§3.1.4);
+//!   - freeze: the placement policy's memory image is laid out (GPP's
+//!     remap);
+//!   - support counting: each thread scans its partition against the
+//!     shared tree, with counters inline / segregated / privatized per
+//!     policy. With `trim_transactions` each transaction is first cut to
+//!     the candidates' items ([`arm_hashtree::ItemFilter`]), and each
+//!     claimed chunk writes its transactions' hit-trimmed survivors to a
+//!     segment, concatenated in start order like the id lists;
 //! * extraction: the master thread selects `F_k`.
 //!
-//! The data-parallel phases (F1, tree build, both counts) draw their work from
-//! an [`arm_exec::ChunkPool`] seeded with the phase's static split: under
-//! `Scheduling::Static` each thread receives exactly its block (the paper's
-//! behavior and the differential oracle), while the default `Guided` mode
-//! re-balances the same indices at run time without changing any result.
+//! The data-parallel phases (F1, tree build, every count) draw their work
+//! from an [`arm_exec::ChunkPool`] seeded with the phase's static split:
+//! under `Scheduling::Static` each thread receives exactly its block (the
+//! paper's behavior and the differential oracle), while the default
+//! `Guided` mode re-balances the same indices at run time without changing
+//! any result.
 //!
 //! Every phase records wall time and per-thread work for the imbalance
 //! metrics in [`crate::stats`].
@@ -34,11 +49,12 @@
 use crate::config::{DbPartition, ParallelConfig};
 use crate::scratch::ScratchPool;
 use crate::stats::ParallelRunStats;
+use arm_core::class_array::{frequent_ids, ListBudget};
 use arm_core::pairs::reduce_into_first;
 use arm_core::{
     adaptive_fanout, class_weight, count_singletons_into, equivalence_classes, f1_items,
-    frequent_from_counts, generate_class, make_hash, EntryTrim, FrequentLevel, IterStats,
-    MiningResult, PairIndex,
+    frequent_from_counts, generate_class, make_hash, ClassIndex, ClassScratch, FrequentLevel,
+    IdLists, IterStats, MiningResult, PairIndex,
 };
 use arm_dataset::{
     block_ranges, weighted_ranges, weighted_ranges_for_k, Database, DatabaseBuilder,
@@ -46,7 +62,7 @@ use arm_dataset::{
 use arm_exec::{ChunkPool, Scheduling};
 use arm_faults::{try_run_threads, CancelToken, MiningError, RunControl};
 use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, TreeBuilder, TxnTrim,
+    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
     WorkMeter,
 };
 use arm_mem::counters::reduce;
@@ -68,8 +84,9 @@ pub fn mine(db: &Database, cfg: &ParallelConfig) -> (MiningResult, ParallelRunSt
 /// Runs CCPD under a [`RunControl`]: the token is checkpointed at every
 /// chunk claim and phase boundary, worker panics are contained and
 /// returned as [`MiningError::WorkerPanicked`], and armed fault-plan
-/// sites fire at each instrumented claim (phases `f1`, `build`, `count`;
-/// the `k = 2` pair-array count is phase `count` too).
+/// sites fire at each instrumented claim (phases `f1` and `count`, plus
+/// `build` on the hash-tree path; the pair-array and class-array counts
+/// are phase `count` too).
 ///
 /// On `Err` every worker thread has joined and all shared state built by
 /// the run is discarded; retrying with a live control yields results
@@ -143,9 +160,13 @@ pub fn try_mine(
         join_pairs: 0,
         meter: WorkMeter::default(),
     }];
-    // With `trim_transactions`: `F_2` for the k = 3 entry trim, and the
-    // hit-trimmed database the next level counts over (`None` = `db`).
+    // With the pair array: `F_2` with its rank directory. While it is
+    // set, every level k ≥ 3 counts in class arrays, over the id lists the
+    // level before wrote (`None` at k = 3: the items via `f2`).
     let mut f2 = None;
+    let mut id_lists: Option<(Database, Vec<u32>)> = None;
+    // On the tree path with `trim_transactions`, the hit-trimmed database
+    // the next level counts over (`None` = `db`).
     let mut trimmed: Option<Database> = None;
     // Uniform `max_k` semantics: a cap of 0 admits no level at all (the
     // k-loop below then breaks immediately on `k > m`).
@@ -188,9 +209,7 @@ pub fn try_mine(
             let span = metrics.phase("extract", k);
             let total = reduce_into_first(arrays).expect("one array per thread");
             let fk = index.frequent(&total, min_support);
-            if cfg.base.trim_transactions {
-                f2 = Some(index.frequent_pairs(&total, min_support));
-            }
+            f2 = Some(index.frequent_pairs(&total, min_support));
             span.finish_serial();
             iter_stats.push(index.iter_stats(fk.len(), total_meter));
             if fk.is_empty() {
@@ -211,7 +230,7 @@ pub fn try_mine(
             // Adaptive parallelism: not enough frequent itemsets to be
             // worth forking (§3.1.3).
             let mut out = CandidateSet::new(k);
-            let mut scratch = Vec::with_capacity(k as usize);
+            let mut scratch = Vec::with_capacity(2 * k as usize);
             let mut pairs = 0u64;
             for class in &classes {
                 pairs += generate_class(prev, class.clone(), &mut out, &mut scratch);
@@ -220,12 +239,81 @@ pub fn try_mine(
             work[0] = pairs;
             (out, work, pairs)
         };
+        // The class arrays' slot map while `F_2` is at hand; an
+        // unaddressable map hands this level and every later one to the
+        // tree.
+        let class_index = f2
+            .as_ref()
+            .filter(|_| !cands.is_empty())
+            .and_then(|_| ClassIndex::new(prev, &classes, &cands));
         span.finish(candgen_work);
         ctrl.gate("candgen", run_start)?;
         if cands.is_empty() {
             break;
         }
         debug_assert!(cands.is_sorted_unique());
+
+        if let Some(index) = &class_index {
+            let span = metrics.phase("count", k);
+            let held = id_lists.take();
+            let lists = match &held {
+                Some((db, frequent)) => IdLists::Candidates { db, frequent },
+                None => IdLists::Pairs {
+                    db,
+                    f2: f2.as_ref().expect("class arrays count with F_2"),
+                },
+            };
+            let emit = cfg.base.max_k != Some(k);
+            let (arrays, meters, segments) = count_classes(
+                index,
+                &lists,
+                &db_ranges(lists.db()),
+                emit.then(|| ListBudget::new(db)),
+                cfg.scheduling,
+                ctrl,
+                &metrics,
+            )?;
+            drop(held);
+            ctrl.gate("count", run_start)?;
+            let mut total_meter = WorkMeter::default();
+            for (rm, m) in run_meters.iter_mut().zip(&meters) {
+                rm.merge(m);
+                total_meter.merge(m);
+            }
+            span.finish(meters.iter().map(WorkMeter::work_units).collect());
+
+            let span = metrics.phase("extract", k);
+            let total = reduce_into_first(arrays).expect("one array per thread");
+            let fk = FrequentLevel::from_counts(&cands, &total, min_support);
+            match segments {
+                Some(segments) => {
+                    id_lists = Some((
+                        concat_segments(index.len() as u32, segments),
+                        frequent_ids(&total, min_support),
+                    ));
+                }
+                // Over budget (or the `max_k` level): the tree counts on.
+                None => f2 = None,
+            }
+            span.finish_serial();
+            iter_stats.push(IterStats {
+                k,
+                n_candidates: cands.len(),
+                n_frequent: fk.len(),
+                fanout: 0,
+                tree_bytes: 0,
+                tree_nodes: 0,
+                join_pairs,
+                meter: total_meter,
+            });
+            if fk.is_empty() {
+                break;
+            }
+            levels.push(fk);
+            k += 1;
+            continue;
+        }
+        (f2, id_lists) = (None, None);
 
         let fanout = if cfg.base.adaptive_fanout {
             adaptive_fanout(&classes, cfg.base.leaf_threshold, k)
@@ -280,12 +368,11 @@ pub fn try_mine(
             hash_memo: cfg.base.hash_memo,
             iterative: cfg.base.iterative_walk,
         };
-        // Shared read-only trim for this iteration's candidates.
-        let trim = cfg
+        // Shared read-only item filter for this iteration's candidates.
+        let filter = cfg
             .base
             .trim_transactions
-            .then(|| EntryTrim::new(&cands, db.n_items(), f2.as_ref()));
-        let trim = trim.as_ref().map(|t| t as &dyn TxnTrim);
+            .then(|| ItemFilter::from_candidates(&cands, db.n_items()));
         let emit = cfg.base.hit_trim_at(k);
         let inline = tree.counters_inline();
         let per_thread = cfg.base.placement.per_thread_counters();
@@ -339,7 +426,7 @@ pub fn try_mine(
                         &hash,
                         input,
                         r,
-                        trim,
+                        filter.as_ref(),
                         scratch,
                         &mut cref,
                         opts,
@@ -384,15 +471,7 @@ pub fn try_mine(
         } else {
             shared.expect("shared counters exist").snapshot()
         };
-        let mut fk_sets = CandidateSet::new(k);
-        let mut fk_supports = Vec::new();
-        for (id, items) in cands.iter() {
-            if final_counts[id as usize] >= min_support {
-                fk_sets.push(items);
-                fk_supports.push(final_counts[id as usize]);
-            }
-        }
-        let fk = FrequentLevel::new(fk_sets, fk_supports);
+        let fk = FrequentLevel::from_counts(&cands, &final_counts, min_support);
         span.finish_serial();
 
         let mut total_meter = WorkMeter::default();
@@ -441,16 +520,89 @@ pub fn try_mine(
     Ok((result, stats))
 }
 
-/// Concatenates the workers' survivor segments, each keyed by the start
-/// of the chunk it came from, in start order: the next level's database,
-/// independent of which thread claimed which chunk.
+/// Concatenates the workers' segments (hit-trimmed survivors or
+/// class-array id lists), each keyed by the start of the chunk it came
+/// from, in start order: the next level's database, independent of which
+/// thread claimed which chunk.
 fn concat_segments(n_items: u32, mut segments: Vec<(usize, Database)>) -> Database {
     segments.sort_unstable_by_key(|(start, _)| *start);
     let mut next = DatabaseBuilder::new(n_items);
-    for (_, segment) in &segments {
-        next.append(segment);
+    for (_, segment) in segments {
+        next.append(&segment);
     }
     next.finish()
+}
+
+/// Per-thread `|C_k|` arrays and meters of one class-array pass, and its
+/// list segments unless it wrote none or went over budget.
+type ClassCounts = (
+    Vec<Vec<u32>>,
+    Vec<WorkMeter>,
+    Option<Vec<(usize, Database)>>,
+);
+
+/// Counts the candidates of the transactions of `lists` in `ranges` (one
+/// seed range per thread) into one private [`ClassIndex`] array per
+/// thread, drawing chunks from a [`ChunkPool`] in phase `count`: each
+/// claim checkpoints the control's token and fires its `count` fault
+/// site. With a `budget`, each claimed chunk writes its id lists to a
+/// segment keyed by the chunk's start while the pass stays within it
+/// ([`ClassIndex::count_within_budget`]); the segments are returned only
+/// if it did, which is the same under every schedule. Returns the arrays
+/// and meters in thread order; the caller gates the phase, sums the
+/// arrays and concatenates the segments.
+fn count_classes(
+    index: &ClassIndex,
+    lists: &IdLists<'_>,
+    ranges: &[Range<usize>],
+    budget: Option<ListBudget>,
+    scheduling: Scheduling,
+    ctrl: &RunControl,
+    metrics: &MetricsRegistry,
+) -> Result<ClassCounts, MiningError> {
+    let pool = ChunkPool::new(ranges, scheduling).with_cancel_token(ctrl.cancel.clone());
+    let budget = budget.as_ref();
+    let within = || budget.filter(|b| !b.exceeded());
+    let outcomes = try_run_threads(pool.n_threads(), "count", &ctrl.cancel, |t| {
+        let mut counts = index.zeroed();
+        let mut scratch = ClassScratch::default();
+        let mut meter = WorkMeter::default();
+        let mut segments = Vec::new();
+        let mut chunk = 0u64;
+        while let Some(r) = pool.next(t) {
+            ctrl.faults.fire("count", t, chunk);
+            chunk += 1;
+            let start = r.start;
+            let m = match within() {
+                Some(budget) => {
+                    let next = Some(index.lists_builder());
+                    let (m, next) = index.count_within_budget(
+                        lists,
+                        r,
+                        &mut counts,
+                        &mut scratch,
+                        next,
+                        budget,
+                    );
+                    segments.extend(next.map(|next| (start, next.finish())));
+                    m
+                }
+                None => index.count_into(lists, r, &mut counts, &mut scratch, None),
+            };
+            meter.merge(&m);
+        }
+        (counts, meter, segments)
+    })?;
+    record_exec(metrics, &pool);
+    let mut out: ClassCounts = (Vec::new(), Vec::new(), None);
+    let mut all = Vec::new();
+    for (counts, meter, segments) in outcomes {
+        out.0.push(counts);
+        out.1.push(meter);
+        all.extend(segments);
+    }
+    out.2 = within().map(|_| all);
+    Ok(out)
 }
 
 /// Counts the pairs of the transactions in `ranges` (one seed range per
@@ -519,7 +671,7 @@ fn parallel_candgen(
     // Each thread generates the candidates its members initiate, keyed by
     // unit index for the deterministic lex-order merge.
     let outputs: Vec<Vec<(usize, CandidateSet)>> = try_run_threads(p, "candgen", cancel, |t| {
-        let mut scratch = Vec::with_capacity(k as usize);
+        let mut scratch = Vec::with_capacity(2 * k as usize);
         let mut out = Vec::with_capacity(assignment.bins[t].len());
         for &u in &assignment.bins[t] {
             let (ci, m) = units[u];
@@ -632,8 +784,13 @@ mod tests {
                 Scheme::Bitonic,
                 Scheme::Greedy,
             ] {
+                // Placement only matters on the tree.
+                let tree = AprioriConfig {
+                    pair_array: false,
+                    ..base_cfg()
+                };
                 let mut cfg =
-                    ParallelConfig::new(base_cfg().with_placement(policy), 3).with_candgen(scheme);
+                    ParallelConfig::new(tree.with_placement(policy), 3).with_candgen(scheme);
                 cfg.parallel_candgen_min = 1; // force parallel candgen
                 let (r, _) = mine(&db, &cfg);
                 assert_eq!(r.all_itemsets(), expected, "{policy} {scheme:?}");
@@ -674,15 +831,24 @@ mod tests {
     #[test]
     fn phase_stats_are_recorded() {
         let db = paper_db();
-        let (_, stats) = mine(&db, &ParallelConfig::new(base_cfg(), 2));
-        let names: Vec<&str> = stats.phases.iter().map(|p| p.name).collect();
-        assert!(names.contains(&"f1"));
-        assert!(names.contains(&"candgen"));
-        assert!(names.contains(&"build"));
-        assert!(names.contains(&"freeze"));
-        assert!(names.contains(&"count"));
-        assert!(names.contains(&"extract"));
-        assert!(stats.total_work("count") > 0);
+        // Class arrays at every level by default; a tree per level with
+        // `pair_array: false`.
+        let tree_cfg = AprioriConfig {
+            pair_array: false,
+            ..base_cfg()
+        };
+        for (base, tree) in [(base_cfg(), false), (tree_cfg, true)] {
+            let (r, stats) = mine(&db, &ParallelConfig::new(base, 2));
+            let names: Vec<&str> = stats.phases.iter().map(|p| p.name).collect();
+            for name in ["f1", "candgen", "count", "extract"] {
+                assert!(names.contains(&name), "{name}");
+            }
+            for name in ["build", "freeze"] {
+                assert_eq!(names.contains(&name), tree, "{name}");
+            }
+            assert!(stats.total_work("count") > 0);
+            assert!(r.iter_stats[1..].iter().all(|s| (s.tree_bytes > 0) == tree));
+        }
     }
 
     #[test]

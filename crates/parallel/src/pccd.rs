@@ -96,7 +96,7 @@ pub fn try_mine(
         let span = metrics.phase("candgen", k);
         let classes = equivalence_classes(prev);
         let mut cands = CandidateSet::new(k);
-        let mut scratch = Vec::with_capacity(k as usize);
+        let mut scratch = Vec::with_capacity(2 * k as usize);
         let mut join_pairs = 0u64;
         for class in &classes {
             join_pairs += generate_class(prev, class.clone(), &mut cands, &mut scratch);
@@ -159,15 +159,7 @@ pub fn try_mine(
         for m in &meters {
             total_meter.merge(m);
         }
-        let mut fk_sets = CandidateSet::new(k);
-        let mut fk_supports = Vec::new();
-        for (id, items) in cands.iter() {
-            if final_counts[id as usize] >= min_support {
-                fk_sets.push(items);
-                fk_supports.push(final_counts[id as usize]);
-            }
-        }
-        let fk = FrequentLevel::new(fk_sets, fk_supports);
+        let fk = FrequentLevel::from_counts(&cands, &final_counts, min_support);
         span.finish_serial();
 
         iter_stats.push(IterStats {

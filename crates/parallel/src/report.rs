@@ -78,9 +78,12 @@ mod tests {
             ],
         )
         .unwrap();
+        // The hash-tree path, whose shared build takes the per-leaf locks
+        // the report's lock telemetry counts.
         let base = AprioriConfig {
             min_support: Support::Absolute(2),
             leaf_threshold: 2,
+            pair_array: false,
             ..AprioriConfig::default()
         };
         let (result, stats) = ccpd::mine(&db, &ParallelConfig::new(base, 2));

@@ -17,9 +17,12 @@ fn main() {
     let mut rows = Vec::new();
     let mut baseline = None;
     for policy in PlacementPolicy::ALL {
+        // Placement lays out the hash tree, which the default (array)
+        // counting never builds.
         let cfg = AprioriConfig {
             min_support: Support::Fraction(0.005),
             placement: policy,
+            pair_array: false,
             ..AprioriConfig::default()
         };
         // Warm-up + best-of-3 to tame noise.

@@ -18,9 +18,11 @@ fn main() {
         stats.total_mb()
     );
 
-    // Mine at 0.5% support with every optimization the paper proposes:
-    // bitonic tree balancing, adaptive fan-out, short-circuited subset
-    // checking, GPP placement — on 4 worker threads (CCPD).
+    // Mine at 0.5% support on 4 worker threads (CCPD) at the default
+    // configuration, which counts every level in arrays and builds no hash
+    // tree (`tree=0 B` below); `pair_array: false` selects the paper's
+    // tree with its optimizations (bitonic balancing, adaptive fan-out,
+    // short-circuited subset checking, GPP placement).
     let base = AprioriConfig {
         min_support: Support::Fraction(0.005),
         ..AprioriConfig::default()

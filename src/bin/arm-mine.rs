@@ -10,8 +10,13 @@
 //!
 //! Text input: one transaction per line, whitespace-separated item ids.
 //!
-//! Mining starts from `AprioriConfig::default()`, so `C_2` is counted in
-//! the pair array (`pair_array`); no flag selects the `k = 2` hash tree.
+//! Mining starts from `AprioriConfig::default()`, so every level is
+//! counted in arrays (`pair_array`): `C_2` in the pair array, each
+//! `C_k`, `k ≥ 3`, in class arrays. No hash tree is built unless a
+//! hash-tree option is given: any of `--placement`, `--hash`,
+//! `--leaf-threshold`, `--fanout`, `--visited` and `--no-short-circuit`
+//! selects the paper's hash-tree counter (`pair_array = false`) at every
+//! level.
 
 use parallel_arm::cli::{mining_config, Args, CliError, MINING_FLAGS, MINING_OPTS};
 use parallel_arm::prelude::*;
@@ -24,7 +29,10 @@ fn usage() -> ! {
         "usage: arm-mine <input> [--format text|bin] [--support 0.005|50t]\n\
          \t[--confidence 0.8] [--threads N] [--placement CCPD|SPP|LPP|GPP|L-SPP|L-LPP|L-GPP|LCA-GPP]\n\
          \t[--hash bitonic|mod] [--leaf-threshold T] [--fanout auto|H] [--max-k K]\n\
-         \t[--visited node|level] [--no-short-circuit] [--summary all|maximal|closed] [--top N]"
+         \t[--visited node|level] [--no-short-circuit] [--summary all|maximal|closed] [--top N]\n\
+         Counting uses arrays and builds no hash tree; any of --placement, --hash,\n\
+         --leaf-threshold, --fanout, --visited or --no-short-circuit selects the\n\
+         hash-tree counter (the options shape that tree)."
     );
     std::process::exit(2);
 }

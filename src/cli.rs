@@ -124,13 +124,32 @@ impl CliError {
     }
 }
 
+/// Options and flags that shape the candidate hash tree. The default
+/// counts in arrays and builds no tree, so giving any of them selects the
+/// hash-tree counter (`pair_array = false`).
+pub const TREE_OPTIONS: &[&str] = &[
+    "placement",
+    "hash",
+    "leaf-threshold",
+    "fanout",
+    "visited",
+    "no-short-circuit",
+];
+
 /// Builds an [`AprioriConfig`] from common mining options:
 /// `--support` (fraction in `(0, 1]` like `0.005`, or positive absolute
-/// count like `50t`), `--placement`, `--hash` (`mod` | `bitonic`),
+/// count like `50t`), `--max-k`, and the hash-tree options
+/// ([`TREE_OPTIONS`]): `--placement`, `--hash` (`mod` | `bitonic`),
 /// `--leaf-threshold` (≥ 1), `--fanout` (fixed, ≥ 1; `auto` = adaptive),
-/// `--max-k`, `--no-short-circuit`, `--visited` (`node` | `level`).
+/// `--visited` (`node` | `level`), `--no-short-circuit`. Any hash-tree
+/// option turns `pair_array` off, so the tree it shapes is the counter.
 pub fn mining_config(args: &Args) -> Result<AprioriConfig, CliError> {
-    let mut cfg = AprioriConfig::default();
+    let mut cfg = AprioriConfig {
+        pair_array: !TREE_OPTIONS
+            .iter()
+            .any(|&o| args.get(o).is_some() || args.flag(o)),
+        ..AprioriConfig::default()
+    };
 
     if let Some(s) = args.get("support") {
         const EXPECTED: &str = "a fraction in (0, 1] (0.005) or a positive count (50t)";
@@ -274,6 +293,7 @@ mod tests {
         assert_eq!(cfg.max_k, Some(4));
         assert!(!cfg.short_circuit);
         assert_eq!(cfg.visited, VisitedMode::LevelPath);
+        assert!(!cfg.pair_array);
     }
 
     #[test]
@@ -282,6 +302,23 @@ mod tests {
         let cfg = mining_config(&a).unwrap();
         assert_eq!(cfg.min_support, Support::Fraction(0.02));
         assert!(cfg.adaptive_fanout);
+    }
+
+    #[test]
+    fn tree_options_select_the_hash_tree() {
+        let cfg = mining_config(&parse(&["--support", "0.02", "--max-k", "3"])).unwrap();
+        assert!(cfg.pair_array, "no tree option: arrays");
+        for words in [
+            &["--placement", "GPP"][..],
+            &["--hash", "bitonic"],
+            &["--leaf-threshold", "8"],
+            &["--fanout", "auto"],
+            &["--visited", "node"],
+            &["--no-short-circuit"],
+        ] {
+            let cfg = mining_config(&parse(words)).unwrap();
+            assert!(!cfg.pair_array, "{words:?} selects the tree");
+        }
     }
 
     #[test]

@@ -55,23 +55,34 @@ fn pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
     ParallelConfig::new(base, p).with_scheduling(mode)
 }
 
+/// CCPD on the hash-tree path: a shared tree built and frozen per level.
+fn tree_pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
+    let mut cfg = pcfg(p, mode);
+    cfg.base.pair_array = false;
+    cfg
+}
+
 fn vcfg(mode: Scheduling) -> VerticalConfig {
     VerticalConfig::default().with_scheduling(mode)
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Miner {
+    /// CCPD at its default: the pair array, then class arrays.
     Ccpd,
+    /// CCPD with `pair_array: false`: the hash tree at every level.
+    CcpdTree,
     Pccd,
     Eclat,
 }
 
 impl Miner {
-    const ALL: [Miner; 3] = [Miner::Ccpd, Miner::Pccd, Miner::Eclat];
+    const ALL: [Miner; 4] = [Miner::Ccpd, Miner::CcpdTree, Miner::Pccd, Miner::Eclat];
 
     fn phases(self) -> &'static [&'static str] {
         match self {
-            Miner::Ccpd => &["f1", "candgen", "build", "freeze", "count", "extract"],
+            Miner::Ccpd => &["f1", "candgen", "count", "extract"],
+            Miner::CcpdTree => &["f1", "candgen", "build", "freeze", "count", "extract"],
             Miner::Pccd => &["f1", "candgen", "count", "extract"],
             Miner::Eclat => &["transpose", "classes", "count", "mine"],
         }
@@ -80,7 +91,7 @@ impl Miner {
     /// The phase the first gate reports when the token is dead on entry.
     fn first_phase(self) -> &'static str {
         match self {
-            Miner::Ccpd | Miner::Pccd => "f1",
+            Miner::Ccpd | Miner::CcpdTree | Miner::Pccd => "f1",
             Miner::Eclat => "transpose",
         }
     }
@@ -94,6 +105,9 @@ impl Miner {
     ) -> Result<Itemsets, MiningError> {
         match self {
             Miner::Ccpd => ccpd::try_mine(db, &pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets()),
+            Miner::CcpdTree => {
+                ccpd::try_mine(db, &tree_pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets())
+            }
             Miner::Pccd => pccd::try_mine(db, &pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets()),
             Miner::Eclat => {
                 let minsup = (db.len() as f64 * 0.02).ceil().max(1.0) as u32;

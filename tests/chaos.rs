@@ -2,8 +2,9 @@
 //! miner (DESIGN.md §10).
 //!
 //! A [`FaultPlan`] arms panic or delay sites at each instrumented point
-//! (CCPD's f1/build/count claims, PCCD's count, parallel Eclat's
-//! transpose, pair count and class-mining loop); the matrix below drives
+//! (CCPD's f1/count claims, plus build on its hash-tree path, PCCD's
+//! count, parallel Eclat's transpose, pair count and class-mining loop);
+//! the matrix below drives
 //! every miner × site × thread count × scheduling mode and asserts the
 //! containment contract:
 //!
@@ -76,6 +77,13 @@ fn pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
     ParallelConfig::new(base_cfg(), p).with_scheduling(mode)
 }
 
+/// CCPD on the hash-tree path: a shared tree built and frozen per level.
+fn tree_pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
+    let mut cfg = pcfg(p, mode);
+    cfg.base.pair_array = false;
+    cfg
+}
+
 fn vcfg(mode: Scheduling) -> VerticalConfig {
     VerticalConfig::default().with_scheduling(mode)
 }
@@ -86,18 +94,22 @@ const MODES: [Scheduling; 2] = [Scheduling::Static, Scheduling::Guided];
 /// whole matrix shares one comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Miner {
+    /// CCPD at its default: the pair array, then class arrays.
     Ccpd,
+    /// CCPD with `pair_array: false`: the hash tree at every level.
+    CcpdTree,
     Pccd,
     Eclat,
 }
 
 impl Miner {
-    const ALL: [Miner; 3] = [Miner::Ccpd, Miner::Pccd, Miner::Eclat];
+    const ALL: [Miner; 4] = [Miner::Ccpd, Miner::CcpdTree, Miner::Pccd, Miner::Eclat];
 
     /// The fault sites instrumented in this miner's drivers.
     fn sites(self) -> &'static [&'static str] {
         match self {
-            Miner::Ccpd => &["f1", "build", "count"],
+            Miner::Ccpd => &["f1", "count"],
+            Miner::CcpdTree => &["f1", "build", "count"],
             Miner::Pccd => &["count"],
             Miner::Eclat => &["transpose", "count", "mine"],
         }
@@ -106,7 +118,8 @@ impl Miner {
     /// Phases in which this miner can legitimately observe an error.
     fn phases(self) -> &'static [&'static str] {
         match self {
-            Miner::Ccpd => &["f1", "candgen", "build", "freeze", "count", "extract"],
+            Miner::Ccpd => &["f1", "candgen", "count", "extract"],
+            Miner::CcpdTree => &["f1", "candgen", "build", "freeze", "count", "extract"],
             Miner::Pccd => &["f1", "candgen", "count", "extract"],
             Miner::Eclat => &["transpose", "classes", "count", "mine"],
         }
@@ -116,6 +129,9 @@ impl Miner {
         match self {
             Miner::Ccpd => {
                 ccpd::try_mine(db(), &pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets())
+            }
+            Miner::CcpdTree => {
+                ccpd::try_mine(db(), &tree_pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets())
             }
             Miner::Pccd => {
                 pccd::try_mine(db(), &pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets())

@@ -2,10 +2,11 @@
 //! parallel drivers must agree, itemset-for-itemset and count-for-count,
 //! on a population of randomized QUEST datasets.
 //!
-//! The miners share almost no code — Apriori (hash tree), the naive
-//! levelwise reference (brute-force subset counting), Eclat (tid-list
-//! intersection), and Partition (two-scan local/global) — so agreement
-//! across 20 seeded datasets is strong evidence each one is correct.
+//! The miners share almost no code — Apriori (pair and class arrays, or
+//! the hash tree), the naive levelwise reference (brute-force subset
+//! counting), Eclat (tid-list intersection), and Partition (two-scan
+//! local/global) — so agreement across 20 seeded datasets is strong
+//! evidence each one is correct.
 
 use parallel_arm::core::{mine_eclat, mine_partition, naive::mine_levelwise};
 use parallel_arm::hashtree::VisitedMode;
@@ -67,11 +68,25 @@ fn parallel_drivers_agree_with_sequential_on_twenty_datasets() {
     }
 }
 
-/// `IterStats` of `k = 2`: `(|C_2|, |F_2|)`.
-fn c2_f2(r: &MiningResult) -> (usize, usize) {
-    let s = &r.iter_stats[1];
-    assert_eq!(s.k, 2);
-    (s.n_candidates, s.n_frequent)
+/// Checks that `arrays` (a run with `pair_array`: the pair array at
+/// `k = 2`, class arrays from `k = 3` on) has `tree`'s (the hash tree at
+/// every level) candidates, frequent sets and containment hits at every
+/// level, and that it built no tree at any `k ≥ 2`.
+fn assert_arrays_match_tree(tree: &MiningResult, arrays: &MiningResult, what: &str) {
+    assert_eq!(arrays.all_itemsets(), tree.all_itemsets(), "{what}");
+    assert_eq!(arrays.iter_stats.len(), tree.iter_stats.len(), "{what}");
+    for (t, a) in tree.iter_stats.iter().zip(&arrays.iter_stats) {
+        let k = t.k;
+        assert_eq!(
+            (a.k, a.n_candidates, a.n_frequent, a.meter.hits),
+            (k, t.n_candidates, t.n_frequent, t.meter.hits),
+            "{what} k={k}"
+        );
+        if k >= 2 {
+            assert_eq!(a.tree_bytes, 0, "{what} k={k}");
+            assert!(t.tree_bytes > 0, "{what} k={k}");
+        }
+    }
 }
 
 #[test]
@@ -80,25 +95,115 @@ fn pair_array_and_k2_hash_tree_agree_on_twenty_datasets() {
         pair_array: false,
         ..cfg()
     };
+    let mut deep = 0;
     for seed in 0..N_SEEDS {
         let db = dataset(seed);
         let minsup = db.absolute_support(FRACTION);
         let naive = mine_levelwise(&db, minsup, None);
         let array = parallel_arm::core::mine(&db, &cfg());
         let tree = parallel_arm::core::mine(&db, &tree_cfg);
-        assert_eq!(array.all_itemsets(), naive, "seed {seed}: array vs naive");
         assert_eq!(tree.all_itemsets(), naive, "seed {seed}: tree vs naive");
-        assert_eq!(c2_f2(&array), c2_f2(&tree), "seed {seed}: k = 2 stats");
-        assert_eq!(array.iter_stats[1].tree_bytes, 0, "seed {seed}");
-        assert!(tree.iter_stats[1].tree_bytes > 0, "seed {seed}");
+        assert_arrays_match_tree(&tree, &array, &format!("seed {seed}: apriori"));
+        deep += usize::from(
+            array
+                .iter_stats
+                .iter()
+                .any(|s| s.k >= 4 && s.n_frequent > 0),
+        );
+        for scheduling in [Scheduling::Static, Scheduling::Guided] {
+            for p in [1usize, 2, 4, 8] {
+                let run = |base: &AprioriConfig| {
+                    let pc = ParallelConfig::new(base.clone(), p).with_scheduling(scheduling);
+                    ccpd::mine(&db, &pc).0
+                };
+                let what = format!("seed {seed}: CCPD {scheduling:?} P={p}");
+                let ccpd_tree = run(&tree_cfg);
+                assert_eq!(ccpd_tree.all_itemsets(), naive, "{what}");
+                assert_arrays_match_tree(&ccpd_tree, &run(&cfg()), &what);
+            }
+        }
         for p in [1usize, 2, 4, 8] {
             for (name, base) in [("array", cfg()), ("tree", tree_cfg.clone())] {
                 let pc = ParallelConfig::new(base, p);
-                let (r, _) = ccpd::mine(&db, &pc);
-                assert_eq!(r.all_itemsets(), naive, "seed {seed}: CCPD {name} P={p}");
-                assert_eq!(c2_f2(&r), c2_f2(&tree), "seed {seed}: CCPD {name} P={p}");
                 let (h, _) = mine_hybrid(&db, &pc, &VerticalConfig::default());
                 assert_eq!(h, naive, "seed {seed}: hybrid {name} P={p}");
+            }
+        }
+    }
+    assert!(
+        deep > 0,
+        "no dataset reached a class-array level past k = 3"
+    );
+}
+
+/// Every `size`-item subset of `0..n`, `copies` times over.
+fn subsets(n: u32, size: u32, copies: usize) -> Vec<Vec<u32>> {
+    let mut out = Vec::new();
+    for mask in 0u32..1 << n {
+        if mask.count_ones() == size {
+            let t: Vec<u32> = (0..n).filter(|i| mask >> i & 1 == 1).collect();
+            out.extend(std::iter::repeat_n(t, copies));
+        }
+    }
+    out
+}
+
+/// Dense data: transactions that hold most of the frequent items contain
+/// many candidates, so a class-array pass writes more ids than its list
+/// budget (`arm_core::class_array::ListBudget`, 8 ids per item) and hands
+/// every later level to the hash tree. Apriori and CCPD stay exact: the
+/// tree's candidates, frequent sets and containment hits at every level,
+/// arrays up to the level that went over budget and a tree after it,
+/// under both scheduling modes and every thread count.
+#[test]
+fn lists_over_budget_hand_later_levels_to_the_tree() {
+    // (database, first tree level): every 10-of-12 subset writes ~11 ids
+    // per item at k = 3; 8- and 9-of-10 subsets, half the transactions
+    // each, write ~7.5 per item at k = 3 and ~9.4 at k = 4.
+    let cases = [
+        (subsets(12, 10, 1), 4),
+        ([subsets(10, 8, 2), subsets(10, 9, 9)].concat(), 5),
+    ];
+    for (txns, first_tree_k) in cases {
+        let db = Database::from_transactions(12, txns).unwrap();
+        let arrays_cfg = AprioriConfig {
+            min_support: Support::Fraction(0.1),
+            ..AprioriConfig::default()
+        };
+        let tree_cfg = AprioriConfig {
+            pair_array: false,
+            ..arrays_cfg.clone()
+        };
+        let naive = mine_levelwise(&db, db.absolute_support(0.1), None);
+        let tree = parallel_arm::core::mine(&db, &tree_cfg);
+        assert_eq!(tree.all_itemsets(), naive, "tree vs naive");
+        assert!(tree
+            .iter_stats
+            .iter()
+            .any(|s| s.k > first_tree_k && s.n_frequent > 0));
+        let check = |arrays: &MiningResult, what: &str| {
+            assert_eq!(arrays.all_itemsets(), naive, "{what}");
+            assert_eq!(arrays.iter_stats.len(), tree.iter_stats.len(), "{what}");
+            for (t, a) in tree.iter_stats.iter().zip(&arrays.iter_stats) {
+                let k = t.k;
+                assert_eq!(
+                    (a.k, a.n_candidates, a.n_frequent, a.meter.hits),
+                    (k, t.n_candidates, t.n_frequent, t.meter.hits),
+                    "{what} k={k}"
+                );
+                assert_eq!(a.tree_bytes > 0, k >= first_tree_k, "{what} k={k}: tree");
+            }
+        };
+        let what = format!("first tree level {first_tree_k}");
+        check(
+            &parallel_arm::core::mine(&db, &arrays_cfg),
+            &format!("{what} apriori"),
+        );
+        for scheduling in [Scheduling::Static, Scheduling::Guided] {
+            for p in [1usize, 2, 4, 8] {
+                let pc = ParallelConfig::new(arrays_cfg.clone(), p).with_scheduling(scheduling);
+                let run = ccpd::mine(&db, &pc).0;
+                check(&run, &format!("{what} CCPD {scheduling:?} P={p}"));
             }
         }
     }
@@ -130,12 +235,13 @@ fn assert_trim_lossless(untrimmed: &MiningResult, trimmed: &MiningResult, what: 
     fewer
 }
 
-/// Transaction trimming (the k = 3 entry trim and the hit-trimmed
-/// database each k ≥ 3 pass hands the next) changes no result: Apriori and
-/// CCPD with it on are bit-identical to runs with it off, for every
-/// placement (inline, shared and per-thread counters; contiguous and
-/// scatter stores), both VISITED modes, and every thread count under both
-/// scheduling modes.
+/// Transaction trimming on the hash-tree path (the item filter and the
+/// hit-trimmed database each k ≥ 3 pass hands the next) changes no
+/// result: Apriori and CCPD with it on are bit-identical to runs with it
+/// off, for every placement (inline, shared and per-thread counters;
+/// contiguous and scatter stores), both VISITED modes, and every thread
+/// count under both scheduling modes. (`pair_array: false`: the class
+/// arrays count over id lists and never reach the trim.)
 #[test]
 fn trimming_on_and_off_agree_for_every_placement_and_schedule() {
     let mut fewer = 0;
@@ -146,6 +252,7 @@ fn trimming_on_and_off_agree_for_every_placement_and_schedule() {
                 let on = AprioriConfig {
                     placement,
                     visited,
+                    pair_array: false,
                     ..cfg()
                 };
                 let off = AprioriConfig {

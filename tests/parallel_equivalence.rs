@@ -1,6 +1,8 @@
 //! Parallel ≡ sequential: CCPD and PCCD must produce byte-identical
 //! frequent-itemset results for every thread count, placement policy,
-//! balancing scheme, and counter mode.
+//! balancing scheme, and counter mode. The expected results come from
+//! sequential Apriori's default (array) path; the hash-tree knobs are run
+//! on the tree (`pair_array: false`), where they take effect.
 
 use parallel_arm::prelude::*;
 
@@ -14,6 +16,14 @@ fn base_cfg() -> AprioriConfig {
     AprioriConfig {
         min_support: Support::Fraction(0.015),
         ..AprioriConfig::default()
+    }
+}
+
+/// `base_cfg` on the hash tree at every level.
+fn tree_cfg() -> AprioriConfig {
+    AprioriConfig {
+        pair_array: false,
+        ..base_cfg()
     }
 }
 
@@ -34,7 +44,7 @@ fn ccpd_equals_sequential_across_policies() {
     let db = synthetic(8);
     let expected = parallel_arm::core::mine(&db, &base_cfg()).all_itemsets();
     for policy in PlacementPolicy::ALL {
-        let cfg = ParallelConfig::new(base_cfg().with_placement(policy), 4);
+        let cfg = ParallelConfig::new(tree_cfg().with_placement(policy), 4);
         let (r, _) = ccpd::mine(&db, &cfg);
         assert_eq!(r.all_itemsets(), expected, "{policy}");
     }
@@ -79,7 +89,7 @@ fn hash_scheme_and_short_circuit_do_not_change_results() {
                     short_circuit,
                     adaptive_fanout: adaptive,
                     fixed_fanout: 5,
-                    ..base_cfg()
+                    ..tree_cfg()
                 };
                 let (r, _) = ccpd::mine(&db, &ParallelConfig::new(base, 2));
                 assert_eq!(

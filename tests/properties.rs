@@ -26,7 +26,8 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Every placement policy and hash scheme yields identical results.
+    /// Every placement policy and hash scheme yields identical results:
+    /// the tree with the knobs set equals the default (array) path.
     #[test]
     fn policies_agree(db in db_strategy(12, 25), minsup in 1u32..4, policy_ix in 0usize..8) {
         let policy = PlacementPolicy::ALL[policy_ix];
@@ -41,6 +42,7 @@ proptest! {
             short_circuit: false,
             adaptive_fanout: false,
             fixed_fanout: 3,
+            pair_array: false,
             ..reference.clone()
         };
         let a = parallel_arm::core::mine(&db, &reference).all_itemsets();

@@ -5,11 +5,15 @@
 //! exists to handle. (Exactly-once coverage under random chunk floors and
 //! uneven seeds is a property test of `arm-exec` itself.)
 //!
-//! With the LGpp placement all CCPD support counting goes through the
-//! tallied shared counters, so the telemetry invariant is exact too:
-//! the *total* number of counter increments equals the oracle's (every
-//! support unit is counted exactly once, no matter which thread's chunk
-//! it lands in).
+//! On the hash-tree path (`pair_array: false`) with the LGpp placement
+//! all CCPD support counting goes through the tallied shared counters, so
+//! the telemetry invariant is exact too: the *total* number of counter
+//! increments equals the oracle's (every support unit is counted exactly
+//! once, no matter which thread's chunk it lands in). The default array
+//! path tallies no counters; there every level's containment hits equal
+//! its own Static oracle's, and so does the level at which it hands
+//! counting to the tree when the class arrays' id lists go over budget
+//! (the heavy-tailed fixture's long baskets do at `k = 4`).
 //!
 //! `ARM_STRESS_THREADS` raises the top thread count (CI sets 16).
 
@@ -51,8 +55,7 @@ fn dbs() -> &'static Vec<Database> {
     })
 }
 
-fn base_cfg() -> AprioriConfig {
-    // LGpp: external counters, so CtrIncrements tallies every support unit.
+fn array_cfg() -> AprioriConfig {
     // Capped depth and a mid support keep the suite debug-build fast
     // while still crossing several candidate generations.
     AprioriConfig {
@@ -60,12 +63,30 @@ fn base_cfg() -> AprioriConfig {
         max_k: Some(4),
         ..AprioriConfig::default()
     }
+}
+
+fn base_cfg() -> AprioriConfig {
+    // The hash tree at every level, and LGpp: external counters, so
+    // CtrIncrements tallies every support unit.
+    AprioriConfig {
+        pair_array: false,
+        ..array_cfg()
+    }
     .with_placement(PlacementPolicy::LGpp)
 }
 
 struct Oracle {
     itemsets: Vec<(Vec<parallel_arm::dataset::Item>, u32)>,
     ctr_increments: u64,
+    /// `(k, meter.hits, built a tree)` of every level of the array path.
+    array_levels: Vec<(u32, u64, bool)>,
+}
+
+fn levels(r: &MiningResult) -> Vec<(u32, u64, bool)> {
+    r.iter_stats
+        .iter()
+        .map(|s| (s.k, s.meter.hits, s.tree_bytes > 0))
+        .collect()
 }
 
 /// Static P=1 ground truth per fixture database.
@@ -75,13 +96,30 @@ fn oracles() -> &'static Vec<Oracle> {
         dbs()
             .iter()
             .map(|db| {
-                let cfg = ParallelConfig::new(base_cfg(), 1).with_scheduling(Scheduling::Static);
-                let (r, stats) = ccpd::mine(db, &cfg);
+                let run = |base: AprioriConfig| {
+                    ccpd::mine(
+                        db,
+                        &ParallelConfig::new(base, 1).with_scheduling(Scheduling::Static),
+                    )
+                };
+                let (r, stats) = run(base_cfg());
                 let itemsets = r.all_itemsets();
                 assert!(!itemsets.is_empty(), "degenerate oracle fixture");
+                if MetricsRegistry::enabled() {
+                    assert!(stats.metrics.total(Counter::CtrIncrements) > 0);
+                }
+                let (arrays, _) = run(array_cfg());
+                assert_eq!(arrays.all_itemsets(), itemsets, "array oracle");
+                // The arrays count `k = 2` and `k = 3` at least.
+                assert!(arrays.iter_stats.iter().any(|s| s.k >= 3));
+                assert!(arrays
+                    .iter_stats
+                    .iter()
+                    .all(|s| s.k > 3 || s.tree_bytes == 0));
                 Oracle {
                     itemsets,
                     ctr_increments: stats.metrics.total(Counter::CtrIncrements),
+                    array_levels: levels(&arrays),
                 }
             })
             .collect()
@@ -105,6 +143,11 @@ fn check_ccpd(db_idx: usize, p: usize, mode: Scheduling) {
             "ccpd increment total db={db_idx} P={p} {mode:?}"
         );
     }
+    let cfg = ParallelConfig::new(array_cfg(), p).with_scheduling(mode);
+    let (r, _) = ccpd::mine(db, &cfg);
+    let what = format!("ccpd arrays db={db_idx} P={p} {mode:?}");
+    assert_eq!(r.all_itemsets(), oracle.itemsets, "{what}");
+    assert_eq!(levels(&r), oracle.array_levels, "{what}");
 }
 
 fn all_modes() -> [Scheduling; 2] {
@@ -113,6 +156,11 @@ fn all_modes() -> [Scheduling; 2] {
 
 #[test]
 fn ccpd_every_mode_matches_static_oracle() {
+    // Some fixture's lists go over budget, so the array row also checks
+    // that the switch to the tree happens at the same level every time.
+    assert!(oracles()
+        .iter()
+        .any(|o| o.array_levels.iter().any(|&(_, _, tree)| tree)));
     let top = max_threads();
     for db_idx in 0..dbs().len() {
         for p in [2, top] {
