@@ -1,31 +1,21 @@
-//! The sequential Apriori driver (Fig. 1 of the paper), instrumented with
-//! the per-iteration statistics the evaluation figures are built from.
+//! Apriori's entry point and result types (Fig. 1 of the paper).
 //!
-//! With `pair_array` (the default) no level builds a hash tree: `C_2` is
-//! counted in the pair array ([`crate::pairs`]) and every `C_k`, `k ≥ 3`,
-//! in class arrays over per-transaction id lists ([`crate::class_array`]),
-//! each pass writing the lists the next one reads. With it off, from the
-//! first level whose class-array slot map is unaddressable, or from the
-//! level after a pass whose lists outgrew their budget
-//! ([`crate::class_array::ListBudget`]), each level builds, freezes and
-//! walks the paper's candidate hash tree, with the counting knobs
-//! (short-circuiting, placement, trimming, ...).
+//! [`mine`] runs the one level loop, [`crate::ccpd::try_mine`], at one
+//! thread under the static schedule with an inert
+//! [`RunControl`](arm_faults::RunControl): sequential Apriori is CCPD at
+//! `P = 1`, so every counting path (pair array, class arrays, hash tree)
+//! and every per-iteration statistic exists once. [`MiningResult`] and
+//! [`IterStats`] are what both entry points return; [`make_hash`] and
+//! [`f1_items`] build a level's hash function.
 
-use crate::class_array::{frequent_ids, ClassIndex, ClassScratch, IdLists, ListBudget};
+use crate::ccpd;
 use crate::config::{AprioriConfig, HashScheme};
-use crate::f1::frequent_singletons;
-use crate::generation::{adaptive_fanout, equivalence_classes, generate_class};
 use crate::level::FrequentLevel;
-use crate::pairs::PairIndex;
+use crate::parallel_config::ParallelConfig;
 use arm_balance::{AnyHash, IndirectionHash, ModHash};
-use arm_dataset::{Database, DatabaseBuilder, Item};
-use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
-    WorkMeter,
-};
-use arm_mem::counters::reduce;
-use arm_mem::{FlatCounters, LocalCounters};
-use arm_metrics::{Counter, MetricsRegistry, PhaseSpan, TalliedCounters};
+use arm_dataset::{Database, Item};
+use arm_exec::Scheduling;
+use arm_hashtree::WorkMeter;
 
 /// Per-iteration measurements (feed Figs. 6, 7 and 10).
 #[derive(Debug, Clone)]
@@ -112,302 +102,11 @@ pub fn f1_items(f1: &FrequentLevel) -> Vec<Item> {
     (0..f1.len()).map(|i| f1.get(i)[0]).collect()
 }
 
-/// Starts a phase span when a registry is present; `None` otherwise.
-fn phase<'m>(
-    metrics: Option<&'m MetricsRegistry>,
-    name: &'static str,
-    k: u32,
-) -> Option<PhaseSpan<'m>> {
-    metrics.map(|m| m.phase(name, k))
-}
-
-/// Runs sequential Apriori over `db`.
+/// Runs Apriori over `db` on the caller's thread: the CCPD driver at one
+/// thread, under [`Scheduling::Static`], with no token and no faults.
 pub fn mine(db: &Database, config: &AprioriConfig) -> MiningResult {
-    mine_with(db, config, None)
-}
-
-/// Runs sequential Apriori, recording phase timers and telemetry into
-/// `metrics` when provided. The sequential run is a single "thread", so
-/// every counter lands on shard 0 and each counting phase records a
-/// one-element work vector — the same schema the parallel drivers emit,
-/// which makes sequential baselines directly comparable in a
-/// [`arm_metrics::RunReport`].
-pub fn mine_with(
-    db: &Database,
-    config: &AprioriConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> MiningResult {
-    let min_support = config.min_support.absolute(db.len());
-    let span = phase(metrics, "f1", 1);
-    let f1 = frequent_singletons(db, min_support);
-    if let Some(s) = span {
-        s.finish_serial();
-    }
-    let f1_item_list = f1_items(&f1);
-    // `None` (the knob off, or an unaddressable array) counts `C_2` in
-    // the hash tree like every other level.
-    let pair_index = config
-        .pair_array
-        .then(|| PairIndex::new(&f1_item_list, db.n_items()))
-        .flatten();
-
-    let mut iter_stats = vec![IterStats {
-        k: 1,
-        n_candidates: db.n_items() as usize,
-        n_frequent: f1.len(),
-        fanout: 0,
-        tree_bytes: 0,
-        tree_nodes: 0,
-        join_pairs: 0,
-        meter: WorkMeter::default(),
-    }];
-    // `max_k = Some(0)` admits no level at all (uniform semantics across
-    // the workspace's miners); the k-loop below never runs since k > 0.
-    let mut levels = if config.max_k == Some(0) {
-        Vec::new()
-    } else {
-        vec![f1]
-    };
-
-    let opts = CountOptions {
-        short_circuit: config.short_circuit,
-        visited: config.visited,
-        hash_memo: config.hash_memo,
-        iterative: config.iterative_walk,
-    };
-    // With `reuse_scratch` this single scratch (and all its buffers)
-    // serves every iteration, re-targeted at each new tree.
-    let mut scratch = CountScratch::new(db.n_items(), 0);
-    // With the pair array: `F_2` with its rank directory. While it is
-    // set, every level k ≥ 3 counts in class arrays, over the id lists
-    // the level before wrote (`None` at k = 3: the items via `f2`).
-    let mut f2 = None;
-    let mut id_lists: Option<(Database, Vec<u32>)> = None;
-    // On the tree path with `trim_transactions`, the hit-trimmed database
-    // the next level counts over (`None` = the input).
-    let mut trimmed: Option<Database> = None;
-
-    let mut k = 2u32;
-    loop {
-        if config.max_k.is_some_and(|m| k > m) {
-            break;
-        }
-        let prev = levels.last().unwrap();
-        if prev.len() < 2 {
-            break;
-        }
-
-        if let Some(index) = pair_index.as_ref().filter(|_| k == 2) {
-            let span = phase(metrics, "count", k);
-            let mut counts = index.zeroed();
-            let hits = index.count_into(db, 0..db.len(), &mut counts, &mut Vec::new());
-            let meter = WorkMeter {
-                txns: db.len() as u64,
-                hits,
-                ..WorkMeter::default()
-            };
-            if let Some(s) = span {
-                s.finish(vec![meter.work_units()]);
-            }
-            let span = phase(metrics, "extract", k);
-            let fk = index.frequent(&counts, min_support);
-            f2 = Some(index.frequent_pairs(&counts, min_support));
-            if let Some(s) = span {
-                s.finish_serial();
-            }
-            iter_stats.push(index.iter_stats(fk.len(), meter));
-            if fk.is_empty() {
-                break;
-            }
-            levels.push(fk);
-            k += 1;
-            continue;
-        }
-
-        // Candidate generation over equivalence classes, and the class
-        // arrays' slot map while `F_2` is at hand. An unaddressable map
-        // hands this level and every later one to the tree.
-        let span = phase(metrics, "candgen", k);
-        let classes = equivalence_classes(prev);
-        let mut cands = CandidateSet::new(k);
-        let mut scratch_items = Vec::with_capacity(2 * k as usize);
-        let mut join_pairs = 0u64;
-        for class in &classes {
-            join_pairs += generate_class(prev, class.clone(), &mut cands, &mut scratch_items);
-        }
-        let class_index = f2
-            .as_ref()
-            .filter(|_| !cands.is_empty())
-            .and_then(|_| ClassIndex::new(prev, &classes, &cands));
-        if let Some(s) = span {
-            s.finish_serial();
-        }
-        if cands.is_empty() {
-            break;
-        }
-
-        let (counts, meter, tree_shape) = if let Some(index) = &class_index {
-            let span = phase(metrics, "count", k);
-            let held = id_lists.take();
-            let lists = match &held {
-                Some((db, frequent)) => IdLists::Candidates { db, frequent },
-                None => IdLists::Pairs {
-                    db,
-                    f2: f2.as_ref().expect("class arrays count with F_2"),
-                },
-            };
-            let mut counts = index.zeroed();
-            // A pass over its list budget stops writing; the next level
-            // then counts on the tree.
-            let budget = ListBudget::new(db);
-            let (meter, next) = index.count_within_budget(
-                &lists,
-                0..lists.db().len(),
-                &mut counts,
-                &mut ClassScratch::default(),
-                (config.max_k != Some(k)).then(|| index.lists_builder()),
-                &budget,
-            );
-            drop(held);
-            if budget.exceeded() {
-                f2 = None;
-            }
-            id_lists = next.map(|next| (next.finish(), frequent_ids(&counts, min_support)));
-            if let Some(s) = span {
-                s.finish(vec![meter.work_units()]);
-            }
-            (counts, meter, (0, 0, 0))
-        } else {
-            (f2, id_lists) = (None, None);
-            let fanout = if config.adaptive_fanout {
-                adaptive_fanout(&classes, config.leaf_threshold, k)
-            } else {
-                config.fixed_fanout
-            };
-            let hash = make_hash(config.hash_scheme, fanout, &f1_item_list, db.n_items());
-
-            // Build + freeze the candidate hash tree.
-            let span = phase(metrics, "build", k);
-            let builder = TreeBuilder::new(&cands, &hash, config.leaf_threshold);
-            match metrics {
-                Some(m) => builder.insert_all_tallied(m.shard(0)),
-                None => builder.insert_all(),
-            }
-            if let Some(s) = span {
-                s.finish_serial();
-            }
-            let span = phase(metrics, "freeze", k);
-            let tree = freeze_policy(&builder, config.placement);
-            if let Some(s) = span {
-                s.finish_serial();
-            }
-            if let Some(m) = metrics {
-                let shard = m.shard(0);
-                shard.add(Counter::TreeBytes, tree.total_bytes() as u64);
-                shard.add(Counter::TreeNodes, tree.n_nodes() as u64);
-            }
-
-            // Support counting, over the previous level's survivors when
-            // trimming.
-            let span = phase(metrics, "count", k);
-            let counted = trimmed.take();
-            let input = counted.as_ref().unwrap_or(db);
-            let filter = config
-                .trim_transactions
-                .then(|| ItemFilter::from_candidates(&cands, db.n_items()));
-            let mut survivors = config
-                .hit_trim_at(k)
-                .then(|| DatabaseBuilder::new(db.n_items()));
-            if config.reuse_scratch {
-                scratch.retarget(tree.n_nodes());
-            } else {
-                scratch = CountScratch::new(db.n_items(), tree.n_nodes());
-            }
-            if let Some(m) = metrics {
-                m.shard(0).incr(if config.reuse_scratch {
-                    Counter::ScratchRetargets
-                } else {
-                    Counter::ScratchAllocs
-                });
-            }
-            let mut meter = WorkMeter::default();
-            let mut count = |cref: &mut CounterRef<'_>| {
-                tree.count_trimmed(
-                    &hash,
-                    input,
-                    0..input.len(),
-                    filter.as_ref(),
-                    &mut scratch,
-                    cref,
-                    opts,
-                    &mut meter,
-                    survivors.as_mut(),
-                )
-            };
-            let counts: Vec<u32> = if tree.counters_inline() {
-                count(&mut CounterRef::Inline);
-                tree.inline_counts()
-            } else if config.placement.per_thread_counters() {
-                let mut local = LocalCounters::new(cands.len());
-                count(&mut CounterRef::Local(&mut local));
-                reduce(&[local])
-            } else {
-                let shared = FlatCounters::new(cands.len());
-                match metrics {
-                    Some(m) => count(&mut CounterRef::Shared(&TalliedCounters::new(
-                        &shared,
-                        m.shard(0),
-                    ))),
-                    None => count(&mut CounterRef::Shared(&shared)),
-                }
-                shared.snapshot()
-            };
-            drop(counted);
-            trimmed = survivors.map(DatabaseBuilder::finish);
-            if let Some(m) = metrics {
-                m.shard(0)
-                    .add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
-            }
-            if let Some(s) = span {
-                s.finish(vec![meter.work_units()]);
-            }
-            (counts, meter, (fanout, tree.total_bytes(), tree.n_nodes()))
-        };
-
-        // Frequent extraction.
-        let span = phase(metrics, "extract", k);
-        let fk = FrequentLevel::from_counts(&cands, &counts, min_support);
-        if let Some(s) = span {
-            s.finish_serial();
-        }
-
-        let (fanout, tree_bytes, tree_nodes) = tree_shape;
-        iter_stats.push(IterStats {
-            k,
-            n_candidates: cands.len(),
-            n_frequent: fk.len(),
-            fanout,
-            tree_bytes,
-            tree_nodes,
-            join_pairs,
-            meter,
-        });
-
-        let done = fk.is_empty();
-        if !done {
-            levels.push(fk);
-        }
-        k += 1;
-        if done {
-            break;
-        }
-    }
-
-    MiningResult {
-        levels,
-        iter_stats,
-        min_support,
-    }
+    let cfg = ParallelConfig::new(config.clone(), 1).with_scheduling(Scheduling::Static);
+    ccpd::mine(db, &cfg).0
 }
 
 #[cfg(test)]
@@ -415,6 +114,7 @@ mod tests {
     use super::*;
     use crate::config::Support;
     use arm_hashtree::PlacementPolicy;
+    use arm_metrics::{Counter, MetricsRegistry};
 
     fn paper_db() -> Database {
         Database::from_transactions(
@@ -549,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn mine_with_registry_records_phases_and_matches_plain_mine() {
+    fn one_thread_driver_records_phases_and_matches_plain_mine() {
         let db = paper_db();
         // The default counts every level in arrays; the tree path builds
         // and freezes a tree per level.
@@ -559,11 +259,11 @@ mod tests {
         };
         for (cfg, tree) in [(paper_config(), false), (tree_cfg, true)] {
             let reference = mine(&db, &cfg).all_itemsets();
-            let metrics = MetricsRegistry::new(1);
-            let r = mine_with(&db, &cfg, Some(&metrics));
+            let pc = ParallelConfig::new(cfg, 1).with_scheduling(Scheduling::Static);
+            let (r, stats) = ccpd::mine(&db, &pc);
             assert_eq!(r.all_itemsets(), reference);
 
-            let phases = metrics.take_phases();
+            let phases = &stats.phases;
             for name in ["f1", "candgen", "count", "extract"] {
                 assert!(
                     phases.iter().any(|p| p.name == name),
@@ -587,7 +287,7 @@ mod tests {
                 assert!(count.thread_work.as_ref().unwrap()[0] > 0);
             }
 
-            let snap = metrics.snapshot();
+            let snap = &stats.metrics;
             let locks = snap.total(Counter::LeafLockAcquires);
             let bytes = snap.total(Counter::TreeBytes);
             if MetricsRegistry::enabled() && tree {

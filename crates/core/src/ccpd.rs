@@ -1,7 +1,11 @@
-//! CCPD — Common Candidate, Partitioned Database (§3.3).
+//! CCPD — Common Candidate, Partitioned Database (§3.3): the workspace's
+//! one Apriori level loop.
 //!
 //! One shared candidate set; the database is logically split among the
-//! workers. Every phase mirrors the paper:
+//! workers. Sequential Apriori is this loop at one thread
+//! ([`crate::mine`] runs it under `Scheduling::Static`, where every phase
+//! is a single chunk on the caller's thread). Every phase mirrors the
+//! paper:
 //!
 //! * `F_1`: per-thread histograms over database blocks + sum reduction;
 //! * `C_2` (with `pair_array`, the default): each thread counts its
@@ -9,8 +13,8 @@
 //!   summed into thread 0's array at extraction — no candidates, no tree;
 //! * candidate generation: equivalence classes balanced across threads by
 //!   the configured scheme (§3.1.2), with adaptive parallelism (§3.1.3);
-//!   with `pair_array`, the class arrays' slot map
-//!   ([`arm_core::ClassIndex`]) is built after the join;
+//!   with `pair_array`, the class arrays' slot map ([`ClassIndex`]) is
+//!   built after the join;
 //! * support counting, `k ≥ 3`, with `pair_array`: each thread counts
 //!   its chunks of the per-transaction id lists into a private `|C_k|`
 //!   array (`count_classes`; at `k = 3` the lists are read off the items
@@ -19,8 +23,8 @@
 //!   chunk's start; the segments, concatenated in start order, are the
 //!   lists the next level counts over (identical under every scheduling
 //!   mode and thread count). A pass that writes more ids than its budget
-//!   ([`arm_core::class_array::ListBudget`]) stops writing and hands the
-//!   next level to the tree; otherwise no tree is built at any level;
+//!   ([`ListBudget`]) stops writing and hands the next level to the
+//!   tree; otherwise no tree is built at any level;
 //! * on the hash-tree path (`pair_array: false`, the paper's CCPD, or
 //!   from a level whose slot map is unaddressable or that follows an
 //!   over-budget pass, and every later one):
@@ -46,16 +50,17 @@
 //! Every phase records wall time and per-thread work for the imbalance
 //! metrics in [`crate::stats`].
 
-use crate::config::{DbPartition, ParallelConfig};
+use crate::apriori::{f1_items, make_hash, IterStats, MiningResult};
+use crate::class_array::{frequent_ids, ClassIndex, ClassScratch, IdLists, ListBudget};
+use crate::f1::{count_singletons_into, frequent_from_counts};
+use crate::generation::{
+    adaptive_fanout, class_weight, equivalence_classes, generate_class, generate_class_member,
+};
+use crate::level::FrequentLevel;
+use crate::pairs::{reduce_into_first, PairIndex};
+use crate::parallel_config::{DbPartition, ParallelConfig};
 use crate::scratch::ScratchPool;
 use crate::stats::ParallelRunStats;
-use arm_core::class_array::{frequent_ids, ListBudget};
-use arm_core::pairs::reduce_into_first;
-use arm_core::{
-    adaptive_fanout, class_weight, count_singletons_into, equivalence_classes, f1_items,
-    frequent_from_counts, generate_class, make_hash, ClassIndex, ClassScratch, FrequentLevel,
-    IdLists, IterStats, MiningResult, PairIndex,
-};
 use arm_dataset::{
     block_ranges, weighted_ranges, weighted_ranges_for_k, Database, DatabaseBuilder,
 };
@@ -71,8 +76,8 @@ use arm_metrics::{Counter, MetricsRegistry, TalliedCounters};
 use std::ops::Range;
 use std::time::Instant;
 
-/// Runs CCPD, returning the mining result (identical to the sequential
-/// algorithm's) and the run's phase statistics.
+/// Runs CCPD, returning the mining result (the same at every thread
+/// count and schedule) and the run's phase statistics.
 ///
 /// Infallible wrapper over [`try_mine`] with an inert [`RunControl`]: no
 /// token, no faults. A worker panic — impossible to observe through this
@@ -523,8 +528,12 @@ pub fn try_mine(
 /// Concatenates the workers' segments (hit-trimmed survivors or
 /// class-array id lists), each keyed by the start of the chunk it came
 /// from, in start order: the next level's database, independent of which
-/// thread claimed which chunk.
+/// thread claimed which chunk. A lone segment (one thread under the
+/// static schedule) is the next level's database as it stands.
 fn concat_segments(n_items: u32, mut segments: Vec<(usize, Database)>) -> Database {
+    if segments.len() == 1 {
+        return segments.pop().expect("one segment").1;
+    }
     segments.sort_unstable_by_key(|(start, _)| *start);
     let mut next = DatabaseBuilder::new(n_items);
     for (_, segment) in segments {
@@ -677,7 +686,7 @@ fn parallel_candgen(
             let (ci, m) = units[u];
             let class = &classes[ci as usize];
             let mut set = CandidateSet::new(k);
-            generate_member(prev, class.clone(), m, &mut set, &mut scratch);
+            generate_class_member(prev, (class.start + m)..class.end, &mut set, &mut scratch);
             out.push((u, set));
         }
         out
@@ -694,23 +703,9 @@ fn parallel_candgen(
     Ok((merged, assignment.loads, pairs))
 }
 
-/// Generates the candidates initiated by member `m` of `class` (joins
-/// with every later member), with pruning — one work unit of the
-/// balanced parallel join.
-fn generate_member(
-    prev: &FrequentLevel,
-    class: Range<u32>,
-    m: u32,
-    out: &mut CandidateSet,
-    scratch: &mut Vec<u32>,
-) {
-    let sub = (class.start + m)..class.end;
-    arm_core::generation::generate_class_member(prev, sub, out, scratch);
-}
-
 /// Folds a drained [`ChunkPool`]'s per-thread scheduling telemetry into
 /// the matching metrics shards. Shared by every pool-driven phase in the
-/// workspace (CCPD here, the vertical miner in `arm-vertical`).
+/// workspace (this driver, and the vertical miner in `arm-vertical`).
 pub fn record_exec(metrics: &MetricsRegistry, pool: &ChunkPool) {
     for t in 0..pool.n_threads() {
         let s = pool.thread_stats(t);
@@ -721,22 +716,12 @@ pub fn record_exec(metrics: &MetricsRegistry, pool: &ChunkPool) {
     }
 }
 
-/// Spawns `p` scoped threads running `f(thread_id)` and collects results
-/// in thread order. With `p == 1` the closure runs on the caller's thread.
-///
-/// Infallible wrapper over [`arm_faults::try_run_threads`] with a throwaway
-/// token: a worker panic is contained, siblings still join, and the typed
-/// error is re-raised on the caller. Fallible drivers call the `try`
-/// variant directly.
-pub fn run_threads<R: Send>(p: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    try_run_threads(p, "run", &CancelToken::new(), f).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{AprioriConfig, Support};
+    use crate::naive::mine_levelwise;
     use arm_balance::Scheme;
-    use arm_core::{mine as mine_seq, AprioriConfig, Support};
     use arm_hashtree::PlacementPolicy;
 
     fn paper_db() -> Database {
@@ -761,9 +746,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_on_worked_example() {
+    fn matches_naive_on_worked_example() {
         let db = paper_db();
-        let expected = mine_seq(&db, &base_cfg()).all_itemsets();
+        let expected = mine_levelwise(&db, 2, None);
         for p in [1usize, 2, 3, 4] {
             let cfg = ParallelConfig::new(base_cfg(), p);
             let (r, stats) = mine(&db, &cfg);
@@ -776,7 +761,7 @@ mod tests {
     #[test]
     fn all_policies_and_schemes_agree() {
         let db = paper_db();
-        let expected = mine_seq(&db, &base_cfg()).all_itemsets();
+        let expected = mine_levelwise(&db, 2, None);
         for policy in PlacementPolicy::ALL {
             for scheme in [
                 Scheme::Block,
@@ -800,9 +785,8 @@ mod tests {
 
     #[test]
     fn db_partition_strategies_agree() {
-        use crate::config::DbPartition;
         let db = paper_db();
-        let expected = mine_seq(&db, &base_cfg()).all_itemsets();
+        let expected = mine_levelwise(&db, 2, None);
         for part in [
             DbPartition::Block,
             DbPartition::WeightedStatic { kmax: 6 },
@@ -816,9 +800,8 @@ mod tests {
 
     #[test]
     fn scheduling_modes_agree() {
-        use arm_exec::Scheduling;
         let db = paper_db();
-        let expected = mine_seq(&db, &base_cfg()).all_itemsets();
+        let expected = mine_levelwise(&db, 2, None);
         for mode in [Scheduling::Static, Scheduling::Guided] {
             for p in [1usize, 2, 4] {
                 let cfg = ParallelConfig::new(base_cfg(), p).with_scheduling(mode);

@@ -50,36 +50,20 @@ pub fn adaptive_fanout(classes: &[Range<u32>], leaf_threshold: usize, k: u32) ->
 }
 
 /// Generates the candidates of one equivalence class into `out`,
-/// returning the number of join pairs considered (the class's workload).
-/// `scratch` holds each candidate and its pruning subsets, so it is the
-/// one allocation of the loop.
-///
-/// The paper's pruning refinement is applied: the two `(k-1)`-subsets that
-/// produced the candidate are frequent by construction, so only the
-/// remaining `k-2` subsets are checked.
+/// returning the number of join pairs considered (the class's workload):
+/// each member's [`generate_class_member`] unit, in order. `scratch`
+/// holds each candidate and its pruning subsets, so it is the one
+/// allocation of the loop.
 pub fn generate_class(
     level: &FrequentLevel,
     class: Range<u32>,
     out: &mut CandidateSet,
     scratch: &mut Vec<Item>,
 ) -> u64 {
-    let k_prev = level.k() as usize;
-    let mut pairs = 0u64;
-    for i in class.clone() {
-        for j in (i + 1)..class.end {
-            pairs += 1;
-            let a = level.get(i as usize);
-            let b = level.get(j as usize);
-            // Candidate = common prefix + a's last + b's last (a < b).
-            scratch.clear();
-            scratch.extend_from_slice(a);
-            scratch.push(b[k_prev - 1]);
-            if survives_prune(level, scratch) {
-                out.push(scratch);
-            }
-        }
-    }
-    pairs
+    class
+        .clone()
+        .map(|i| generate_class_member(level, i..class.end, out, scratch))
+        .sum()
 }
 
 /// Generates the candidates initiated by the *first* member of `range`
@@ -88,9 +72,13 @@ pub fn generate_class(
 /// computation-balancing scheme (§3.1.2): the paper's triangular
 /// workloads `w_i = n - i - 1` are exactly the join counts of these
 /// units.
+///
+/// The paper's pruning refinement is applied: the two `(k-1)`-subsets that
+/// produced the candidate are frequent by construction, so only the
+/// remaining `k-2` subsets are checked.
 pub fn generate_class_member(
     level: &FrequentLevel,
-    range: std::ops::Range<u32>,
+    range: Range<u32>,
     out: &mut CandidateSet,
     scratch: &mut Vec<Item>,
 ) -> u64 {

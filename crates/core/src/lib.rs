@@ -1,14 +1,25 @@
-//! Sequential Apriori association mining with the paper's optimizations.
+//! Apriori association mining with the paper's optimizations, at any
+//! thread count.
 //!
 //! This crate assembles the substrates ([`arm_dataset`], [`arm_balance`],
-//! [`arm_hashtree`], [`arm_mem`]) into the full mining pipeline:
+//! [`arm_hashtree`], [`arm_mem`], [`arm_exec`], [`arm_faults`]) into the
+//! full mining pipeline:
 //!
 //! * [`f1`] — the first (histogram) pass producing `F_1`;
 //! * [`generation`] — equivalence-class join, pruning, adaptive fan-out;
 //! * [`pairs`] — the `C_2` kernel: pair counts in a triangular array;
 //! * [`class_array`] — the `k ≥ 3` kernel: candidate counts in
 //!   per-class triangular arrays over per-transaction id lists;
-//! * [`apriori`] — the iteration driver with per-iteration statistics;
+//! * [`ccpd`] — the one Apriori level loop: the paper's CCPD (§3.3),
+//!   every phase split across `P` threads;
+//! * [`apriori`] — [`mine`] (that loop at one thread) and the result
+//!   types with their per-iteration statistics;
+//! * [`parallel_config`] — thread count, candidate-generation balancing
+//!   scheme, database partition heuristic, scheduling;
+//! * [`scratch`] — the per-worker counting-scratch pool kept alive across
+//!   iterations;
+//! * [`stats`] — per-phase measured wall time and per-thread work
+//!   records, with the load-balance metrics of Figs. 8–10;
 //! * [`rules`] — confidence-based rule generation (ap-genrules);
 //! * [`naive`] — two independent reference miners for verification;
 //! * [`config`] — every §3–§5 optimization as a knob.
@@ -34,6 +45,7 @@
 //! ```
 
 pub mod apriori;
+pub mod ccpd;
 pub mod class_array;
 pub mod config;
 pub mod eclat;
@@ -42,12 +54,16 @@ pub mod generation;
 pub mod level;
 pub mod naive;
 pub mod pairs;
+pub mod parallel_config;
 pub mod partition_algo;
 pub mod rules;
+pub mod scratch;
+pub mod stats;
 pub mod summaries;
 pub mod taxonomy;
 
-pub use apriori::{f1_items, make_hash, mine, mine_with, IterStats, MiningResult};
+pub use apriori::{f1_items, make_hash, mine, IterStats, MiningResult};
+pub use ccpd::{count_pairs, record_exec};
 pub use class_array::{ClassIndex, ClassScratch, IdLists};
 pub use config::{AprioriConfig, HashScheme, Support};
 pub use eclat::mine_eclat;
@@ -58,7 +74,10 @@ pub use generation::{
 };
 pub use level::FrequentLevel;
 pub use pairs::{FrequentPairs, PairIndex};
+pub use parallel_config::{DbPartition, ParallelConfig};
 pub use partition_algo::mine_partition;
 pub use rules::{generate_rules, Rule};
+pub use scratch::ScratchPool;
+pub use stats::{ParallelRunStats, PhaseStat};
 pub use summaries::{closed_itemsets, maximal_itemsets};
 pub use taxonomy::{mine_generalized, Taxonomy};

@@ -1,7 +1,8 @@
-//! Configuration of the parallel mining drivers.
+//! Configuration of the CCPD driver ([`crate::ccpd`]) and of PCCD in
+//! `arm-parallel`: thread count, balancing, partitioning, scheduling.
 
+use crate::config::AprioriConfig;
 use arm_balance::Scheme;
-use arm_core::AprioriConfig;
 use arm_exec::Scheduling;
 
 /// How the database is split across counting threads (§3.2.2).

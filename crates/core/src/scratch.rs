@@ -1,5 +1,5 @@
-//! Thread-persistent counting scratch shared by the CCPD and PCCD
-//! drivers.
+//! Thread-persistent counting scratch shared by the CCPD driver
+//! ([`crate::ccpd`]) and PCCD in `arm-parallel`.
 //!
 //! Without pooling, every counting phase allocated a fresh
 //! [`CountScratch`] (bitmap + stamp tables + fast-path buffers) per

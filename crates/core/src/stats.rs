@@ -1,4 +1,4 @@
-//! Phase-level statistics of a parallel mining run.
+//! Phase-level statistics of a mining run at any thread count.
 //!
 //! Every mining phase records its measured wall time and (when it runs on
 //! multiple threads) a per-thread work tally in abstract units. Timing
@@ -16,7 +16,7 @@ use std::time::Duration;
 /// Since the observability layer landed this is [`arm_metrics::PhaseRecord`]
 /// (the drivers record phases through a
 /// [`arm_metrics::MetricsRegistry`]); the historical `PhaseStat` name is
-/// kept as the crate's public alias.
+/// kept as a public alias.
 pub use arm_metrics::PhaseRecord as PhaseStat;
 
 /// Statistics of one parallel mining run.

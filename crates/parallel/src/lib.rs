@@ -1,16 +1,15 @@
-//! Shared-memory parallel association mining: the paper's CCPD algorithm
-//! (and the PCCD baseline), with phase-level work accounting.
+//! Shared-memory parallel association mining: the PCCD baseline, run
+//! reports, and the paths of the CCPD driver.
 //!
 //! * [`ccpd`] — Common Candidate, Partitioned Database: the algorithm the
-//!   paper evaluates throughout (§3.3, Figs. 8–13);
+//!   paper evaluates throughout (§3.3, Figs. 8–13). The driver lives in
+//!   [`arm_core::ccpd`], where it is also the one Apriori level loop
+//!   ([`arm_core::mine`] runs it at one thread); it is re-exported here
+//!   with its configuration ([`ParallelConfig`], [`DbPartition`]),
+//!   statistics ([`ParallelRunStats`]), scratch pool ([`ScratchPool`])
+//!   and pool helpers ([`count_pairs`], [`record_exec`]);
 //! * [`pccd`] — Partitioned Candidate, Common Database: the baseline whose
 //!   duplicated scans make it a speed-down (kept for the comparison);
-//! * [`config`] — thread count, candidate-generation balancing scheme,
-//!   database partition heuristic;
-//! * [`scratch`] — the per-worker counting-scratch pool both drivers keep
-//!   alive across iterations;
-//! * [`stats`] — per-phase measured wall time and per-thread work
-//!   records, with the load-balance metrics of Figs. 8–10;
 //! * [`report`] — folds a run into the machine-readable
 //!   [`arm_metrics::RunReport`] schema the bench binaries emit.
 //!
@@ -34,17 +33,13 @@
 //! assert!(stats.wall_of(&["count"]) <= stats.wall);
 //! ```
 
-pub mod ccpd;
-pub mod config;
 pub mod pccd;
 pub mod report;
-pub mod scratch;
-pub mod stats;
 
+pub use arm_core::ccpd;
+pub use arm_core::{
+    count_pairs, record_exec, DbPartition, ParallelConfig, ParallelRunStats, PhaseStat, ScratchPool,
+};
 pub use arm_exec::Scheduling;
 pub use arm_faults::{try_run_threads, CancelToken, FaultKind, FaultPlan, MiningError, RunControl};
-pub use ccpd::{count_pairs, record_exec, run_threads};
-pub use config::{DbPartition, ParallelConfig};
 pub use report::run_report;
-pub use scratch::ScratchPool;
-pub use stats::{ParallelRunStats, PhaseStat};

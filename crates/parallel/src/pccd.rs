@@ -8,22 +8,19 @@
 //! Being that baseline, it always runs the paper's static split and
 //! ignores [`ParallelConfig::scheduling`].
 
-use crate::config::ParallelConfig;
-use crate::scratch::ScratchPool;
-use crate::stats::ParallelRunStats;
-use arm_faults::{try_run_threads, MiningError, RunControl};
-use arm_metrics::{Counter, MetricsRegistry};
-
 use arm_core::{
     adaptive_fanout, count_singletons, equivalence_classes, f1_items, frequent_from_counts,
-    generate_class, make_hash, FrequentLevel, IterStats, MiningResult,
+    generate_class, make_hash, FrequentLevel, IterStats, MiningResult, ParallelConfig,
+    ParallelRunStats, ScratchPool,
 };
 use arm_dataset::Database;
+use arm_faults::{try_run_threads, MiningError, RunControl};
 use arm_hashtree::{
     freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
     WorkMeter,
 };
 use arm_mem::LocalCounters;
+use arm_metrics::{Counter, MetricsRegistry};
 use std::time::Instant;
 
 /// Runs PCCD, returning the mining result (identical to sequential) and

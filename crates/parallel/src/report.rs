@@ -7,8 +7,7 @@
 //! serializes to the `arm-run-report/v2` JSON schema. The bench binaries
 //! use this to emit comparable reports for every figure.
 
-use crate::stats::ParallelRunStats;
-use arm_core::MiningResult;
+use arm_core::{MiningResult, ParallelRunStats};
 use arm_metrics::{IterReport, RunReport, ThreadReport};
 
 /// Builds a [`RunReport`] for one completed parallel run.
@@ -60,9 +59,7 @@ pub fn run_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ccpd;
-    use crate::config::ParallelConfig;
-    use arm_core::{AprioriConfig, Support};
+    use arm_core::{ccpd, AprioriConfig, ParallelConfig, Support};
     use arm_dataset::Database;
     use arm_metrics::MetricsRegistry;
 

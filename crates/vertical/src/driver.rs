@@ -2,8 +2,8 @@
 //! construction, and the prefix-class DFS the driver in
 //! [`crate::parallel`] is built from.
 //!
-//! The DFS is split into [`extend_one`] (grow one member of a class) and
-//! [`extend_all`] (grow every member in order): a parallel task is
+//! The DFS is split into `extend_one` (grow one member of a class) and
+//! `extend_all` (grow every member in order): a parallel task is
 //! exactly one `extend_one` call, and a class's subtree never depends on
 //! any other class's traversal, so every schedule emits the same itemsets.
 

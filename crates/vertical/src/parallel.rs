@@ -2,7 +2,7 @@
 //! weighted tasks on the `arm-exec` chunk pool.
 //!
 //! A task is one root-class member's entire DFS subtree
-//! ([`crate::driver::extend_one`]), so tasks touch disjoint outputs and
+//! (`extend_one` in [`crate::driver`]), so tasks touch disjoint outputs and
 //! need no locks. Threads append `(class_index, itemsets)` buffers;
 //! the merge orders them by class index and stable-sorts by length,
 //! which yields the canonical length-then-lex order, bit-identical to the
@@ -24,12 +24,12 @@ use crate::driver::{
 };
 use crate::tidset::KernelStats;
 use arm_core::pairs::reduce_into_first;
+use arm_core::{count_pairs, record_exec, ParallelConfig, ParallelRunStats};
 use arm_dataset::{block_ranges, Database, Item};
 use arm_exec::ChunkPool;
 use arm_faults::{try_run_threads, MiningError, RunControl};
 use arm_hashtree::WorkMeter;
 use arm_metrics::{Counter, MetricsRegistry};
-use arm_parallel::{count_pairs, record_exec, ParallelConfig, ParallelRunStats};
 use std::ops::Range;
 use std::time::Instant;
 

@@ -85,11 +85,7 @@ fn main() {
         db.n_items(),
         threads
     );
-    let result = if threads > 1 {
-        ccpd::mine(&db, &ParallelConfig::new(cfg, threads)).0
-    } else {
-        parallel_arm::core::mine(&db, &cfg)
-    };
+    let result = ccpd::mine(&db, &ParallelConfig::new(cfg, threads)).0;
 
     let listed: Vec<(Vec<u32>, u32)> = match args.get("summary").unwrap_or("all") {
         "maximal" => parallel_arm::core::maximal_itemsets(&result),

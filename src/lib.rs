@@ -15,8 +15,8 @@
 //! | [`exec`] | static and guided self-scheduling over index ranges |
 //! | [`balance`] | block/interleaved/bitonic partitioning, balanced hash functions |
 //! | [`hashtree`] | the candidate hash tree: concurrent build, placement freeze, counting |
-//! | [`core`] | sequential Apriori, candidate generation, rule generation |
-//! | [`parallel`] | CCPD and PCCD with phase/work statistics |
+//! | [`core`] | Apriori as one level loop (CCPD at any thread count), candidate generation, rule generation, phase/work statistics |
+//! | [`parallel`] | the PCCD baseline, run reports, the CCPD driver's paths |
 //! | [`vertical`] | tidset (Eclat) mining: bitmap/list backends, the parallel driver |
 //! | [`faults`] | cancellation tokens, deadline/fault injection, panic-contained `try_mine_*` errors |
 //! | [`metrics`] | phase timers, lock/counter telemetry, `RunReport` JSON/CSV |

@@ -57,7 +57,7 @@ fn four_sequential_miners_agree_on_twenty_datasets() {
 fn parallel_drivers_agree_with_sequential_on_twenty_datasets() {
     for seed in 0..N_SEEDS {
         let db = dataset(seed);
-        let expected = parallel_arm::core::mine(&db, &cfg()).all_itemsets();
+        let expected = mine_levelwise(&db, db.absolute_support(FRACTION), None);
         for p in [1usize, 2, 4, 8] {
             let pc = ParallelConfig::new(cfg(), p);
             let (ccpd_r, _) = ccpd::mine(&db, &pc);

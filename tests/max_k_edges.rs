@@ -10,7 +10,7 @@
 //! pins the uniform semantics across apriori, naive, eclat, partition,
 //! CCPD, PCCD, and the vertical miners.
 
-use parallel_arm::core::{mine_eclat, mine_partition, mine_with, naive::mine_levelwise};
+use parallel_arm::core::{mine, mine_eclat, mine_partition, naive::mine_levelwise};
 use parallel_arm::prelude::*;
 use parallel_arm::vertical::mine_eclat_parallel;
 
@@ -37,10 +37,7 @@ type Mined = Vec<(Vec<u32>, u32)>;
 fn all_miners(db: &Database, max_k: Option<u32>) -> Vec<(String, Mined)> {
     let minsup = db.absolute_support(FRACTION);
     let mut out = vec![
-        (
-            "apriori".to_string(),
-            mine_with(db, &cfg(max_k), None).all_itemsets(),
-        ),
+        ("apriori".to_string(), mine(db, &cfg(max_k)).all_itemsets()),
         ("naive".to_string(), mine_levelwise(db, minsup, max_k)),
         ("eclat".to_string(), mine_eclat(db, minsup, max_k)),
         (

@@ -1,10 +1,14 @@
 //! Parallel ≡ sequential: CCPD and PCCD must produce byte-identical
 //! frequent-itemset results for every thread count, placement policy,
 //! balancing scheme, and counter mode. The expected results come from
-//! sequential Apriori's default (array) path; the hash-tree knobs are run
-//! on the tree (`pair_array: false`), where they take effect.
+//! the naive levelwise miner (brute-force subset counting), which shares
+//! no counting code with the drivers; the hash-tree knobs are run on the
+//! tree (`pair_array: false`), where they take effect.
 
+use parallel_arm::core::naive::mine_levelwise;
 use parallel_arm::prelude::*;
+
+const SUPPORT: f64 = 0.015;
 
 fn synthetic(seed: u64) -> Database {
     let mut p = QuestParams::paper(10, 4, 1_500).with_seed(seed);
@@ -14,9 +18,14 @@ fn synthetic(seed: u64) -> Database {
 
 fn base_cfg() -> AprioriConfig {
     AprioriConfig {
-        min_support: Support::Fraction(0.015),
+        min_support: Support::Fraction(SUPPORT),
         ..AprioriConfig::default()
     }
+}
+
+/// The expected itemsets of `db` at `base_cfg`'s support.
+fn expected(db: &Database) -> Vec<(Vec<u32>, u32)> {
+    mine_levelwise(db, db.absolute_support(SUPPORT), None)
 }
 
 /// `base_cfg` on the hash tree at every level.
@@ -30,7 +39,7 @@ fn tree_cfg() -> AprioriConfig {
 #[test]
 fn ccpd_equals_sequential_across_thread_counts() {
     let db = synthetic(7);
-    let expected = parallel_arm::core::mine(&db, &base_cfg()).all_itemsets();
+    let expected = expected(&db);
     assert!(!expected.is_empty());
     for p in [1usize, 2, 3, 4, 7, 12] {
         let (r, stats) = ccpd::mine(&db, &ParallelConfig::new(base_cfg(), p));
@@ -42,7 +51,7 @@ fn ccpd_equals_sequential_across_thread_counts() {
 #[test]
 fn ccpd_equals_sequential_across_policies() {
     let db = synthetic(8);
-    let expected = parallel_arm::core::mine(&db, &base_cfg()).all_itemsets();
+    let expected = expected(&db);
     for policy in PlacementPolicy::ALL {
         let cfg = ParallelConfig::new(tree_cfg().with_placement(policy), 4);
         let (r, _) = ccpd::mine(&db, &cfg);
@@ -53,7 +62,7 @@ fn ccpd_equals_sequential_across_policies() {
 #[test]
 fn ccpd_equals_sequential_across_candgen_schemes() {
     let db = synthetic(9);
-    let expected = parallel_arm::core::mine(&db, &base_cfg()).all_itemsets();
+    let expected = expected(&db);
     for scheme in [
         Scheme::Block,
         Scheme::Interleaved,
@@ -70,7 +79,7 @@ fn ccpd_equals_sequential_across_candgen_schemes() {
 #[test]
 fn pccd_equals_sequential() {
     let db = synthetic(10);
-    let expected = parallel_arm::core::mine(&db, &base_cfg()).all_itemsets();
+    let expected = expected(&db);
     for p in [1usize, 2, 5] {
         let (r, _) = pccd::mine(&db, &ParallelConfig::new(base_cfg(), p));
         assert_eq!(r.all_itemsets(), expected, "P={p}");
@@ -80,7 +89,7 @@ fn pccd_equals_sequential() {
 #[test]
 fn hash_scheme_and_short_circuit_do_not_change_results() {
     let db = synthetic(11);
-    let expected = parallel_arm::core::mine(&db, &base_cfg()).all_itemsets();
+    let expected = expected(&db);
     for hash_scheme in [HashScheme::Interleaved, HashScheme::Bitonic] {
         for short_circuit in [false, true] {
             for adaptive in [false, true] {
@@ -106,7 +115,7 @@ fn hash_scheme_and_short_circuit_do_not_change_results() {
 fn db_partition_strategies_do_not_change_results() {
     use parallel_arm::parallel::DbPartition;
     let db = synthetic(12);
-    let expected = parallel_arm::core::mine(&db, &base_cfg()).all_itemsets();
+    let expected = expected(&db);
     for part in [
         DbPartition::Block,
         DbPartition::WeightedStatic { kmax: 6 },

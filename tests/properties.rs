@@ -50,7 +50,7 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// CCPD on random thread counts == sequential.
+    /// CCPD on random thread counts == the exhaustive powerset miner.
     #[test]
     fn ccpd_matches_sequential(db in db_strategy(12, 30), minsup in 1u32..4, p in 1usize..6) {
         let cfg = AprioriConfig {
@@ -58,7 +58,7 @@ proptest! {
             leaf_threshold: 2,
             ..AprioriConfig::default()
         };
-        let seq = parallel_arm::core::mine(&db, &cfg).all_itemsets();
+        let seq = parallel_arm::core::naive::mine_exhaustive(&db, minsup);
         let mut pcfg = ParallelConfig::new(cfg, p);
         pcfg.parallel_candgen_min = 1;
         let (par, _) = ccpd::mine(&db, &pcfg);
