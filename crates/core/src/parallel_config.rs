@@ -35,7 +35,12 @@ pub struct ParallelConfig {
     /// the paper's multi-class bitonic generalization).
     pub candgen_scheme: Scheme,
     /// Adaptive parallelism (§3.1.3): candidate generation runs on one
-    /// thread unless `|F_{k-1}|` reaches this size.
+    /// thread unless `|F_{k-1}|` reaches this size. The default, 30,000,
+    /// is the crossover measured at P = 2 on a 2-core host: below it the
+    /// fork, the per-unit candidate sets and their ordered merge cost
+    /// more than the split join saves at every level measured
+    /// (EXPERIMENTS.md, "Parallel candidate generation"). The crossover
+    /// at larger P is unmeasured.
     pub parallel_candgen_min: usize,
     /// Database partitioning strategy for the counting phase.
     pub db_partition: DbPartition,
@@ -54,7 +59,7 @@ impl ParallelConfig {
             base,
             n_threads: n_threads.max(1),
             candgen_scheme: Scheme::Greedy,
-            parallel_candgen_min: 64,
+            parallel_candgen_min: 30_000,
             db_partition: DbPartition::Block,
             scheduling: Scheduling::default(),
         }

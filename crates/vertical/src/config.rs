@@ -31,7 +31,10 @@ pub struct VerticalConfig {
     /// the density where the bitmap's fixed `n/64`-word cost matches the
     /// sorted merge's length-proportional cost.
     pub density_threshold: f64,
-    /// Use the galloping merge for sorted lists (off: two-pointer walk).
+    /// Ignored: sorted lists always take the branch-free merge. The
+    /// field stays only because the frozen wall-clock benchmark passes
+    /// it to [`crate::TidSet::intersect`]; the next change to that
+    /// benchmark deletes it.
     pub galloping: bool,
     /// How the parallel driver distributes first-level classes.
     pub scheduling: Scheduling,
@@ -49,8 +52,8 @@ impl Default for VerticalConfig {
 }
 
 impl VerticalConfig {
-    /// Every fast path off: sorted lists only, linear merge, static
-    /// scheduling. The A/B baseline for the bench gates.
+    /// Every fast path off: sorted lists only, static scheduling. The
+    /// A/B baseline for the bench gates.
     pub fn unoptimized() -> Self {
         VerticalConfig {
             backend: TidBackend::Sorted,

@@ -159,7 +159,7 @@ pub(crate) fn extend_one(
         if pair_row.is_some_and(|row| row[d] < min_support) {
             continue;
         }
-        let tids = a.tids.intersect(&b.tids, cfg.galloping, stats);
+        let tids = a.tids.intersect(&b.tids, false, stats);
         debug_assert!(
             pair_row.is_none_or(|row| row[d] == tids.support()),
             "tidset support disagrees with the pair count of ({}, {})",

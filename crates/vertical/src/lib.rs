@@ -10,7 +10,7 @@
 //! * [`tidset`] — the [`TidSet`] representations (sorted lists vs dense
 //!   bitmaps) and their intersection kernels;
 //! * [`config`] — the [`VerticalConfig`] knobs: backend policy, density
-//!   threshold, galloping merge, class scheduling;
+//!   threshold, class scheduling;
 //! * [`driver`] — transposition and the prefix-class DFS;
 //! * [`parallel`] — [`mine_eclat_parallel`]: first-level equivalence
 //!   classes as weighted tasks on the `arm-exec` chunk pool, with a
@@ -42,7 +42,4 @@ pub use parallel::{
     class_seeds, mine_eclat_parallel, mine_eclat_parallel_seeded, mine_hybrid,
     try_mine_eclat_parallel, TryMineOutcome,
 };
-pub use tidset::{
-    and_words, intersect_galloping, intersect_linear, intersect_sorted, Backend, KernelStats,
-    TidSet,
-};
+pub use tidset::{and_words, intersect_linear, intersect_sorted, Backend, KernelStats, TidSet};

@@ -382,22 +382,18 @@ mod tests {
     fn matches_core_eclat_bit_identical() {
         let db = paper_db();
         for backend in [TidBackend::Auto, TidBackend::Sorted, TidBackend::Bitmap] {
-            for galloping in [false, true] {
-                let cfg = VerticalConfig {
-                    backend,
-                    galloping,
-                    ..VerticalConfig::default()
-                };
-                for minsup in 1..=4 {
-                    for max_k in [None, Some(0), Some(1), Some(2), Some(3), Some(10)] {
-                        for p in [1, 2] {
-                            assert_eq!(
-                                mine_eclat_parallel(&db, minsup, max_k, &cfg, p).0,
-                                mine_eclat(&db, minsup, max_k),
-                                "backend={backend:?} gallop={galloping} minsup={minsup} \
-                                 max_k={max_k:?} p={p}"
-                            );
-                        }
+            let cfg = VerticalConfig {
+                backend,
+                ..VerticalConfig::default()
+            };
+            for minsup in 1..=4 {
+                for max_k in [None, Some(0), Some(1), Some(2), Some(3), Some(10)] {
+                    for p in [1, 2] {
+                        assert_eq!(
+                            mine_eclat_parallel(&db, minsup, max_k, &cfg, p).0,
+                            mine_eclat(&db, minsup, max_k),
+                            "backend={backend:?} minsup={minsup} max_k={max_k:?} p={p}"
+                        );
                     }
                 }
             }

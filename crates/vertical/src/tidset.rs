@@ -3,10 +3,9 @@
 //! A *tidset* is the set of transaction ids containing an itemset; its
 //! cardinality is the itemset's support. Two physical layouts coexist:
 //!
-//! * [`TidSet::Sorted`] — an ascending `Vec<Tid>`. Intersection is a
-//!   merge: the linear two-pointer walk (`O(|a| + |b|)`), or galloping
-//!   (exponential + binary search, `O(|small| · log |large|)`) which wins
-//!   when the operands' lengths are very different.
+//! * [`TidSet::Sorted`] — an ascending `Vec<Tid>`. Intersection is one
+//!   kernel, the branch-free merge [`intersect_linear`]
+//!   (`O(|a| + |b|)`, no data-dependent branch in its inner loop).
 //! * [`TidSet::Bitmap`] — one bit per transaction packed into `u64`
 //!   words. Intersection is a word-wise AND with a fused `count_ones`
 //!   popcount; cost is `n_txns / 64` words regardless of density, so it
@@ -14,10 +13,9 @@
 //!   tid in 64 (the break-even ratio behind
 //!   [`crate::VerticalConfig::density_threshold`]).
 //!
-//! The raw kernels ([`intersect_linear`], [`intersect_galloping`],
-//! [`and_words`]) are exported for the criterion `intersection` bench;
-//! the drivers go through [`TidSet::intersect`], which also books
-//! [`KernelStats`] telemetry.
+//! The raw kernels ([`intersect_linear`], [`and_words`]) are exported
+//! for the criterion `intersection` bench; the drivers go through
+//! [`TidSet::intersect`], which also books [`KernelStats`] telemetry.
 
 use arm_dataset::Tid;
 
@@ -142,13 +140,12 @@ impl TidSet {
 
     /// Intersects two same-backend sets, booking telemetry into `stats`.
     ///
-    /// `galloping` selects the sorted-list merge kernel; it is ignored
-    /// for bitmaps (there is only one AND kernel).
-    pub fn intersect(&self, other: &TidSet, galloping: bool, stats: &mut KernelStats) -> TidSet {
+    /// The `bool` is ignored: each backend has one kernel. It stays in
+    /// the signature for callers that still pass
+    /// [`crate::VerticalConfig::galloping`].
+    pub fn intersect(&self, other: &TidSet, _galloping: bool, stats: &mut KernelStats) -> TidSet {
         match (self, other) {
-            (TidSet::Sorted(a), TidSet::Sorted(b)) => {
-                TidSet::Sorted(intersect_sorted(a, b, galloping, stats))
-            }
+            (TidSet::Sorted(a), TidSet::Sorted(b)) => TidSet::Sorted(intersect_sorted(a, b, stats)),
             (TidSet::Bitmap { words: a, .. }, TidSet::Bitmap { words: b, .. }) => {
                 stats.intersections += 1;
                 let n = a.len().min(b.len()) as u64;
@@ -164,69 +161,38 @@ impl TidSet {
     }
 }
 
-/// Sorted-slice intersection dispatching on the `galloping` knob, with
-/// [`KernelStats`] bookkeeping: the sorted-list arm of
-/// [`TidSet::intersect`].
-pub fn intersect_sorted(
-    a: &[Tid],
-    b: &[Tid],
-    galloping: bool,
-    stats: &mut KernelStats,
-) -> Vec<Tid> {
+/// Sorted-slice intersection with [`KernelStats`] bookkeeping: the
+/// sorted-list arm of [`TidSet::intersect`].
+pub fn intersect_sorted(a: &[Tid], b: &[Tid], stats: &mut KernelStats) -> Vec<Tid> {
     stats.intersections += 1;
     stats.work_units += (a.len() + b.len()).max(1) as u64;
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    if galloping {
-        intersect_galloping(a, b, &mut out);
-    } else {
-        intersect_linear(a, b, &mut out);
-    }
+    let mut out = Vec::new();
+    intersect_linear(a, b, &mut out);
     stats.tidset_bytes += 4 * out.len() as u64;
     out
 }
 
-/// Two-pointer merge intersection of ascending slices into `out`.
+/// Branch-free merge intersection of ascending slices, appended to
+/// `out`. Each step stores `a[i]` unconditionally and advances the write
+/// index by `a[i] == b[j]`, `i` by `a[i] <= b[j]` and `j` by
+/// `b[j] <= a[i]`, so the loop has no data-dependent branch to
+/// mispredict. The output is pre-sized to `min(|a|, |b|)` slots past
+/// `out`'s length and truncated to the matches at the end.
 pub fn intersect_linear(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) {
-    let (mut i, mut j) = (0usize, 0usize);
+    let start = out.len();
+    out.resize(start + a.len().min(b.len()), 0);
+    let dst = &mut out[start..];
+    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        // In bounds: every match advances both `i` and `j`, so
+        // `n <= min(i, j) < dst.len()`.
+        dst[n] = x;
+        n += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
-}
-
-/// Galloping (exponential + binary search) intersection of ascending
-/// slices into `out`. Walks the smaller operand, galloping through the
-/// larger one — `O(|small| · log(|large| / |small|))`, a large win when
-/// a short deep-prefix tidset meets a long singleton tidset.
-pub fn intersect_galloping(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut base = 0usize;
-    for &x in small {
-        if base >= large.len() {
-            break;
-        }
-        // Exponential probe: double the window until it passes `x` (or
-        // the end), then binary-search the first element `>= x` in it.
-        let mut offset = 1usize;
-        while base + offset < large.len() && large[base + offset] < x {
-            offset <<= 1;
-        }
-        let hi = (base + offset + 1).min(large.len());
-        let idx = base + large[base..hi].partition_point(|&y| y < x);
-        if idx < large.len() && large[idx] == x {
-            out.push(x);
-            base = idx + 1;
-        } else {
-            base = idx;
-        }
-    }
+    out.truncate(start + n);
 }
 
 /// Word-wise AND of two equal-universe bitmaps into `out`, returning the
@@ -247,6 +213,9 @@ pub fn and_words(a: &[u64], b: &[u64], out: &mut Vec<u64>) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn lin(a: &[Tid], b: &[Tid]) -> Vec<Tid> {
         let mut out = Vec::new();
@@ -254,14 +223,8 @@ mod tests {
         out
     }
 
-    fn gal(a: &[Tid], b: &[Tid]) -> Vec<Tid> {
-        let mut out = Vec::new();
-        intersect_galloping(a, b, &mut out);
-        out
-    }
-
     #[test]
-    fn kernels_agree_on_basics() {
+    fn merge_basics() {
         let cases: &[(&[Tid], &[Tid], &[Tid])] = &[
             (&[1, 3, 5], &[2, 3, 5, 7], &[3, 5]),
             (&[], &[1], &[]),
@@ -271,32 +234,87 @@ mod tests {
             (&[7], &[0, 1, 2, 3, 4, 5, 6, 7, 8], &[7]),
         ];
         for (a, b, want) in cases {
-            assert_eq!(lin(a, b), *want);
-            assert_eq!(gal(a, b), *want, "gallop a={a:?} b={b:?}");
-            assert_eq!(gal(b, a), *want, "gallop swapped");
+            assert_eq!(lin(a, b), *want, "a={a:?} b={b:?}");
+            assert_eq!(lin(b, a), *want, "swapped");
         }
     }
 
-    #[test]
-    fn galloping_matches_linear_randomized() {
-        // Deterministic LCG — no rand dependency needed here.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move |m: u32| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as u32) % m
-        };
-        for _ in 0..200 {
-            let la = next(40) as usize;
-            let lb = next(400) as usize;
-            let mut a: Vec<Tid> = (0..la).map(|_| next(500)).collect();
-            let mut b: Vec<Tid> = (0..lb).map(|_| next(500)).collect();
-            a.sort_unstable();
-            a.dedup();
-            b.sort_unstable();
-            b.dedup();
-            assert_eq!(gal(&a, &b), lin(&a, &b));
+    /// An ascending list of `len` distinct tids spread over about
+    /// `0..span`, from random gaps.
+    fn ascending(rng: &mut StdRng, len: usize, span: usize) -> Vec<Tid> {
+        let gap = (span / len.max(1)).max(1) as u32;
+        let mut t = rng.gen_range(0..gap);
+        (0..len)
+            .map(|_| {
+                let x = t;
+                t += 1 + rng.gen_range(0..2 * gap - 1);
+                x
+            })
+            .collect()
+    }
+
+    /// The pair the property test intersects: a short list and one
+    /// `2^exp` times longer, related by `mode` (0 random, 1 identical,
+    /// 2 disjoint and interleaved, 3 the short list drawn from the long).
+    fn pair(short_len: usize, exp: u32, mode: u8, seed: u64) -> (Vec<Tid>, Vec<Tid>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let long_len = short_len << exp;
+        match mode {
+            0 => {
+                let span = 2 * long_len;
+                (
+                    ascending(&mut rng, short_len, span),
+                    ascending(&mut rng, long_len, span),
+                )
+            }
+            1 => {
+                let a = ascending(&mut rng, short_len, 3 * short_len);
+                (a.clone(), a)
+            }
+            2 => {
+                let long: Vec<Tid> = (0..long_len as u32).map(|t| 2 * t).collect();
+                let stride = 1 << exp;
+                let short = (0..short_len as u32).map(|t| 2 * t * stride + 1).collect();
+                (short, long)
+            }
+            _ => {
+                let long = ascending(&mut rng, long_len, 2 * long_len);
+                let short = long
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_range(0..1u32 << exp) == 0)
+                    .take(short_len)
+                    .collect();
+                (short, long)
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn merge_equals_btreeset_intersection(
+            short_len in 0usize..300,
+            exp in 0u32..9,
+            mode in 0u8..4,
+            seed in 0u64..u64::MAX,
+            prefix in proptest::collection::vec(0u32..u32::MAX, 0..4),
+        ) {
+            let (short, long) = pair(short_len, exp, mode, seed);
+            let want: Vec<Tid> = short
+                .iter()
+                .collect::<BTreeSet<_>>()
+                .intersection(&long.iter().collect::<BTreeSet<_>>())
+                .map(|&&t| t)
+                .collect();
+            for (a, b) in [(&short, &long), (&long, &short)] {
+                let got = intersect_sorted(a, b, &mut KernelStats::default());
+                prop_assert_eq!(&got, &want, "intersect_sorted");
+                // Appends past a non-empty `out`, leaving its prefix alone.
+                let mut out = prefix.clone();
+                intersect_linear(a, b, &mut out);
+                prop_assert_eq!(&out[..prefix.len()], &prefix[..], "prefix");
+                prop_assert_eq!(&out[prefix.len()..], &want[..], "merge");
+            }
         }
     }
 

@@ -55,6 +55,14 @@ fn pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
     ParallelConfig::new(base, p).with_scheduling(mode)
 }
 
+/// CCPD splitting candidate generation over its threads at every level
+/// (at its default this database's small levels join serially).
+fn split_candgen_pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
+    let mut cfg = pcfg(p, mode);
+    cfg.parallel_candgen_min = 1;
+    cfg
+}
+
 /// CCPD on the hash-tree path: a shared tree built and frozen per level.
 fn tree_pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
     let mut cfg = pcfg(p, mode);
@@ -70,6 +78,8 @@ fn vcfg(mode: Scheduling) -> VerticalConfig {
 enum Miner {
     /// CCPD at its default: the pair array, then class arrays.
     Ccpd,
+    /// CCPD with `parallel_candgen_min: 1`: the split join at every level.
+    CcpdSplitCandgen,
     /// CCPD with `pair_array: false`: the hash tree at every level.
     CcpdTree,
     Pccd,
@@ -77,11 +87,17 @@ enum Miner {
 }
 
 impl Miner {
-    const ALL: [Miner; 4] = [Miner::Ccpd, Miner::CcpdTree, Miner::Pccd, Miner::Eclat];
+    const ALL: [Miner; 5] = [
+        Miner::Ccpd,
+        Miner::CcpdSplitCandgen,
+        Miner::CcpdTree,
+        Miner::Pccd,
+        Miner::Eclat,
+    ];
 
     fn phases(self) -> &'static [&'static str] {
         match self {
-            Miner::Ccpd => &["f1", "candgen", "count", "extract"],
+            Miner::Ccpd | Miner::CcpdSplitCandgen => &["f1", "candgen", "count", "extract"],
             Miner::CcpdTree => &["f1", "candgen", "build", "freeze", "count", "extract"],
             Miner::Pccd => &["f1", "candgen", "count", "extract"],
             Miner::Eclat => &["transpose", "classes", "count", "mine"],
@@ -91,7 +107,7 @@ impl Miner {
     /// The phase the first gate reports when the token is dead on entry.
     fn first_phase(self) -> &'static str {
         match self {
-            Miner::Ccpd | Miner::CcpdTree | Miner::Pccd => "f1",
+            Miner::Ccpd | Miner::CcpdSplitCandgen | Miner::CcpdTree | Miner::Pccd => "f1",
             Miner::Eclat => "transpose",
         }
     }
@@ -105,6 +121,8 @@ impl Miner {
     ) -> Result<Itemsets, MiningError> {
         match self {
             Miner::Ccpd => ccpd::try_mine(db, &pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets()),
+            Miner::CcpdSplitCandgen => ccpd::try_mine(db, &split_candgen_pcfg(p, mode), ctrl)
+                .map(|(r, _)| r.all_itemsets()),
             Miner::CcpdTree => {
                 ccpd::try_mine(db, &tree_pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets())
             }

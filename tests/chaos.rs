@@ -77,6 +77,14 @@ fn pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
     ParallelConfig::new(base_cfg(), p).with_scheduling(mode)
 }
 
+/// CCPD splitting candidate generation over its threads at every level
+/// (at its default this database's small levels join serially).
+fn split_candgen_pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
+    let mut cfg = pcfg(p, mode);
+    cfg.parallel_candgen_min = 1;
+    cfg
+}
+
 /// CCPD on the hash-tree path: a shared tree built and frozen per level.
 fn tree_pcfg(p: usize, mode: Scheduling) -> ParallelConfig {
     let mut cfg = pcfg(p, mode);
@@ -96,6 +104,8 @@ const MODES: [Scheduling; 2] = [Scheduling::Static, Scheduling::Guided];
 enum Miner {
     /// CCPD at its default: the pair array, then class arrays.
     Ccpd,
+    /// CCPD with `parallel_candgen_min: 1`: the split join at every level.
+    CcpdSplitCandgen,
     /// CCPD with `pair_array: false`: the hash tree at every level.
     CcpdTree,
     Pccd,
@@ -103,12 +113,18 @@ enum Miner {
 }
 
 impl Miner {
-    const ALL: [Miner; 4] = [Miner::Ccpd, Miner::CcpdTree, Miner::Pccd, Miner::Eclat];
+    const ALL: [Miner; 5] = [
+        Miner::Ccpd,
+        Miner::CcpdSplitCandgen,
+        Miner::CcpdTree,
+        Miner::Pccd,
+        Miner::Eclat,
+    ];
 
     /// The fault sites instrumented in this miner's drivers.
     fn sites(self) -> &'static [&'static str] {
         match self {
-            Miner::Ccpd => &["f1", "count"],
+            Miner::Ccpd | Miner::CcpdSplitCandgen => &["f1", "count"],
             Miner::CcpdTree => &["f1", "build", "count"],
             Miner::Pccd => &["count"],
             Miner::Eclat => &["transpose", "count", "mine"],
@@ -118,7 +134,7 @@ impl Miner {
     /// Phases in which this miner can legitimately observe an error.
     fn phases(self) -> &'static [&'static str] {
         match self {
-            Miner::Ccpd => &["f1", "candgen", "count", "extract"],
+            Miner::Ccpd | Miner::CcpdSplitCandgen => &["f1", "candgen", "count", "extract"],
             Miner::CcpdTree => &["f1", "candgen", "build", "freeze", "count", "extract"],
             Miner::Pccd => &["f1", "candgen", "count", "extract"],
             Miner::Eclat => &["transpose", "classes", "count", "mine"],
@@ -130,6 +146,8 @@ impl Miner {
             Miner::Ccpd => {
                 ccpd::try_mine(db(), &pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets())
             }
+            Miner::CcpdSplitCandgen => ccpd::try_mine(db(), &split_candgen_pcfg(p, mode), ctrl)
+                .map(|(r, _)| r.all_itemsets()),
             Miner::CcpdTree => {
                 ccpd::try_mine(db(), &tree_pcfg(p, mode), ctrl).map(|(r, _)| r.all_itemsets())
             }

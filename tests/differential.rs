@@ -64,6 +64,21 @@ fn parallel_drivers_agree_with_sequential_on_twenty_datasets() {
             assert_eq!(ccpd_r.all_itemsets(), expected, "seed {seed} CCPD P={p}");
             let (pccd_r, _) = pccd::mine(&db, &pc);
             assert_eq!(pccd_r.all_itemsets(), expected, "seed {seed} PCCD P={p}");
+            if p == 1 {
+                continue;
+            }
+            // Levels this small join serially by default; force the split
+            // join (`parallel_candgen`) and its ordered merge.
+            for scheduling in [Scheduling::Static, Scheduling::Guided] {
+                let mut split = ParallelConfig::new(cfg(), p).with_scheduling(scheduling);
+                split.parallel_candgen_min = 1;
+                let (r, _) = ccpd::mine(&db, &split);
+                assert_eq!(
+                    r.all_itemsets(),
+                    expected,
+                    "seed {seed} CCPD split candgen {scheduling:?} P={p}"
+                );
+            }
         }
     }
 }
