@@ -14,8 +14,9 @@
 //!
 //! Where a level's id lists come from ([`IdLists`]):
 //!
-//! * `k = 3`: straight from the items — a pair's `F_2` id is the rank of
-//!   its bit in [`FrequentPairs`];
+//! * `k = 3`: straight from the items — [`FrequentPairs`] lists each
+//!   rank's frequent partners, so a pair's `F_2` id is its slot there,
+//!   and a transaction's ids are the partners of its ranks that it holds;
 //! * `k ≥ 4`: the previous pass's contained `C_{k-1}` ids, which
 //!   [`ClassIndex::count_into`] writes out, mapped to `F_{k-1}` ids by
 //!   [`frequent_ids`]. Infrequent ids are dropped. A pass writes only the
@@ -201,9 +202,14 @@ impl ClassIndex {
             "counter array of the wrong size"
         );
         let mut meter = WorkMeter::default();
-        let ClassScratch { ranks, ids, hits } = scratch;
+        let ClassScratch {
+            ranks,
+            marks,
+            ids,
+            hits,
+        } = scratch;
         for t in range {
-            lists.fill(t, ranks, ids);
+            lists.fill(t, ranks, marks, ids);
             if ids.len() < 2 {
                 continue;
             }
@@ -270,6 +276,8 @@ impl ClassIndex {
 #[derive(Debug, Default)]
 pub struct ClassScratch {
     ranks: Vec<u32>,
+    /// [`FrequentPairs::ids_into`]'s rank bitmap (all zero between calls).
+    marks: Vec<u64>,
     ids: Vec<u32>,
     hits: Vec<u32>,
 }
@@ -281,7 +289,7 @@ pub enum IdLists<'a> {
     Pairs {
         /// The item database.
         db: &'a Database,
-        /// `F_2` with its rank directory.
+        /// `F_2` as partner lists.
         f2: &'a FrequentPairs<'a>,
     },
     /// `k ≥ 4`: the previous pass's lists of contained `C_{k-1}` ids.
@@ -303,9 +311,9 @@ impl IdLists<'_> {
     }
 
     /// Writes transaction `t`'s ascending `F_{k-1}` ids to `ids`.
-    fn fill(&self, t: usize, ranks: &mut Vec<u32>, ids: &mut Vec<u32>) {
+    fn fill(&self, t: usize, ranks: &mut Vec<u32>, marks: &mut Vec<u64>, ids: &mut Vec<u32>) {
         match self {
-            IdLists::Pairs { db, f2 } => f2.ids_into(db.transaction(t), ranks, ids),
+            IdLists::Pairs { db, f2 } => f2.ids_into(db.transaction(t), ranks, marks, ids),
             IdLists::Candidates { db, frequent } => {
                 // Frequent ids keep the candidates' order, so the list stays
                 // ascending.

@@ -76,7 +76,7 @@ pub use level::FrequentLevel;
 pub use pairs::{FrequentPairs, PairIndex};
 pub use parallel_config::{DbPartition, ParallelConfig};
 pub use partition_algo::mine_partition;
-pub use rules::{generate_rules, Rule};
+pub use rules::{generate_rules, top_rules, Rule};
 pub use scratch::ScratchPool;
 pub use stats::{ParallelRunStats, PhaseStat};
 pub use summaries::{closed_itemsets, maximal_itemsets};

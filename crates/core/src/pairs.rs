@@ -13,10 +13,13 @@
 //! ([`PairIndex::count_into`]); the arrays are summed by [`reduce_into_first`]
 //! and [`PairIndex::frequent`] reads `F_2` off the total in canonical order.
 //!
-//! The same total also yields `F_2` as a bitset over the array's indices
-//! with a rank directory ([`FrequentPairs`]): the `k = 3` class-array pass
-//! ([`crate::class_array`]) reads each transaction's `F_2` ids straight
-//! off its items with it.
+//! The same total also yields `F_2` as per-rank partner lists
+//! ([`FrequentPairs`]): for each rank, the ascending higher ranks it forms
+//! a frequent pair with, row after row, so a pair's slot is its `F_2` id.
+//! The `k = 3` class-array pass ([`crate::class_array`]) reads each
+//! transaction's `F_2` ids straight off its items with them: it marks the
+//! transaction's ranks in a bitmap and keeps the marked partners of each,
+//! so the work is the ranks' partner counts, not their `C(r, 2)` pairs.
 
 use crate::apriori::IterStats;
 use crate::level::FrequentLevel;
@@ -156,26 +159,25 @@ impl PairIndex {
         FrequentLevel::new(sets, supports)
     }
 
-    /// `F_2` as a bitset over this index's array (the pairs whose count
-    /// reaches `min_support`), with the rank directory that gives each
-    /// pair its `F_2` id.
+    /// `F_2` as per-rank partner lists over this index's ranks (the
+    /// pairs whose count reaches `min_support`), read off the array in
+    /// canonical order, so a pair's slot is its `F_2` id.
     pub fn frequent_pairs(&self, counts: &[u32], min_support: u32) -> FrequentPairs<'_> {
-        let mut bits = vec![0u64; self.len.div_ceil(64)];
-        for (i, _) in counts.iter().enumerate().filter(|(_, &c)| c >= min_support) {
-            bits[i / 64] |= 1 << (i % 64);
+        let mut start = Vec::with_capacity(self.items.len() + 1);
+        let mut partner = Vec::new();
+        start.push(0);
+        for a in 0..self.items.len() {
+            let row = self.row(counts, a).iter().enumerate();
+            partner.extend(
+                row.filter(|(_, &c)| c >= min_support)
+                    .map(|(i, _)| (a + 1 + i) as u32),
+            );
+            start.push(partner.len());
         }
-        let before = bits
-            .iter()
-            .scan(0u32, |seen, w| {
-                let b = *seen;
-                *seen += w.count_ones();
-                Some(b)
-            })
-            .collect();
         FrequentPairs {
             index: self,
-            bits,
-            before,
+            start,
+            partner,
         }
     }
 
@@ -195,35 +197,37 @@ impl PairIndex {
     }
 }
 
-/// `F_2` as a bitset over a [`PairIndex`]'s array
-/// ([`PairIndex::frequent_pairs`]), `C(|F_1|, 2)` bits, with a per-word
-/// popcount rank directory. Bits are in canonical pair order, so the rank
-/// of a pair's bit is its position in `F_2`: its `F_2` id.
+/// `F_2` as per-rank partner lists over a [`PairIndex`]'s ranks
+/// ([`PairIndex::frequent_pairs`]), in CSR form: the partners of rank `a`
+/// are `partner[start[a]..start[a + 1]]`, the ascending ranks `b > a`
+/// with `(a, b)` frequent. `F_2` is lex-ordered, so the slot of a pair in
+/// `partner` is its `F_2` id.
 pub struct FrequentPairs<'a> {
     index: &'a PairIndex,
-    bits: Vec<u64>,
-    /// `before[w]`: the set bits of words `0..w`.
-    before: Vec<u32>,
+    /// `start[a]`: the `F_2` id of rank `a`'s first partner pair; `|F_1| + 1`
+    /// entries, the last one `|F_2|`.
+    start: Vec<usize>,
+    /// The partner ranks of every rank, row after row.
+    partner: Vec<u32>,
 }
 
 impl FrequentPairs<'_> {
-    /// The `F_2` id of the pair of items with ranks `a < b`, if frequent.
-    #[inline]
-    pub fn id(&self, a: u32, b: u32) -> Option<u32> {
-        self.id_at(self.index.index(a, b))
-    }
-
-    /// The `F_2` id of the pair at array index `i`, if frequent.
-    #[inline]
-    fn id_at(&self, i: usize) -> Option<u32> {
-        let (word, bit) = (self.bits[i / 64], i % 64);
-        (word >> bit & 1 != 0)
-            .then(|| self.before[i / 64] + (word & ((1u64 << bit) - 1)).count_ones())
-    }
-
     /// Writes to `ids` the `F_2` ids of the frequent pairs contained in
-    /// `txn` (ascending items), in ascending order; `ranks` is scratch.
-    pub fn ids_into(&self, txn: &[Item], ranks: &mut Vec<u32>, ids: &mut Vec<u32>) {
+    /// `txn` (ascending items), in ascending order. `ranks` and `marks`
+    /// are scratch; `marks` is a bitmap over the ranks that must be all
+    /// zero on entry (an empty `Vec` is) and is all zero again on return.
+    ///
+    /// The transaction's frequent ranks are marked, and each one's
+    /// partners are walked: every partner's id is stored, and the write
+    /// index advances by the partner's mark bit. The work is the sum of
+    /// the ranks' partner counts, not the `C(r, 2)` pairs of the ranks.
+    pub fn ids_into(
+        &self,
+        txn: &[Item],
+        ranks: &mut Vec<u32>,
+        marks: &mut Vec<u64>,
+        ids: &mut Vec<u32>,
+    ) {
         let index = self.index;
         ranks.clear();
         ranks.extend(
@@ -232,15 +236,35 @@ impl FrequentPairs<'_> {
                 .filter(|&r| r != NOT_FREQUENT),
         );
         ids.clear();
-        // Ranks ascend, so pairs come in array (= `F_2`) order.
-        for (i, &a) in ranks.iter().enumerate() {
-            let start = index.row[a as usize];
-            let first = a as usize + 1;
-            ids.extend(
-                ranks[i + 1..]
-                    .iter()
-                    .filter_map(|&b| self.id_at(start + (b as usize - first))),
-            );
+        // The last rank has no marked partner: every partner is above it.
+        let Some((_, walked)) = ranks.split_last() else {
+            return;
+        };
+        let words = index.items.len().div_ceil(64);
+        if marks.len() < words {
+            marks.resize(words, 0);
+        }
+        for &r in ranks.iter() {
+            marks[r as usize / 64] |= 1 << (r % 64);
+        }
+        let room: usize = walked
+            .iter()
+            .map(|&a| self.start[a as usize + 1] - self.start[a as usize])
+            .sum();
+        ids.resize(room, 0);
+        let mut w = 0;
+        // Ranks ascend and so do each rank's partners: ids come in order.
+        for &a in walked {
+            let first = self.start[a as usize];
+            let partners = &self.partner[first..self.start[a as usize + 1]];
+            for (id, &b) in (first as u32..).zip(partners) {
+                ids[w] = id;
+                w += (marks[b as usize / 64] >> (b % 64) & 1) as usize;
+            }
+        }
+        ids.truncate(w);
+        for &r in ranks.iter() {
+            marks[r as usize / 64] = 0;
         }
     }
 }
@@ -432,10 +456,10 @@ mod tests {
             prop_assert_eq!(reduce_into_first(parts).unwrap(), whole);
         }
 
-        /// The rank directory numbers `F_2` canonically: for every frequent
-        /// pair, its id is its index in the `F_2` level, and every other
-        /// pair has none. `ids_into` lists exactly a transaction's frequent
-        /// pairs, ascending.
+        /// The partner lists number `F_2` canonically: read row after
+        /// row, they are `F_2` in order. `ids_into` lists exactly a
+        /// transaction's frequent pairs, ascending, with one scratch
+        /// reused across the database.
         #[test]
         fn frequent_pair_ids_are_f2_positions(
             txns in proptest::collection::vec(proptest::collection::vec(0u32..24, 0..12), 0..60),
@@ -448,15 +472,17 @@ mod tests {
             idx.count_into(&db, 0..db.len(), &mut counts, &mut Vec::new());
             let f2 = idx.frequent(&counts, minsup);
             let pairs = idx.frequent_pairs(&counts, minsup);
+            prop_assert_eq!(pairs.partner.len(), f2.len());
+            let mut listed = Vec::new();
             for (a, &x) in items.iter().enumerate() {
-                for (b, &y) in items.iter().enumerate().skip(a + 1) {
-                    let want = f2.find(&[x, y]).map(|i| i as u32);
-                    prop_assert_eq!(pairs.id(a as u32, b as u32), want, "({}, {})", x, y);
-                }
+                let row = &pairs.partner[pairs.start[a]..pairs.start[a + 1]];
+                listed.extend(row.iter().map(|&b| [x, items[b as usize]]));
             }
-            let (mut ranks, mut ids) = (Vec::new(), Vec::new());
+            let want: Vec<[Item; 2]> = f2.iter().map(|(s, _)| [s[0], s[1]]).collect();
+            prop_assert_eq!(listed, want);
+            let (mut ranks, mut marks, mut ids) = (Vec::new(), Vec::new(), Vec::new());
             for txn in db.iter() {
-                pairs.ids_into(txn, &mut ranks, &mut ids);
+                pairs.ids_into(txn, &mut ranks, &mut marks, &mut ids);
                 let mut want = Vec::new();
                 for (i, &x) in txn.iter().enumerate() {
                     for &y in &txn[i + 1..] {
@@ -465,6 +491,66 @@ mod tests {
                 }
                 prop_assert_eq!(&ids, &want);
                 prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+
+        /// `ids_into` equals a brute-force list of the contained frequent
+        /// pairs' `F_2` ids at the mark bitmap's word edges, on
+        /// transactions with no frequent item, all-frequent rows and
+        /// random mixes, all through one reused scratch.
+        #[test]
+        fn ids_into_equals_brute_force_at_word_edges(
+            edge in 0usize..7,
+            density in 0u64..=100,
+            seed in any::<u64>(),
+        ) {
+            let n = [0u32, 1, 2, 63, 64, 65, 130][edge];
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            // F_1 is the even items; the odd ones are infrequent.
+            let items: Vec<Item> = (0..n).map(|r| 2 * r).collect();
+            let idx = PairIndex::new(&items, 2 * n).unwrap();
+            let counts: Vec<u32> =
+                (0..idx.len()).map(|_| u32::from(next() % 100 < density)).collect();
+            let pairs = idx.frequent_pairs(&counts, 1);
+            // The F_2 id of a frequent pair: the frequent slots before it.
+            let id_of: Vec<u32> = counts
+                .iter()
+                .scan(0u32, |seen, &c| {
+                    *seen += c;
+                    Some(*seen - c)
+                })
+                .collect();
+            let mut txns: Vec<Vec<Item>> = vec![
+                Vec::new(),
+                (0..n).map(|r| 2 * r + 1).collect(),
+                (0..2 * n).collect(),
+                items.clone(),
+            ];
+            for _ in 0..40 {
+                let keep = next() % 101;
+                txns.push((0..2 * n).filter(|_| next() % 100 < keep).collect());
+            }
+            let (mut ranks, mut marks, mut ids) = (Vec::new(), Vec::new(), Vec::new());
+            for txn in &txns {
+                pairs.ids_into(txn, &mut ranks, &mut marks, &mut ids);
+                let r: Vec<u32> = txn.iter().filter(|&&i| i % 2 == 0).map(|&i| i / 2).collect();
+                let mut want = Vec::new();
+                for (i, &a) in r.iter().enumerate() {
+                    for &b in &r[i + 1..] {
+                        let slot = idx.index(a, b);
+                        if counts[slot] >= 1 {
+                            want.push(id_of[slot]);
+                        }
+                    }
+                }
+                prop_assert_eq!(&ids, &want, "n={} txn={:?}", n, txn);
+                prop_assert!(marks.iter().all(|&w| w == 0));
             }
         }
     }

@@ -70,6 +70,28 @@ pub fn generate_rules(result: &MiningResult, min_confidence: f64) -> Vec<Rule> {
     rules
 }
 
+/// The first `n` rules of `rules` by confidence, then support, both
+/// descending, ties kept in generation order: the first `n` of a stable
+/// sort, found by selecting them (`O(|rules|)`) and sorting only those.
+pub fn top_rules(rules: &[Rule], n: usize) -> Vec<Rule> {
+    let order = |&i: &usize, &j: &usize| {
+        let (a, b) = (&rules[i], &rules[j]);
+        b.confidence
+            .total_cmp(&a.confidence)
+            .then(b.support.cmp(&a.support))
+            .then(i.cmp(&j))
+    };
+    let mut picked: Vec<usize> = (0..rules.len()).collect();
+    if n < picked.len() {
+        if n > 0 {
+            picked.select_nth_unstable_by(n - 1, order);
+        }
+        picked.truncate(n);
+    }
+    picked.sort_unstable_by(order);
+    picked.into_iter().map(|i| rules[i].clone()).collect()
+}
+
 /// ap-genrules for one frequent itemset.
 fn rules_for_itemset(
     result: &MiningResult,
@@ -162,6 +184,7 @@ mod tests {
     use crate::apriori::mine;
     use crate::config::{AprioriConfig, Support};
     use arm_dataset::Database;
+    use proptest::prelude::*;
 
     fn paper_result() -> MiningResult {
         let db = Database::from_transactions(
@@ -180,6 +203,39 @@ mod tests {
             ..AprioriConfig::default()
         };
         mine(&db, &cfg)
+    }
+
+    proptest! {
+        /// `top_rules` prints what the first `n` rules of a stable full
+        /// sort print, under many tied confidences and supports.
+        #[test]
+        fn top_rules_equal_the_stable_sort(
+            keys in proptest::collection::vec((0u32..4, 1u32..4), 0..80),
+            n in 0usize..90,
+        ) {
+            let rules: Vec<Rule> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &(num, support))| Rule {
+                    antecedent: vec![i as Item],
+                    consequent: vec![1000],
+                    support,
+                    confidence: f64::from(num + 1) / 4.0,
+                })
+                .collect();
+            let mut sorted = rules.clone();
+            sorted.sort_by(|a, b| {
+                b.confidence
+                    .partial_cmp(&a.confidence)
+                    .unwrap()
+                    .then(b.support.cmp(&a.support))
+            });
+            sorted.truncate(n);
+            let top = top_rules(&rules, n);
+            let print = |rs: &[Rule]| rs.iter().map(|r| format!("# {r}\n")).collect::<String>();
+            prop_assert_eq!(print(&top), print(&sorted));
+            prop_assert_eq!(top, sorted);
+        }
     }
 
     #[test]

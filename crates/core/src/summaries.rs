@@ -37,6 +37,11 @@ pub fn closed_itemsets(result: &MiningResult) -> Vec<(Vec<Item>, u32)> {
 /// (for maximality trivially; for closedness because support is
 /// monotone along the chain — equal support at the far end forces equal
 /// support at every step).
+///
+/// Each (k+1)-set marks its `k+1` subsets of length `k`, found by binary
+/// search in `F_k` (all of them are frequent), so a level costs
+/// `O(|F_{k+1}| · k · log |F_k|)` rather than a scan of `F_{k+1}` per
+/// `F_k` set.
 fn filter_by_superset(
     result: &MiningResult,
     prunes: impl Fn(u32, u32) -> bool,
@@ -44,33 +49,26 @@ fn filter_by_superset(
     let mut out = Vec::new();
     let mut subset = Vec::new();
     for (li, level) in result.levels.iter().enumerate() {
-        let next = result.levels.get(li + 1);
-        for i in 0..level.len() {
-            let items = level.get(i);
-            let support = level.support(i);
-            let mut pruned = false;
-            if let Some(next) = next {
-                // Check the (k+1)-supersets of `items`: a superset is any
-                // next-level itemset containing all of `items`. Instead of
-                // scanning the next level, enumerate candidates by
-                // *inserting* each possible item — but that is O(N);
-                // scanning the next level with a subset test is O(|F_{k+1}| · k)
-                // and independent of the item universe, so scan.
-                for j in 0..next.len() {
-                    let sup_items = next.get(j);
-                    if arm_hashtree::is_subset(items, sup_items) && prunes(support, next.support(j))
-                    {
-                        pruned = true;
-                        break;
+        let mut pruned = vec![false; level.len()];
+        if let Some(next) = result.levels.get(li + 1) {
+            for (items, super_support) in next.iter() {
+                for skip in 0..items.len() {
+                    subset.clear();
+                    subset.extend_from_slice(&items[..skip]);
+                    subset.extend_from_slice(&items[skip + 1..]);
+                    if let Some(i) = level.find(&subset) {
+                        pruned[i] |= prunes(level.support(i), super_support);
                     }
                 }
             }
-            if !pruned {
-                subset.clear();
-                subset.extend_from_slice(items);
-                out.push((subset.clone(), support));
-            }
         }
+        out.extend(
+            level
+                .iter()
+                .zip(&pruned)
+                .filter(|(_, &p)| !p)
+                .map(|((items, support), _)| (items.to_vec(), support)),
+        );
     }
     out
 }
@@ -81,6 +79,7 @@ mod tests {
     use crate::apriori::mine;
     use crate::config::{AprioriConfig, Support};
     use arm_dataset::Database;
+    use proptest::prelude::*;
 
     fn paper_result() -> MiningResult {
         let db = Database::from_transactions(
@@ -146,6 +145,56 @@ mod tests {
                     .any(|(m, _)| arm_hashtree::is_subset(&items, m)),
                 "{items:?} not covered"
             );
+        }
+    }
+
+    type Listing = Vec<(Vec<Item>, u32)>;
+
+    /// Closed and maximal by definition: against every frequent
+    /// superset of any length, not only those one item longer.
+    fn brute_force(r: &MiningResult) -> (Listing, Listing) {
+        let all = r.all_itemsets();
+        let supersets = |x: &Vec<Item>| -> Vec<u32> {
+            all.iter()
+                .filter(|(s, _)| s.len() > x.len() && arm_hashtree::is_subset(x, s))
+                .map(|&(_, d)| d)
+                .collect()
+        };
+        let closed = all
+            .iter()
+            .filter(|(x, c)| !supersets(x).contains(c))
+            .cloned()
+            .collect();
+        let maximal = all
+            .iter()
+            .filter(|(x, _)| supersets(x).is_empty())
+            .cloned()
+            .collect();
+        (closed, maximal)
+    }
+
+    proptest! {
+        /// Closed and maximal sets equal their brute-force definitions,
+        /// in length-then-lex order, on random small databases.
+        #[test]
+        fn summaries_equal_brute_force(
+            txns in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..8), 0..40),
+            minsup in 1u32..5,
+            max_k in 0u32..5,
+        ) {
+            let db = Database::from_transactions(10, txns).unwrap();
+            let r = mine(
+                &db,
+                &AprioriConfig {
+                    min_support: Support::Absolute(minsup),
+                    // 0 stands for no cap.
+                    max_k: Some(max_k).filter(|&m| m > 0),
+                    ..AprioriConfig::default()
+                },
+            );
+            let (closed, maximal) = brute_force(&r);
+            prop_assert_eq!(closed_itemsets(&r), closed);
+            prop_assert_eq!(maximal_itemsets(&r), maximal);
         }
     }
 

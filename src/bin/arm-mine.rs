@@ -92,16 +92,11 @@ fn main() {
         "closed" => parallel_arm::core::closed_itemsets(&result),
         _ => result.all_itemsets(),
     };
-    let mut rules = generate_rules(&result, confidence);
-    rules.sort_by(|a, b| {
-        b.confidence
-            .partial_cmp(&a.confidence)
-            .unwrap()
-            .then(b.support.cmp(&a.support))
-    });
+    let rules = generate_rules(&result, confidence);
+    let best = parallel_arm::core::top_rules(&rules, top);
     let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    let written = write_report(&mut out, &result, &listed, &rules, confidence, top)
-        .and_then(|()| out.flush());
+    let written =
+        write_report(&mut out, &result, &listed, &best, confidence).and_then(|()| out.flush());
     match written {
         Ok(()) => {}
         // The reader went away (`arm-mine ... | head`): nothing left to do.
@@ -113,14 +108,14 @@ fn main() {
     }
 }
 
-/// Writes the itemset listing and the top rules to `out`.
+/// Writes the itemset listing and the top rules (`best`, in order) to
+/// `out`.
 fn write_report(
     out: &mut impl Write,
     result: &MiningResult,
     listed: &[(Vec<u32>, u32)],
-    rules: &[Rule],
+    best: &[Rule],
     confidence: f64,
-    top: usize,
 ) -> std::io::Result<()> {
     writeln!(
         out,
@@ -136,9 +131,9 @@ fn write_report(
     writeln!(
         out,
         "# top {} rules (confidence >= {confidence}):",
-        top.min(rules.len())
+        best.len()
     )?;
-    for r in rules.iter().take(top) {
+    for r in best {
         writeln!(out, "# {r}")?;
     }
     Ok(())
