@@ -1,9 +1,9 @@
-//! Micro-benchmarks of the tidset intersection kernels: the branch-free
-//! sorted merge vs the bitmap word-AND on equal-length lists, across
-//! densities bracketing the 1/64 break-even the adaptive backend choice
-//! is built on.
+//! Micro-benchmarks of the tidset join kernels: the branch-free sorted
+//! merge and its difference twin vs the bitmap word-AND on equal-length
+//! lists, across densities bracketing the 1/64 break-even the adaptive
+//! backend choice is built on.
 
-use arm_vertical::{and_words, intersect_linear, TidSet};
+use arm_vertical::{and_words, difference_linear, intersect_linear, TidSet};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const UNIVERSE: u32 = 65_536;
@@ -53,7 +53,7 @@ fn bench_intersection_by_density(c: &mut Criterion) {
         let words = (UNIVERSE as usize).div_ceil(64);
         let bitmap = |tids: &Vec<u32>| match TidSet::Sorted(tids.clone()).to_bitmap(words) {
             TidSet::Bitmap { words, .. } => words,
-            TidSet::Sorted(_) => unreachable!(),
+            TidSet::Sorted(_) | TidSet::Diff { .. } => unreachable!(),
         };
         // The word-AND has no data-dependent branch: one pair will do.
         let (aw, bw) = (bitmap(&pairs[0].0), bitmap(&pairs[0].1));
@@ -66,6 +66,18 @@ fn bench_intersection_by_density(c: &mut Criterion) {
                 next = (next + 1) % pairs.len();
                 out.clear();
                 intersect_linear(black_box(a), black_box(b), &mut out);
+                out.len()
+            })
+        });
+        // A budget of `|a|` never trips, so the whole difference is built.
+        g.bench_function("difference", |bch| {
+            let mut out = Vec::new();
+            let mut next = 0;
+            bch.iter(|| {
+                let (a, b) = &pairs[next];
+                next = (next + 1) % pairs.len();
+                out.clear();
+                let _ = difference_linear(black_box(a), black_box(b), a.len(), &mut out);
                 out.len()
             })
         });

@@ -51,11 +51,14 @@ pub enum Counter {
     StealAttempts = 12,
     /// Failed CAS iterations on the shared scheduling cursor.
     CursorCasRetries = 13,
-    /// Tidset intersections performed by the vertical miner (arm-vertical).
+    /// Tidset joins performed by the vertical miner (arm-vertical): every
+    /// intersection and every diffset difference, early-stopped ones
+    /// included, so the count depends only on which pairs were joined
+    /// and stays comparable across kernel changes.
     TidsetIntersections = 14,
     /// `u64` words ANDed by the bitmap intersection kernel.
     TidsetWordsAnded = 15,
-    /// Bytes of tidset storage materialized (lists and bitmaps).
+    /// Bytes of tidset storage materialized (lists, diffsets and bitmaps).
     TidsetBytes = 16,
     /// Cancellation checkpoints passed at chunk claims (arm-faults).
     CancelChecks = 17,

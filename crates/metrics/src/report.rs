@@ -90,11 +90,12 @@ pub struct SchedReport {
 /// Vertical-mining totals across threads (arm-vertical tidset kernels).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerticalReport {
-    /// Tidset intersections performed.
+    /// Tidset joins performed: intersections and diffset differences,
+    /// early-stopped ones included.
     pub intersections: u64,
     /// `u64` words ANDed by the bitmap kernel.
     pub words_anded: u64,
-    /// Bytes of tidset storage materialized (lists and bitmaps).
+    /// Bytes of tidset storage materialized (lists, diffsets and bitmaps).
     pub tidset_bytes: u64,
 }
 

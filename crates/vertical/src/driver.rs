@@ -110,8 +110,9 @@ pub(crate) fn root_pairs(root: &[Member], n_items: u32) -> Option<PairIndex> {
     PairIndex::new(&items, n_items)
 }
 
-/// Converts every member of a class to `target` (members already there
-/// are untouched, so repeated calls are idempotent).
+/// Converts every member of a tidset class to `target` (members already
+/// there are untouched, so repeated calls are idempotent). Diffset
+/// classes are never converted.
 pub(crate) fn convert_members(
     members: &mut [Member],
     target: Backend,
@@ -132,13 +133,17 @@ pub(crate) fn convert_members(
 
 /// Grows member `i` of `class`: joins it with every later member, emits
 /// the surviving children (itemsets of length `prefix.len() + 2`), and
-/// recurses while `max_k` allows. The child class re-decides its tidset
-/// backend by its own density — deep classes are typically much sparser
-/// than the root.
+/// recurses while `max_k` allows.
 ///
-/// At the root, `pair_row` holds the pair counts of member `i` with each
-/// later member ([`PairIndex::row`]); a pair below `min_support` is
-/// skipped without intersecting, since its tidset would be dropped anyway.
+/// At the root (empty `prefix`) members intersect, so the 2-itemsets
+/// keep their tidsets, and `pair_row` holds the pair counts of member
+/// `i` with each later member ([`PairIndex::row`]); a pair below
+/// `min_support` is skipped without intersecting, since its tidset would
+/// be dropped anyway. Below the root members join by [`TidSet::join`]:
+/// a sorted class yields diffsets, and a join stops as soon as the child
+/// cannot be frequent. A child class of tidsets re-decides its backend
+/// by its own density — deep classes are typically much sparser than
+/// the root; a class of diffsets is never converted.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn extend_one(
     class: &[Member],
@@ -156,29 +161,56 @@ pub(crate) fn extend_one(
     let mut child: Vec<Member> = Vec::new();
     let mut total_support = 0u64;
     for (d, b) in class[i + 1..].iter().enumerate() {
-        if pair_row.is_some_and(|row| row[d] < min_support) {
-            continue;
+        let tids = if prefix.is_empty() {
+            if pair_row.is_some_and(|row| row[d] < min_support) {
+                continue;
+            }
+            let tids = a.tids.intersect(&b.tids, false, stats);
+            debug_assert!(
+                pair_row.is_none_or(|row| row[d] == tids.support()),
+                "tidset support disagrees with the pair count of ({}, {})",
+                a.item,
+                b.item
+            );
+            if tids.support() < min_support {
+                continue;
+            }
+            tids
+        } else {
+            match a.tids.join(&b.tids, min_support, stats) {
+                Some(tids) => tids,
+                None => continue,
+            }
+        };
+        if let TidSet::Diff {
+            tids: diff,
+            support,
+        } = &tids
+        {
+            debug_assert!(
+                *support >= min_support
+                    && *support as usize + diff.len() == a.tids.support() as usize,
+                "diffset support {support} of ({}, {}) is not sup(PX) {} - |d| {}",
+                a.item,
+                b.item,
+                a.tids.support(),
+                diff.len()
+            );
         }
-        let tids = a.tids.intersect(&b.tids, false, stats);
-        debug_assert!(
-            pair_row.is_none_or(|row| row[d] == tids.support()),
-            "tidset support disagrees with the pair count of ({}, {})",
-            a.item,
-            b.item
-        );
-        if tids.support() >= min_support {
-            total_support += tids.support() as u64;
-            child.push(Member { item: b.item, tids });
-        }
+        total_support += tids.support() as u64;
+        child.push(Member { item: b.item, tids });
     }
     if child.is_empty() {
         return;
     }
-    let target = cfg.choose(total_support, child.len(), n_txns);
-    convert_members(&mut child, target, n_words_for(n_txns), stats);
+    if !matches!(child[0].tids, TidSet::Diff { .. }) {
+        let target = cfg.choose(total_support, child.len(), n_txns);
+        convert_members(&mut child, target, n_words_for(n_txns), stats);
+    }
     prefix.push(a.item);
     for m in &child {
-        let mut items = prefix.clone();
+        let mut items = Vec::with_capacity(prefix.len() + 1);
+        items.extend_from_slice(prefix);
         items.push(m.item);
         out.push((items, m.tids.support()));
     }

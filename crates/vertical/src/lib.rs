@@ -1,4 +1,4 @@
-//! Parallel vertical mining: bitmap tidsets, word-AND intersection
+//! Parallel vertical mining: tidsets, diffsets and bitmaps, their join
 //! kernels, and the parallel Eclat driver.
 //!
 //! The paper's CCPD algorithm counts candidates against the horizontal
@@ -7,8 +7,10 @@
 //! and support is an intersection, not a scan (§7.1). This crate is that
 //! subsystem:
 //!
-//! * [`tidset`] — the [`TidSet`] representations (sorted lists vs dense
-//!   bitmaps) and their intersection kernels;
+//! * [`tidset`] — the [`TidSet`] representations (sorted lists, diffsets
+//!   and dense bitmaps) and their join kernels: intersection at the root,
+//!   and below it a difference that stops as soon as the itemset cannot
+//!   be frequent (dEclat's diffsets, from size 3 on);
 //! * [`config`] — the [`VerticalConfig`] knobs: backend policy, density
 //!   threshold, class scheduling;
 //! * [`driver`] — transposition and the prefix-class DFS;
@@ -42,4 +44,6 @@ pub use parallel::{
     class_seeds, mine_eclat_parallel, mine_eclat_parallel_seeded, mine_hybrid,
     try_mine_eclat_parallel, TryMineOutcome,
 };
-pub use tidset::{and_words, intersect_linear, intersect_sorted, Backend, KernelStats, TidSet};
+pub use tidset::{
+    and_words, difference_linear, intersect_linear, intersect_sorted, Backend, KernelStats, TidSet,
+};

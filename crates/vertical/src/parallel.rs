@@ -323,6 +323,8 @@ mod tests {
     use crate::config::TidBackend;
     use arm_core::mine_eclat;
     use arm_exec::Scheduling;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn paper_db() -> Database {
         Database::from_transactions(
@@ -424,6 +426,86 @@ mod tests {
         ] {
             let (got, _) = mine_eclat_parallel_seeded(&db, 2, None, &cfg, seeds.len(), &seeds);
             assert_eq!(got, want, "seeds={seeds:?}");
+        }
+    }
+
+    /// A random database over `n_items` items where each transaction
+    /// holds each item with probability `density` percent.
+    fn dense_db(n_items: u32, n_txns: usize, density: u32, seed: u64) -> Database {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let txns: Vec<Vec<u32>> = (0..n_txns)
+            .map(|_| {
+                (0..n_items)
+                    .filter(|_| rng.gen_range(0..100u32) < density)
+                    .collect()
+            })
+            .collect();
+        Database::from_transactions(n_items, txns).unwrap()
+    }
+
+    /// `p` contiguous ranges tiling `0..n`, cut at random points, so any
+    /// of them may be empty or hold everything.
+    fn random_tiles(n: usize, p: usize, rng: &mut StdRng) -> Vec<Range<usize>> {
+        let mut cuts: Vec<usize> = (1..p).map(|_| rng.gen_range(0..n + 1)).collect();
+        cuts.sort_unstable();
+        let mut start = 0;
+        let mut tiles = Vec::with_capacity(p);
+        for end in cuts.into_iter().chain([n]) {
+            tiles.push(start..end);
+            start = end;
+        }
+        tiles
+    }
+
+    #[test]
+    fn dense_fixture_reaches_deep_diffsets_and_trips_budgets() {
+        let db = dense_db(10, 40, 75, 7);
+        let minsup = 12;
+        let want = mine_eclat(&db, minsup, None);
+        assert!(
+            want.iter().any(|(s, _)| s.len() >= 5),
+            "no itemset of size 5"
+        );
+        // Some join below the root is infrequent, so its budget trips:
+        // two frequent 3-itemsets sharing a 2-prefix whose union is not.
+        let supports: std::collections::HashMap<&[u32], u32> =
+            want.iter().map(|(s, c)| (s.as_slice(), *c)).collect();
+        let threes: Vec<&[u32]> = supports.keys().copied().filter(|s| s.len() == 3).collect();
+        assert!(threes.iter().any(|x| threes.iter().any(|y| {
+            x[..2] == y[..2] && x[2] < y[2] && !supports.contains_key(&[x[0], x[1], x[2], y[2]][..])
+        })));
+        let cfg = VerticalConfig::default().with_backend(TidBackend::Sorted);
+        assert_eq!(mine_eclat_parallel(&db, minsup, None, &cfg, 1).0, want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Dense random databases, deep enough for diffsets of diffsets,
+        /// at supports where many joins run out of budget: every backend,
+        /// thread count and adversarial class tiling matches the oracle.
+        #[test]
+        fn driver_matches_oracle_on_dense_random_databases(
+            n_items in 4u32..11,
+            n_txns in 8usize..48,
+            density in 45u32..90,
+            minsup_pct in 10u32..60,
+            seed in 0u64..u64::MAX,
+        ) {
+            let db = dense_db(n_items, n_txns, density, seed);
+            let minsup = (n_txns as u32 * minsup_pct / 100).max(1);
+            let want = mine_eclat(&db, minsup, None);
+            let n_classes = want.iter().take_while(|(s, _)| s.len() == 1).count();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x7115);
+            for backend in [TidBackend::Sorted, TidBackend::Bitmap, TidBackend::Auto] {
+                let cfg = VerticalConfig::default().with_backend(backend);
+                for p in 1..=3 {
+                    let (got, _) = mine_eclat_parallel(&db, minsup, None, &cfg, p);
+                    prop_assert_eq!(&got, &want, "backend={:?} p={}", backend, p);
+                    let tiles = random_tiles(n_classes, p, &mut rng);
+                    let (got, _) = mine_eclat_parallel_seeded(&db, minsup, None, &cfg, p, &tiles);
+                    prop_assert_eq!(&got, &want, "backend={:?} tiles={:?}", backend, tiles);
+                }
+            }
         }
     }
 

@@ -1,11 +1,20 @@
-//! Tidset representations and their intersection kernels.
+//! Tidset representations and their join kernels.
 //!
 //! A *tidset* is the set of transaction ids containing an itemset; its
-//! cardinality is the itemset's support. Two physical layouts coexist:
+//! cardinality is the itemset's support. Three physical layouts coexist:
 //!
 //! * [`TidSet::Sorted`] — an ascending `Vec<Tid>`. Intersection is one
 //!   kernel, the branch-free merge [`intersect_linear`]
 //!   (`O(|a| + |b|)`, no data-dependent branch in its inner loop).
+//! * [`TidSet::Diff`] — a *diffset* (dEclat, Zaki & Gouda 2003): the
+//!   ascending tids that the class prefix `PX` has and the itemset
+//!   lacks, plus the itemset's support. Below Eclat's root every sorted
+//!   class joins by difference, [`difference_linear`], the merge's
+//!   branch-free twin: from a tidset class `d(PXY) = t(PX) \ t(PY)`,
+//!   from a diffset class `d(PXY) = d(PY) \ d(PX)`, and in both cases
+//!   `sup(PXY) = sup(PX) − |d(PXY)|`. The kernel takes a miss budget of
+//!   `sup(PX) − min_support` and stops as soon as the diffset outgrows
+//!   it: past that point `PXY` cannot be frequent.
 //! * [`TidSet::Bitmap`] — one bit per transaction packed into `u64`
 //!   words. Intersection is a word-wise AND with a fused `count_ones`
 //!   popcount; cost is `n_txns / 64` words regardless of density, so it
@@ -13,9 +22,11 @@
 //!   tid in 64 (the break-even ratio behind
 //!   [`crate::VerticalConfig::density_threshold`]).
 //!
-//! The raw kernels ([`intersect_linear`], [`and_words`]) are exported
-//! for the criterion `intersection` bench; the drivers go through
-//! [`TidSet::intersect`], which also books [`KernelStats`] telemetry.
+//! The raw kernels ([`intersect_linear`], [`difference_linear`],
+//! [`and_words`]) are exported for the criterion `intersection` bench;
+//! the drivers go through [`TidSet::intersect`] (the root) and
+//! [`TidSet::join`] (every class below it), which also book
+//! [`KernelStats`] telemetry.
 
 use arm_dataset::Tid;
 
@@ -23,14 +34,18 @@ use arm_dataset::Tid;
 /// path) and folded into the `arm-metrics` shards by the drivers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Tidset intersections performed.
+    /// Joins performed: intersections and differences alike, including
+    /// differences that stopped early, so the count depends only on
+    /// which pairs were joined, not on how.
     pub intersections: u64,
     /// `u64` words ANDed by the bitmap kernel.
     pub words_anded: u64,
     /// Bytes of tidset storage materialized (outputs and conversions).
     pub tidset_bytes: u64,
-    /// Abstract work units (merge: `|a| + |b|`; AND: words touched) —
-    /// the per-thread tally behind the `mine` phase's imbalance.
+    /// Abstract work units (merge: `|a| + |b|`; difference: the elements
+    /// it consumed, fewer than `|a| + |b|` when it stops early; AND:
+    /// words touched) — the per-thread tally behind the `mine` phase's
+    /// imbalance.
     pub work_units: u64,
 }
 
@@ -45,7 +60,8 @@ impl KernelStats {
 }
 
 /// Which physical layout a [`TidSet`] uses. The *resolved* form of the
-/// [`crate::TidBackend`] knob (which adds an `Auto` mode).
+/// [`crate::TidBackend`] knob (which adds an `Auto` mode). A diffset is
+/// a sorted list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Ascending tid list.
@@ -54,11 +70,12 @@ pub enum Backend {
     Bitmap,
 }
 
-/// A transaction-id set in one of two physical representations.
+/// A transaction-id set in one of three physical representations.
 ///
 /// All members of one equivalence class share a representation, so
-/// [`TidSet::intersect`] never sees mixed operands (it panics if it
-/// does — that would be a driver bug, not an input condition).
+/// [`TidSet::intersect`] and [`TidSet::join`] never see mixed operands
+/// (they panic if they do — that would be a driver bug, not an input
+/// condition).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TidSet {
     /// Ascending list of transaction ids.
@@ -71,6 +88,14 @@ pub enum TidSet {
         /// Number of set bits (the support), cached at construction.
         count: u32,
     },
+    /// Ascending tids of the class prefix `PX` that are not in the
+    /// itemset `PXY` (its diffset), plus the itemset's support.
+    Diff {
+        /// `t(PX) \ t(PXY)`, ascending.
+        tids: Vec<Tid>,
+        /// `sup(PXY) = sup(PX) − |tids|`.
+        support: u32,
+    },
 }
 
 impl TidSet {
@@ -79,13 +104,14 @@ impl TidSet {
         match self {
             TidSet::Sorted(tids) => tids.len() as u32,
             TidSet::Bitmap { count, .. } => *count,
+            TidSet::Diff { support, .. } => *support,
         }
     }
 
     /// Bytes of backing storage (4 per tid, 8 per bitmap word).
     pub fn bytes(&self) -> u64 {
         match self {
-            TidSet::Sorted(tids) => 4 * tids.len() as u64,
+            TidSet::Sorted(tids) | TidSet::Diff { tids, .. } => 4 * tids.len() as u64,
             TidSet::Bitmap { words, .. } => 8 * words.len() as u64,
         }
     }
@@ -93,13 +119,13 @@ impl TidSet {
     /// Which layout this set uses.
     pub fn backend(&self) -> Backend {
         match self {
-            TidSet::Sorted(_) => Backend::Sorted,
+            TidSet::Sorted(_) | TidSet::Diff { .. } => Backend::Sorted,
             TidSet::Bitmap { .. } => Backend::Bitmap,
         }
     }
 
     /// Converts to a bitmap over `n_words` words (no-op copy if already
-    /// a bitmap).
+    /// a bitmap). Panics on a diffset, which holds no tidset of its own.
     pub fn to_bitmap(&self, n_words: usize) -> TidSet {
         match self {
             TidSet::Bitmap { words, count } => TidSet::Bitmap {
@@ -116,10 +142,12 @@ impl TidSet {
                     count: tids.len() as u32,
                 }
             }
+            TidSet::Diff { .. } => panic!("{DIFF_CONVERSION}"),
         }
     }
 
-    /// Converts to a sorted list (no-op copy if already sorted).
+    /// Converts to a sorted list (no-op copy if already sorted). Panics
+    /// on a diffset, which holds no tidset of its own.
     pub fn to_sorted(&self) -> TidSet {
         match self {
             TidSet::Sorted(tids) => TidSet::Sorted(tids.clone()),
@@ -135,6 +163,7 @@ impl TidSet {
                 }
                 TidSet::Sorted(tids)
             }
+            TidSet::Diff { .. } => panic!("{DIFF_CONVERSION}"),
         }
     }
 
@@ -156,10 +185,45 @@ impl TidSet {
                 stats.tidset_bytes += 8 * words.len() as u64;
                 TidSet::Bitmap { words, count }
             }
-            _ => panic!("mixed tidset backends within one equivalence class"),
+            _ => panic!("{MIXED}"),
+        }
+    }
+
+    /// Joins two members of a class below the root, `self` = `PX` and a
+    /// later member `other` = `PY`, into `PXY`, or `None` when `PXY`'s
+    /// support is below `min_support`; books telemetry into `stats`.
+    ///
+    /// A sorted class joins by difference and yields a diffset: from
+    /// tidsets `t(PX) \ t(PY)`, from diffsets `d(PY) \ d(PX)`. The kernel
+    /// stops once the diffset exceeds `sup(PX) − min_support` tids. A
+    /// bitmap class intersects. `self` must be frequent.
+    pub fn join(
+        &self,
+        other: &TidSet,
+        min_support: u32,
+        stats: &mut KernelStats,
+    ) -> Option<TidSet> {
+        let parent = self.support();
+        let budget = parent.saturating_sub(min_support) as usize;
+        let diff = |a: &[Tid], b: &[Tid], stats: &mut KernelStats| {
+            difference_sorted(a, b, budget, stats).map(|tids| TidSet::Diff {
+                support: parent - tids.len() as u32,
+                tids,
+            })
+        };
+        match (self, other) {
+            (TidSet::Sorted(a), TidSet::Sorted(b)) => diff(a, b, stats),
+            (TidSet::Diff { tids: a, .. }, TidSet::Diff { tids: b, .. }) => diff(b, a, stats),
+            (TidSet::Bitmap { .. }, TidSet::Bitmap { .. }) => {
+                Some(self.intersect(other, false, stats)).filter(|t| t.support() >= min_support)
+            }
+            _ => panic!("{MIXED}"),
         }
     }
 }
+
+const MIXED: &str = "mixed tidset backends within one equivalence class";
+const DIFF_CONVERSION: &str = "a diffset cannot be converted without its prefix's tidset";
 
 /// Sorted-slice intersection with [`KernelStats`] bookkeeping: the
 /// sorted-list arm of [`TidSet::intersect`].
@@ -193,6 +257,65 @@ pub fn intersect_linear(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) {
         j += usize::from(y <= x);
     }
     out.truncate(start + n);
+}
+
+/// Sorted-slice difference `a \ b` with [`KernelStats`] bookkeeping:
+/// `None` when it holds more than `budget` tids (see
+/// [`difference_linear`]). Work is the elements the kernel consumed.
+fn difference_sorted(
+    a: &[Tid],
+    b: &[Tid],
+    budget: usize,
+    stats: &mut KernelStats,
+) -> Option<Vec<Tid>> {
+    stats.intersections += 1;
+    let mut out = Vec::new();
+    let result = difference_linear(a, b, budget, &mut out);
+    let (Ok(consumed) | Err(consumed)) = result;
+    stats.work_units += consumed.max(1) as u64;
+    stats.tidset_bytes += 4 * out.len() as u64;
+    result.ok().map(|_| out)
+}
+
+/// Branch-free merge difference `a \ b` of ascending slices, appended to
+/// `out` if it holds at most `budget` tids. The loop is
+/// [`intersect_linear`]'s with the write condition flipped: each step
+/// stores `a[i]` and advances the write index by `a[i] < b[j]`, `i` by
+/// `a[i] <= b[j]` and `j` by `b[j] <= a[i]`; once `b` runs out, the tail
+/// of `a` is copied. The loop also stops as soon as the difference
+/// outgrows `budget`, so the output needs at most `min(|a|, budget + 1)`
+/// slots past `out`'s length.
+///
+/// Returns `Ok(consumed)` with the difference appended, or
+/// `Err(consumed)` with `out` as it was when `|a \ b| > budget`;
+/// `consumed` counts the elements of `a` and `b` the kernel read.
+pub fn difference_linear(
+    a: &[Tid],
+    b: &[Tid],
+    budget: usize,
+    out: &mut Vec<Tid>,
+) -> Result<usize, usize> {
+    let start = out.len();
+    out.resize(start + a.len().min(budget.saturating_add(1)), 0);
+    let dst = &mut out[start..];
+    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
+    while n <= budget && i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        // In bounds: `n <= budget`, and every write advance also
+        // advances `i`, so `n <= i < |a|`.
+        dst[n] = x;
+        n += usize::from(x < y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    let tail = a.len() - i;
+    if n + tail > budget {
+        out.truncate(start);
+        return Err(i + j);
+    }
+    dst[n..n + tail].copy_from_slice(&a[i..]);
+    out.truncate(start + n + tail);
+    Ok(a.len() + j)
 }
 
 /// Word-wise AND of two equal-universe bitmaps into `out`, returning the
@@ -316,6 +439,102 @@ mod tests {
                 prop_assert_eq!(&out[prefix.len()..], &want[..], "merge");
             }
         }
+    }
+
+    proptest! {
+        #[test]
+        fn difference_equals_btreeset_difference(
+            short_len in 0usize..300,
+            exp in 0u32..9,
+            mode in 0u8..4,
+            seed in 0u64..u64::MAX,
+            prefix in proptest::collection::vec(0u32..u32::MAX, 0..4),
+        ) {
+            let (short, long) = pair(short_len, exp, mode, seed);
+            for (a, b) in [(&short, &long), (&long, &short)] {
+                let want: Vec<Tid> = a
+                    .iter()
+                    .collect::<BTreeSet<_>>()
+                    .difference(&b.iter().collect::<BTreeSet<_>>())
+                    .map(|&&t| t)
+                    .collect();
+                let m = want.len();
+                for budget in [0, m.saturating_sub(1), m, a.len()] {
+                    // Appends past a non-empty `out`, leaving its prefix
+                    // alone, and appends nothing when over budget.
+                    let mut out = prefix.clone();
+                    let got = difference_linear(a, b, budget, &mut out);
+                    prop_assert_eq!(&out[..prefix.len()], &prefix[..], "prefix");
+                    prop_assert_eq!(got.is_err(), m > budget, "budget {} |a \\ b| {}", budget, m);
+                    let appended: &[Tid] = if m > budget { &[] } else { &want };
+                    prop_assert_eq!(&out[prefix.len()..], appended, "difference");
+
+                    let mut st = KernelStats::default();
+                    let sorted = difference_sorted(a, b, budget, &mut st);
+                    prop_assert_eq!(sorted, (m <= budget).then(|| want.clone()));
+                    prop_assert_eq!(st.intersections, 1);
+                    prop_assert!(st.work_units <= (a.len() + b.len()).max(1) as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn join_below_the_root() {
+        let mut st = KernelStats::default();
+        // Tidsets t(PX), t(PY), t(PZ) -> diffsets d(PXY), d(PXZ).
+        let (px, py, pz) = (
+            TidSet::Sorted(vec![1, 2, 3, 5, 8]),
+            TidSet::Sorted(vec![2, 3, 5, 7]),
+            TidSet::Sorted(vec![1, 2, 3, 5, 8, 9]),
+        );
+        let pxy = px.join(&py, 2, &mut st).unwrap();
+        assert_eq!(
+            pxy,
+            TidSet::Diff {
+                tids: vec![1, 8],
+                support: 3
+            }
+        );
+        let pxz = px.join(&pz, 2, &mut st).unwrap();
+        assert_eq!(
+            pxz,
+            TidSet::Diff {
+                tids: vec![],
+                support: 5
+            }
+        );
+        // One level deeper: d(PXYZ) = d(PXZ) \ d(PXY), sup = 3 - 0.
+        let pxyz = pxy.join(&pxz, 3, &mut st).unwrap();
+        assert_eq!(
+            pxyz,
+            TidSet::Diff {
+                tids: vec![],
+                support: 3
+            }
+        );
+        // sup(PXY) = 3 misses minsup 4: the budget of 1 trips.
+        assert_eq!(px.join(&py, 4, &mut st), None);
+        assert_eq!(st.intersections, 4);
+        // Bitmap classes intersect, keeping only frequent children.
+        let (bx, by) = (px.to_bitmap(1), py.to_bitmap(1));
+        assert_eq!(
+            bx.join(&by, 3, &mut st).map(|t| t.to_sorted()),
+            Some(TidSet::Sorted(vec![2, 3, 5]))
+        );
+        assert_eq!(bx.join(&by, 4, &mut st), None);
+        assert_eq!(pxy.bytes(), 8);
+        assert_eq!(pxy.backend(), Backend::Sorted);
+    }
+
+    #[test]
+    #[should_panic(expected = "diffset cannot be converted")]
+    fn diffsets_do_not_convert() {
+        TidSet::Diff {
+            tids: vec![1],
+            support: 3,
+        }
+        .to_bitmap(1);
     }
 
     #[test]
