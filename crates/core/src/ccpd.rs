@@ -18,7 +18,7 @@
 //! * support counting, `k ≥ 3`, with `pair_array`: each thread counts
 //!   its chunks of the per-transaction id lists into a private `|C_k|`
 //!   array (`count_classes`; at `k = 3` the lists are read off the items
-//!   through `F_2`'s rank directory). Each claimed chunk writes its
+//!   through `F_2`'s partner lists). Each claimed chunk writes its
 //!   transactions' contained candidate ids to a segment keyed by the
 //!   chunk's start; the segments, concatenated in start order, are the
 //!   lists the next level counts over (identical under every scheduling
@@ -165,7 +165,7 @@ pub fn try_mine(
         join_pairs: 0,
         meter: WorkMeter::default(),
     }];
-    // With the pair array: `F_2` with its rank directory. While it is
+    // With the pair array: `F_2`'s partner lists. While they are
     // set, every level k ≥ 3 counts in class arrays, over the id lists the
     // level before wrote (`None` at k = 3: the items via `f2`).
     let mut f2 = None;
@@ -213,8 +213,8 @@ pub fn try_mine(
 
             let span = metrics.phase("extract", k);
             let total = reduce_into_first(arrays).expect("one array per thread");
-            let fk = index.frequent(&total, min_support);
-            f2 = Some(index.frequent_pairs(&total, min_support));
+            let (fk, pairs) = index.frequent(&total, min_support);
+            f2 = Some(pairs);
             span.finish_serial();
             iter_stats.push(index.iter_stats(fk.len(), total_meter));
             if fk.is_empty() {

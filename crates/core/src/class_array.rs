@@ -429,8 +429,7 @@ mod tests {
         let pairs = PairIndex::new(&items, db.n_items()).unwrap();
         let mut c2 = pairs.zeroed();
         pairs.count_into(db, 0..db.len(), &mut c2, &mut Vec::new());
-        let f2 = pairs.frequent_pairs(&c2, minsup);
-        let mut prev = pairs.frequent(&c2, minsup);
+        let (mut prev, f2) = pairs.frequent(&c2, minsup);
         let mut held: Option<(Database, Vec<u32>)> = None;
         let mut out = Vec::new();
         for k in 3.. {

@@ -12,18 +12,20 @@ use arm_dataset::Item;
 use arm_hashtree::CandidateSet;
 use std::ops::Range;
 
-/// Contiguous ranges of `level` sharing a common `(k-1)-1`-item prefix.
-/// For `F_1` there is a single class (the empty prefix).
-pub fn equivalence_classes(level: &FrequentLevel) -> Vec<Range<u32>> {
-    let n = level.len() as u32;
+/// Contiguous ranges of `sets` (a sorted level, or any lex-sorted
+/// [`CandidateSet`]) sharing a common `(k-1)`-item prefix. For `k = 1`
+/// there is a single class (the empty prefix).
+pub fn equivalence_classes(sets: &impl AsRef<CandidateSet>) -> Vec<Range<u32>> {
+    let sets = sets.as_ref();
+    let n = sets.len() as u32;
     if n == 0 {
         return Vec::new();
     }
-    let prefix = level.k() as usize - 1;
+    let prefix = sets.k() as usize - 1;
     let mut classes = Vec::new();
     let mut start = 0u32;
     for i in 1..n {
-        if level.get(i as usize)[..prefix] != level.get(start as usize)[..prefix] {
+        if sets.get(i)[..prefix] != sets.get(start)[..prefix] {
             classes.push(start..i);
             start = i;
         }
@@ -145,6 +147,8 @@ pub fn generate_candidates(level: &FrequentLevel) -> (CandidateSet, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn level_from(k: u32, sets: &[&[Item]], supports: &[u32]) -> FrequentLevel {
         let mut c = CandidateSet::new(k);
@@ -248,5 +252,61 @@ mod tests {
         let (c4b, _) = generate_candidates(&l2);
         assert_eq!(c4b.len(), 1);
         assert_eq!(c4b.get(0), &[0, 1, 2, 3]);
+    }
+
+    proptest! {
+        /// On random sorted levels, `generate_candidates` equals a
+        /// brute-force join of every same-prefix pair followed by a full
+        /// prune that looks up all `k` of each candidate's `(k-1)`-subsets
+        /// by a linear scan of the level, and counts the same join pairs.
+        #[test]
+        fn candidates_equal_brute_force_join_and_prune(
+            k_prev in 1usize..7,
+            high in any::<bool>(),
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..10, 7), 0..120),
+        ) {
+            let base = if high { u32::MAX - 9 } else { 0 };
+            let sets: BTreeSet<Vec<Item>> = rows
+                .iter()
+                .map(|row| {
+                    let s: BTreeSet<Item> = row.iter().map(|&x| base + x).collect();
+                    s.into_iter().take(k_prev).collect::<Vec<Item>>()
+                })
+                .filter(|s| s.len() == k_prev)
+                .collect();
+            let sets: Vec<Vec<Item>> = sets.into_iter().collect();
+            let supports = vec![1; sets.len()];
+            let level = level_from(
+                k_prev as u32,
+                &sets.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+                &supports,
+            );
+
+            let mut want = Vec::new();
+            let mut want_pairs = 0u64;
+            for (i, a) in sets.iter().enumerate() {
+                for b in &sets[i + 1..] {
+                    if a[..k_prev - 1] != b[..k_prev - 1] {
+                        continue;
+                    }
+                    want_pairs += 1;
+                    let mut cand = a.clone();
+                    cand.push(b[k_prev - 1]);
+                    let all_frequent = (0..cand.len()).all(|drop| {
+                        let mut sub = cand.clone();
+                        sub.remove(drop);
+                        sets.contains(&sub)
+                    });
+                    if all_frequent {
+                        want.push(cand);
+                    }
+                }
+            }
+
+            let (got, pairs) = generate_candidates(&level);
+            let got: Vec<Vec<Item>> = got.iter().map(|(_, s)| s.to_vec()).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(pairs, want_pairs);
+        }
     }
 }

@@ -11,9 +11,8 @@
 //!
 //! Each worker counts its transaction ranges into a private array
 //! ([`PairIndex::count_into`]); the arrays are summed by [`reduce_into_first`]
-//! and [`PairIndex::frequent`] reads `F_2` off the total in canonical order.
-//!
-//! The same total also yields `F_2` as per-rank partner lists
+//! and [`PairIndex::frequent`] reads `F_2` off the total in one scan, in
+//! canonical order, both as a level and as per-rank partner lists
 //! ([`FrequentPairs`]): for each rank, the ascending higher ranks it forms
 //! a frequent pair with, row after row, so a pair's slot is its `F_2` id.
 //! The `k = 3` class-array pass ([`crate::class_array`]) reads each
@@ -143,42 +142,32 @@ impl PairIndex {
         increments
     }
 
-    /// `F_2`: the pairs whose count reaches `min_support`, in the
-    /// canonical (lexicographic) order.
-    pub fn frequent(&self, counts: &[u32], min_support: u32) -> FrequentLevel {
+    /// `F_2`, the pairs whose count reaches `min_support`, read off the
+    /// array in one scan: as a level in canonical (lexicographic) order,
+    /// and as per-rank partner lists over this index's ranks in the same
+    /// order, so a pair's slot is its `F_2` id.
+    pub fn frequent(&self, counts: &[u32], min_support: u32) -> (FrequentLevel, FrequentPairs<'_>) {
         let mut sets = CandidateSet::new(2);
         let mut supports = Vec::new();
-        for (a, &x) in self.items.iter().enumerate() {
-            for (&y, &c) in self.items[a + 1..].iter().zip(self.row(counts, a)) {
-                if c >= min_support {
-                    sets.push(&[x, y]);
-                    supports.push(c);
-                }
-            }
-        }
-        FrequentLevel::new(sets, supports)
-    }
-
-    /// `F_2` as per-rank partner lists over this index's ranks (the
-    /// pairs whose count reaches `min_support`), read off the array in
-    /// canonical order, so a pair's slot is its `F_2` id.
-    pub fn frequent_pairs(&self, counts: &[u32], min_support: u32) -> FrequentPairs<'_> {
         let mut start = Vec::with_capacity(self.items.len() + 1);
         let mut partner = Vec::new();
         start.push(0);
-        for a in 0..self.items.len() {
-            let row = self.row(counts, a).iter().enumerate();
-            partner.extend(
-                row.filter(|(_, &c)| c >= min_support)
-                    .map(|(i, _)| (a + 1 + i) as u32),
-            );
+        for (a, &x) in self.items.iter().enumerate() {
+            for (b, &c) in (a as u32 + 1..).zip(self.row(counts, a)) {
+                if c >= min_support {
+                    sets.push(&[x, self.items[b as usize]]);
+                    supports.push(c);
+                    partner.push(b);
+                }
+            }
             start.push(partner.len());
         }
-        FrequentPairs {
+        let pairs = FrequentPairs {
             index: self,
             start,
             partner,
-        }
+        };
+        (FrequentLevel::new(sets, supports), pairs)
     }
 
     /// The `k = 2` iteration record of a run counted with this index:
@@ -198,7 +187,7 @@ impl PairIndex {
 }
 
 /// `F_2` as per-rank partner lists over a [`PairIndex`]'s ranks
-/// ([`PairIndex::frequent_pairs`]), in CSR form: the partners of rank `a`
+/// ([`PairIndex::frequent`]), in CSR form: the partners of rank `a`
 /// are `partner[start[a]..start[a + 1]]`, the ascending ranks `b > a`
 /// with `(a, b)` frequent. `F_2` is lex-ordered, so the slot of a pair in
 /// `partner` is its `F_2` id.
@@ -352,7 +341,7 @@ mod tests {
         // Frequent ranks {1,2,4,5}: txns contribute 3 + 1 + 1 + 6 pairs.
         assert_eq!(hits, 11);
         assert_eq!(counts.iter().map(|&c| c as u64).sum::<u64>(), hits);
-        let f2 = idx.frequent(&counts, 2);
+        let (f2, _) = idx.frequent(&counts, 2);
         let got: Vec<(Vec<Item>, u32)> = f2.iter().map(|(s, c)| (s.to_vec(), c)).collect();
         assert_eq!(
             got,
@@ -456,10 +445,12 @@ mod tests {
             prop_assert_eq!(reduce_into_first(parts).unwrap(), whole);
         }
 
-        /// The partner lists number `F_2` canonically: read row after
-        /// row, they are `F_2` in order. `ids_into` lists exactly a
-        /// transaction's frequent pairs, ascending, with one scratch
-        /// reused across the database.
+        /// One scan reads `F_2` off the array: the level is the pairs a
+        /// brute-force count finds frequent, in lexicographic order, and
+        /// the partner lists, read row after row, are the same pairs in
+        /// the same order. `ids_into` lists exactly a transaction's
+        /// frequent pairs, ascending, with one scratch reused across the
+        /// database.
         #[test]
         fn frequent_pair_ids_are_f2_positions(
             txns in proptest::collection::vec(proptest::collection::vec(0u32..24, 0..12), 0..60),
@@ -470,8 +461,14 @@ mod tests {
             let idx = PairIndex::new(&items, db.n_items()).unwrap();
             let mut counts = idx.zeroed();
             idx.count_into(&db, 0..db.len(), &mut counts, &mut Vec::new());
-            let f2 = idx.frequent(&counts, minsup);
-            let pairs = idx.frequent_pairs(&counts, minsup);
+            let (f2, pairs) = idx.frequent(&counts, minsup);
+            let brute: Vec<(Vec<Item>, u32)> = naive_pairs(&db)
+                .into_iter()
+                .filter(|&(_, c)| c >= minsup)
+                .map(|((x, y), c)| (vec![x, y], c))
+                .collect();
+            let got: Vec<(Vec<Item>, u32)> = f2.iter().map(|(s, c)| (s.to_vec(), c)).collect();
+            prop_assert_eq!(got, brute);
             prop_assert_eq!(pairs.partner.len(), f2.len());
             let mut listed = Vec::new();
             for (a, &x) in items.iter().enumerate() {
@@ -517,7 +514,7 @@ mod tests {
             let idx = PairIndex::new(&items, 2 * n).unwrap();
             let counts: Vec<u32> =
                 (0..idx.len()).map(|_| u32::from(next() % 100 < density)).collect();
-            let pairs = idx.frequent_pairs(&counts, 1);
+            let (_, pairs) = idx.frequent(&counts, 1);
             // The F_2 id of a frequent pair: the frequent slots before it.
             let id_of: Vec<u32> = counts
                 .iter()

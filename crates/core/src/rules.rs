@@ -160,14 +160,12 @@ fn join_consequents(survivors: &CandidateSet) -> CandidateSet {
     if survivors.len() < 2 {
         return out;
     }
-    // Reuse the equivalence-class machinery via a throwaway level.
-    let fake = FrequentLevel::new(survivors.clone(), vec![0; survivors.len()]);
     let mut scratch = Vec::with_capacity(m as usize + 1);
-    for class in equivalence_classes(&fake) {
+    for class in equivalence_classes(survivors) {
         for i in class.clone() {
             for j in (i + 1)..class.end {
-                let a = fake.get(i as usize);
-                let b = fake.get(j as usize);
+                let a = survivors.get(i);
+                let b = survivors.get(j);
                 scratch.clear();
                 scratch.extend_from_slice(a);
                 scratch.push(b[m as usize - 1]);

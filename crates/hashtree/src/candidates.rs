@@ -105,6 +105,12 @@ impl CandidateSet {
     }
 }
 
+impl AsRef<CandidateSet> for CandidateSet {
+    fn as_ref(&self) -> &CandidateSet {
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
