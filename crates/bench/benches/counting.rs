@@ -1,5 +1,5 @@
 //! Support-counting kernel benchmarks: placement policy, short-circuit,
-//! fast-path knobs, and counter-placement effects on the hot loop.
+//! transaction trimming, and counter-placement effects on the hot loop.
 
 use arm_balance::BitonicHash;
 use arm_dataset::Database;
@@ -106,9 +106,7 @@ fn bench_short_circuit(c: &mut Criterion) {
     g.finish();
 }
 
-/// The four counting fast-path knobs, off→on one at a time plus the
-/// all-on/all-off endpoints (scratch reuse shows up as allocating the
-/// scratch inside vs outside the timed loop).
+/// Transaction trimming off and on (the walk's only counting knob).
 fn bench_fast_path(c: &mut Criterion) {
     let (db, cands) = fixture();
     let hash = BitonicHash::new(12);
@@ -118,57 +116,19 @@ fn bench_fast_path(c: &mut Criterion) {
     let filter = ItemFilter::from_candidates(&cands, N_ITEMS);
     let mut g = c.benchmark_group("fast_path");
     g.sample_size(15);
-    let base = CountOptions {
-        hash_memo: false,
-        iterative: false,
-        ..CountOptions::default()
-    };
-    let cases: [(&str, CountOptions, bool, bool); 6] = [
-        ("none", base, false, false),
-        (
-            "memo",
-            CountOptions {
-                hash_memo: true,
-                ..base
-            },
-            false,
-            false,
-        ),
-        ("trim", base, true, false),
-        (
-            "iterative",
-            CountOptions {
-                iterative: true,
-                ..base
-            },
-            false,
-            false,
-        ),
-        ("reuse", base, false, true),
-        ("all", CountOptions::default(), true, true),
-    ];
-    for (name, opts, trim, reuse) in cases {
-        let filter = trim.then_some(&filter);
-        let mut outer = CountScratch::new(N_ITEMS, tree.n_nodes());
+    for (name, filter) in [("untrimmed", None), ("trim", Some(&filter))] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let mut fresh;
-                let scratch: &mut CountScratch = if reuse {
-                    outer.retarget(tree.n_nodes());
-                    &mut outer
-                } else {
-                    fresh = CountScratch::new(N_ITEMS, tree.n_nodes());
-                    &mut fresh
-                };
+                let mut scratch = CountScratch::new(N_ITEMS, tree.n_nodes());
                 let mut meter = WorkMeter::default();
                 tree.count_partition(
                     &hash,
                     &db,
                     0..db.len(),
                     filter,
-                    scratch,
+                    &mut scratch,
                     &mut CounterRef::Inline,
-                    opts,
+                    CountOptions::default(),
                     &mut meter,
                 );
                 meter.hits

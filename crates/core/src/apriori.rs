@@ -160,15 +160,14 @@ mod tests {
         // The default: arrays at every level, no tree.
         let reference = mine(&db, &paper_config()).all_itemsets();
         assert_eq!(reference, crate::naive::mine_exhaustive(&db, 2));
-        // Every tree knob, on the tree (`pair_array: false`); `fast` turns
-        // the counting fast path on and off together.
+        // Every tree knob, on the tree (`pair_array: false`).
         use arm_hashtree::VisitedMode;
         for placement in PlacementPolicy::ALL {
             for scheme in [HashScheme::Interleaved, HashScheme::Bitonic] {
                 for sc in [false, true] {
                     for adaptive in [false, true] {
                         for visited in [VisitedMode::PerNode, VisitedMode::LevelPath] {
-                            for fast in [false, true] {
+                            for trim in [false, true] {
                                 let cfg = AprioriConfig {
                                     min_support: Support::Absolute(2),
                                     leaf_threshold: 2,
@@ -179,16 +178,13 @@ mod tests {
                                     visited,
                                     pair_array: false,
                                     placement,
-                                    max_k: None,
-                                    hash_memo: fast,
-                                    trim_transactions: fast,
-                                    iterative_walk: fast,
-                                    reuse_scratch: fast,
+                                    trim_transactions: trim,
+                                    ..AprioriConfig::default()
                                 };
                                 let got = mine(&db, &cfg).all_itemsets();
                                 assert_eq!(
                                     got, reference,
-                                    "{placement} {scheme:?} sc={sc} {visited:?} fast={fast}"
+                                    "{placement} {scheme:?} sc={sc} {visited:?} trim={trim}"
                                 );
                             }
                         }

@@ -59,7 +59,6 @@ use crate::generation::{
 use crate::level::FrequentLevel;
 use crate::pairs::{reduce_into_first, PairIndex};
 use crate::parallel_config::{DbPartition, ParallelConfig};
-use crate::scratch::ScratchPool;
 use crate::stats::ParallelRunStats;
 use arm_dataset::{
     block_ranges, weighted_ranges, weighted_ranges_for_k, Database, DatabaseBuilder,
@@ -149,12 +148,6 @@ pub fn try_mine(
         .pair_array
         .then(|| PairIndex::new(&f1_item_list, db.n_items()))
         .flatten();
-    // With `reuse_scratch`, one counting scratch per worker lives across
-    // all iterations (re-targeted per tree) instead of being reallocated.
-    let scratch_pool = cfg
-        .base
-        .reuse_scratch
-        .then(|| ScratchPool::new(p, db.n_items()));
     let mut iter_stats = vec![IterStats {
         k: 1,
         n_candidates: db.n_items() as usize,
@@ -370,8 +363,7 @@ pub fn try_mine(
         let opts = CountOptions {
             short_circuit: cfg.base.short_circuit,
             visited: cfg.base.visited,
-            hash_memo: cfg.base.hash_memo,
-            iterative: cfg.base.iterative_walk,
+            ..CountOptions::default()
         };
         // Shared read-only item filter for this iteration's candidates.
         let filter = cfg
@@ -390,21 +382,8 @@ pub fn try_mine(
             ChunkPool::new(&db_ranges, cfg.scheduling).with_cancel_token(ctrl.cancel.clone());
         let outcomes = try_run_threads(p, "count", &ctrl.cancel, |t| {
             let shard = metrics.shard(t);
-            let mut pooled;
-            let mut fresh;
-            let scratch: &mut CountScratch = match &scratch_pool {
-                Some(pool) => {
-                    pooled = pool.slot(t);
-                    pooled.retarget(tree.n_nodes());
-                    shard.incr(Counter::ScratchRetargets);
-                    &mut pooled
-                }
-                None => {
-                    fresh = CountScratch::new(db.n_items(), tree.n_nodes());
-                    shard.incr(Counter::ScratchAllocs);
-                    &mut fresh
-                }
-            };
+            let mut scratch = CountScratch::new(db.n_items(), tree.n_nodes());
+            shard.incr(Counter::ScratchAllocs);
             let mut meter = WorkMeter::default();
             let mut local = per_thread.then(|| LocalCounters::new(cands.len()));
             let mut segments = Vec::new();
@@ -432,7 +411,7 @@ pub fn try_mine(
                         input,
                         r,
                         filter.as_ref(),
-                        scratch,
+                        &mut scratch,
                         &mut cref,
                         opts,
                         &mut meter,

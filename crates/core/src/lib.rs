@@ -16,8 +16,6 @@
 //!   types with their per-iteration statistics;
 //! * [`parallel_config`] — thread count, candidate-generation balancing
 //!   scheme, database partition heuristic, scheduling;
-//! * [`scratch`] — the per-worker counting-scratch pool kept alive across
-//!   iterations;
 //! * [`stats`] — per-phase measured wall time and per-thread work
 //!   records, with the load-balance metrics of Figs. 8–10;
 //! * [`rules`] — confidence-based rule generation (ap-genrules);
@@ -57,7 +55,6 @@ pub mod pairs;
 pub mod parallel_config;
 pub mod partition_algo;
 pub mod rules;
-pub mod scratch;
 pub mod stats;
 pub mod summaries;
 pub mod taxonomy;
@@ -77,7 +74,6 @@ pub use pairs::{FrequentPairs, PairIndex};
 pub use parallel_config::{DbPartition, ParallelConfig};
 pub use partition_algo::mine_partition;
 pub use rules::{generate_rules, top_rules, Rule};
-pub use scratch::ScratchPool;
 pub use stats::{ParallelRunStats, PhaseStat};
 pub use summaries::{closed_itemsets, maximal_itemsets};
 pub use taxonomy::{mine_generalized, Taxonomy};

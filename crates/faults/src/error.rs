@@ -8,7 +8,7 @@ use std::time::Duration;
 /// process on any worker failure; a service cannot. Every parallel driver
 /// in the workspace maps the three ways a run can die onto this enum and
 /// guarantees that by the time it is returned **all worker threads have
-/// joined** and no shared state (trees, counters, scratch pools) is left
+/// joined** and no shared state (trees, counters, segments) is left
 /// mid-mutation — a retry on the same inputs is bit-identical to a run
 /// that never failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,34 +9,27 @@
 //! subset checking* optimization, enabled with
 //! [`CountOptions::short_circuit`].
 //!
-//! On top of that algorithmic layer sit four mechanical fast-path knobs,
-//! each independently toggleable so its effect can be ablated:
+//! The walk has one mechanical form: each transaction's items are hashed
+//! once into a memo table in [`CountScratch`] (so no item is re-hashed at
+//! every tree level), and the depth-first traversal runs over a small
+//! explicit frame stack instead of native recursion. A [`CountScratch`]
+//! is sized for one tree; drivers allocate one per thread per level.
 //!
-//! * **Hash memoization** ([`CountOptions::hash_memo`]): each transaction
-//!   item is hashed once into a reusable table in [`CountScratch`]; the
-//!   walk indexes the table instead of re-hashing the same item at every
-//!   tree level (and paying enum dispatch per call for `AnyHash`).
-//! * **Transaction trimming** ([`ItemFilter`], [`count_trimmed`]): before
-//!   the walk each transaction is cut to the items that can still be part
-//!   of a candidate it contains, which shrinks the subset space the walk
-//!   enumerates without changing a single count. Two rules, each
-//!   lossless:
-//!   - *item filter* ([`ItemFilter`]): an item in no candidate never
-//!     satisfies a containment test;
-//!   - *hit trim* (DHP's transaction trimming): if a transaction contains
-//!     `X ∈ C_{k+1}`, all `k + 1` of `X`'s `k`-subsets are `C_k`
-//!     candidates it contains, and each item of `X` lies in `k` of them.
-//!     So a pass that is asked for survivors tallies, per item, the
-//!     contained candidates it belongs to, and writes out only the items
-//!     with at least `k` hits — and only when at least `k + 1` remain.
-//!     That output is the database the `k + 1` pass reads.
-//! * **Explicit-stack traversal** ([`CountOptions::iterative`]): the
-//!   recursive walk (a 12-argument frame per level) is replaced by an
-//!   iterative loop over a small reusable frame stack, visiting nodes in
-//!   the exact same order (the [`WorkMeter`] tallies are bit-identical).
-//! * **Scratch reuse**: [`CountScratch::retarget`] re-aims an existing
-//!   scratch (with all its allocations) at a new tree, so drivers keep one
-//!   scratch per thread across all iterations instead of reallocating.
+//! The one counting knob on top is **transaction trimming**
+//! ([`ItemFilter`], [`AnyFrozenTree::count_trimmed`]): before the walk
+//! each transaction is cut to the items that can still be part of a
+//! candidate it contains, which shrinks the subset space the walk
+//! enumerates without changing a single count. Two rules, each lossless:
+//!
+//! * *item filter* ([`ItemFilter`]): an item in no candidate never
+//!   satisfies a containment test;
+//! * *hit trim* (DHP's transaction trimming): if a transaction contains
+//!   `X ∈ C_{k+1}`, all `k + 1` of `X`'s `k`-subsets are `C_k` candidates
+//!   it contains, and each item of `X` lies in `k` of them. So a pass
+//!   that is asked for survivors tallies, per item, the contained
+//!   candidates it belongs to, and writes out only the items with at
+//!   least `k` hits — and only when at least `k + 1` remain. That output
+//!   is the database the `k + 1` pass reads.
 
 use crate::freeze::{AnyFrozenTree, FrozenTree};
 use crate::policy::LeafLayout;
@@ -88,13 +81,13 @@ pub struct CountOptions {
     pub short_circuit: bool,
     /// VISITED stamp storage scheme.
     pub visited: VisitedMode,
-    /// Hash each transaction item once per transaction (via
-    /// [`HashFn::hash_slice`]) and index the memo table during the walk
-    /// instead of calling `HashFn::hash` per node visit.
+    /// Ignored: the walk always hashes each transaction once into a memo
+    /// table. The field stays only because the frozen wall-clock
+    /// benchmark sets it; the next change to that benchmark deletes it.
     pub hash_memo: bool,
-    /// Drive the walk with an explicit frame stack reused across
-    /// transactions instead of native recursion. Traversal order and
-    /// [`WorkMeter`] tallies are identical either way.
+    /// Ignored: the walk always runs over an explicit frame stack. The
+    /// field stays only because the frozen wall-clock benchmark sets it;
+    /// the next change to that benchmark deletes it.
     pub iterative: bool,
 }
 
@@ -168,34 +161,13 @@ pub struct ItemFilter {
 impl ItemFilter {
     /// Builds the filter from the items of every candidate in `cands`.
     pub fn from_candidates(cands: &crate::candidates::CandidateSet, n_items: u32) -> Self {
-        let mut f = Self::empty(n_items);
+        let mut bits = vec![0u64; (n_items as usize).div_ceil(64)];
         for (_, items) in cands.iter() {
             for &i in items {
-                f.insert(i);
+                bits[(i / 64) as usize] |= 1 << (i % 64);
             }
         }
-        f
-    }
-
-    /// Builds the filter from an explicit item list (e.g. the union of
-    /// F_{k-1} members).
-    pub fn from_items(items: impl IntoIterator<Item = Item>, n_items: u32) -> Self {
-        let mut f = Self::empty(n_items);
-        for i in items {
-            f.insert(i);
-        }
-        f
-    }
-
-    fn empty(n_items: u32) -> Self {
-        ItemFilter {
-            bits: vec![0; (n_items as usize).div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, item: Item) {
-        self.bits[(item / 64) as usize] |= 1 << (item % 64);
+        ItemFilter { bits }
     }
 
     /// True when `item` appears in some candidate.
@@ -225,13 +197,11 @@ struct Frame {
     sig: u64,
 }
 
-/// Reusable per-thread scratch: the transaction bitmap, the VISITED
-/// stamp storage (epoch-tagged so clearing is O(1) per transaction), and
-/// the fast-path buffers (hash memo table, trimmed-transaction buffer,
-/// explicit-walk frame stack, hit-trim tallies). All allocations survive
-/// [`CountScratch::retarget`], so a driver holding one scratch per thread
-/// across iterations performs no per-iteration allocation beyond a
-/// possible one-time growth.
+/// Per-thread counting scratch for one tree: the transaction bitmap, the
+/// VISITED stamp storage (epoch-tagged so clearing is O(1) per
+/// transaction), and the walk's buffers (hash memo table,
+/// trimmed-transaction buffer, frame stack, hit-trim tallies), all reused
+/// across the transactions of a pass.
 pub struct CountScratch {
     bitmap: Vec<u64>,
     touched: Vec<Item>,
@@ -242,12 +212,11 @@ pub struct CountScratch {
     level_stamps: Vec<LevelStamp>,
     level_fanout: u32,
     epoch: u32,
-    /// Per-transaction hash memo ([`CountOptions::hash_memo`]).
+    /// Per-transaction hash memo: the cell of each transaction item.
     hash_memo: Vec<u32>,
     /// Per-transaction trimmed copy (when an [`ItemFilter`] is in use).
     trimmed: Vec<Item>,
-    /// Explicit-walk stack ([`CountOptions::iterative`]); at most `k + 1`
-    /// frames deep.
+    /// The walk's frame stack; at most `k + 1` frames deep.
     frames: Vec<Frame>,
     /// Per-item contained-candidate tallies of the hit trim; sized on the
     /// first pass that asks for survivors and all-zero between
@@ -276,9 +245,8 @@ impl CountScratch {
         }
     }
 
-    /// Re-targets the scratch at a new tree (new iteration), reusing every
-    /// buffer allocation (bitmap, memo, trim, frames; the stamp tables are
-    /// re-zeroed in place and only grow).
+    /// Re-targets the scratch at a new tree, reusing every buffer
+    /// allocation (the stamp tables are re-zeroed in place).
     pub fn retarget(&mut self, n_nodes: u32) {
         self.stamps.clear();
         self.stamps.resize(n_nodes as usize, 0);
@@ -374,29 +342,10 @@ struct VisitCtx {
     tally: bool,
 }
 
-/// Counts one transaction against the tree.
-///
-/// When `filter` is given, the transaction is first trimmed to the items
-/// the filter admits (losslessly — see [`ItemFilter`]); `None` counts the
-/// transaction as-is.
-#[allow(clippy::too_many_arguments)] // the paper's knobs are orthogonal
-pub fn count_transaction<S: WordStore, F: HashFn>(
-    tree: &FrozenTree<S>,
-    hash: &F,
-    txn: &[Item],
-    filter: Option<&ItemFilter>,
-    scratch: &mut CountScratch,
-    counter: &mut CounterRef<'_>,
-    opts: CountOptions,
-    meter: &mut WorkMeter,
-) {
-    count_txn(tree, hash, txn, filter, scratch, counter, opts, meter, None);
-}
-
-/// The one counting walk behind every entry point: trims `txn` with
-/// `filter`, walks it, and — when `survivors` is given — appends its
+/// Counts one transaction: trims `txn` with `filter` (`None` counts it
+/// as-is), walks it, and — when `survivors` is given — appends its
 /// hit-trimmed copy there (see the module docs).
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)] // the paper's knobs are orthogonal
 fn count_txn<S: WordStore, F: HashFn>(
     tree: &FrozenTree<S>,
     hash: &F,
@@ -442,20 +391,9 @@ fn count_txn<S: WordStore, F: HashFn>(
     }
     scratch.begin_txn(txn);
     meter.txns += 1;
-    let mut memo_buf = std::mem::take(&mut scratch.hash_memo);
-    let memo: Option<&[u32]> = if opts.hash_memo {
-        hash.hash_slice(txn, &mut memo_buf);
-        Some(&memo_buf)
-    } else {
-        None
-    };
-    if opts.iterative {
-        walk_iterative(tree, hash, txn, memo, ctx, scratch, counter, meter);
-    } else {
-        walk(
-            tree, hash, txn, memo, 0, tree.root, 0, 0, 0, ctx, scratch, counter, meter,
-        );
-    }
+    let mut memo = std::mem::take(&mut scratch.hash_memo);
+    hash.hash_slice(txn, &mut memo);
+    walk(tree, txn, &memo, ctx, scratch, counter, meter);
     if let Some(out) = survivors {
         // Hit trim: keep the items of at least k contained candidates,
         // resetting every tally this transaction raised.
@@ -470,36 +408,13 @@ fn count_txn<S: WordStore, F: HashFn>(
             out.push_sorted(&scratch.kept);
         }
     }
-    scratch.hash_memo = memo_buf;
+    scratch.hash_memo = memo;
     scratch.trimmed = trimmed;
 }
 
-/// Counts a contiguous range of database transactions (one processor's
-/// partition in CCPD).
-#[allow(clippy::too_many_arguments)] // mirrors count_transaction's knobs
-pub fn count_partition<S: WordStore, F: HashFn>(
-    tree: &FrozenTree<S>,
-    hash: &F,
-    db: &Database,
-    range: Range<usize>,
-    filter: Option<&ItemFilter>,
-    scratch: &mut CountScratch,
-    counter: &mut CounterRef<'_>,
-    opts: CountOptions,
-    meter: &mut WorkMeter,
-) {
-    count_trimmed(
-        tree, hash, db, range, filter, scratch, counter, opts, meter, None,
-    );
-}
-
-/// Counts a range of transactions like [`count_partition`], trimming each
-/// one with `filter` before its walk. With `survivors`, every transaction
-/// that can still contain a `C_{k+1}` candidate is appended there, cut to
-/// its hit-trim survivors, in range order: the database the next pass
-/// reads.
+/// Counts a range of transactions, one [`count_txn`] each.
 #[allow(clippy::too_many_arguments)]
-pub fn count_trimmed<S: WordStore, F: HashFn>(
+fn count_trimmed<S: WordStore, F: HashFn>(
     tree: &FrozenTree<S>,
     hash: &F,
     db: &Database,
@@ -526,20 +441,9 @@ pub fn count_trimmed<S: WordStore, F: HashFn>(
     }
 }
 
-/// Resolves the hash cell for transaction position `i`: memo lookup when
-/// memoized, direct hash otherwise.
-#[inline(always)]
-fn cell_at<F: HashFn>(hash: &F, txn: &[Item], memo: Option<&[u32]>, i: usize) -> u32 {
-    match memo {
-        Some(m) => m[i],
-        None => hash.hash(txn[i]),
-    }
-}
-
-/// Enters `handle` during a walk: performs the VISITED bookkeeping, scans
-/// the node if it is a leaf, and otherwise returns the expansion frame for
-/// its children. Shared by the recursive and iterative drivers so their
-/// per-node semantics (and [`WorkMeter`] tallies) cannot drift apart.
+/// Enters `handle` during the walk: performs the VISITED bookkeeping,
+/// scans the node if it is a leaf, and otherwise returns the expansion
+/// frame for its children.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn enter_node<S: WordStore>(
@@ -601,60 +505,14 @@ fn enter_node<S: WordStore>(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk<S: WordStore, F: HashFn>(
+/// Enumerates the transaction's `k`-subsets depth first, hashing on its
+/// items in lexicographic order; `memo[i]` is the hash cell of `txn[i]`.
+/// The per-level state is a 24-byte [`Frame`] in a reusable stack rather
+/// than a native call frame.
+fn walk<S: WordStore>(
     tree: &FrozenTree<S>,
-    hash: &F,
     txn: &[Item],
-    memo: Option<&[u32]>,
-    pos: usize,
-    handle: u32,
-    depth: u32,
-    cell: u32,
-    sig: u64,
-    ctx: VisitCtx,
-    scratch: &mut CountScratch,
-    counter: &mut CounterRef<'_>,
-    meter: &mut WorkMeter,
-) {
-    let Some(frame) = enter_node(
-        tree, txn, handle, pos, depth, cell, sig, ctx, scratch, counter, meter,
-    ) else {
-        return;
-    };
-    for i in frame.i as usize..=frame.last as usize {
-        let child_cell = cell_at(hash, txn, memo, i);
-        let child = tree.store.load(handle, 1 + child_cell);
-        if child != NULL_HANDLE {
-            walk(
-                tree,
-                hash,
-                txn,
-                memo,
-                i + 1,
-                child,
-                depth + 1,
-                child_cell,
-                (sig << ctx.bits) | u64::from(child_cell),
-                ctx,
-                scratch,
-                counter,
-                meter,
-            );
-        }
-    }
-}
-
-/// The explicit-stack twin of [`walk`]: same depth-first order, same
-/// stamps, same meter tallies, but the per-level state is a 24-byte
-/// [`Frame`] in a reusable buffer instead of a native call frame carrying
-/// a dozen spilled arguments.
-#[allow(clippy::too_many_arguments)]
-fn walk_iterative<S: WordStore, F: HashFn>(
-    tree: &FrozenTree<S>,
-    hash: &F,
-    txn: &[Item],
-    memo: Option<&[u32]>,
+    memo: &[u32],
     ctx: VisitCtx,
     scratch: &mut CountScratch,
     counter: &mut CounterRef<'_>,
@@ -675,7 +533,7 @@ fn walk_iterative<S: WordStore, F: HashFn>(
         let i = top.i as usize;
         top.i += 1;
         let (handle, depth, sig) = (top.handle, top.depth, top.sig);
-        let child_cell = cell_at(hash, txn, memo, i);
+        let child_cell = memo[i];
         let child = tree.store.load(handle, 1 + child_cell);
         if child != NULL_HANDLE {
             if let Some(f) = enter_node(
@@ -768,9 +626,11 @@ impl AnyFrozenTree {
         self.count_trimmed(hash, db, range, filter, scratch, counter, opts, meter, None);
     }
 
-    /// Counts a range of transactions with trimming and optional
-    /// survivors (see [`count_trimmed`]), dispatching the storage backend
-    /// once.
+    /// Counts a range of transactions, trimming each one with `filter`
+    /// before its walk. With `survivors`, every transaction that can still
+    /// contain a `C_{k+1}` candidate is appended there, cut to its
+    /// hit-trim survivors, in range order: the database the next pass
+    /// reads. Dispatches the storage backend once.
     #[allow(clippy::too_many_arguments)]
     pub fn count_trimmed<F: HashFn>(
         &self,
@@ -791,28 +651,6 @@ impl AnyFrozenTree {
             AnyFrozenTree::Scatter(t) => count_trimmed(
                 t, hash, db, range, filter, scratch, counter, opts, meter, survivors,
             ),
-        }
-    }
-
-    /// Counts a single transaction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn count_transaction<F: HashFn>(
-        &self,
-        hash: &F,
-        txn: &[Item],
-        filter: Option<&ItemFilter>,
-        scratch: &mut CountScratch,
-        counter: &mut CounterRef<'_>,
-        opts: CountOptions,
-        meter: &mut WorkMeter,
-    ) {
-        match self {
-            AnyFrozenTree::Contiguous(t) => {
-                count_transaction(t, hash, txn, filter, scratch, counter, opts, meter)
-            }
-            AnyFrozenTree::Scatter(t) => {
-                count_transaction(t, hash, txn, filter, scratch, counter, opts, meter)
-            }
         }
     }
 }
@@ -993,15 +831,13 @@ mod tests {
         for policy in PlacementPolicy::ALL {
             for h in &hashes {
                 for sc in [false, true] {
-                    for fast in [false, true] {
+                    for trim in [false, true] {
                         let opts = CountOptions {
                             short_circuit: sc,
-                            visited: VisitedMode::PerNode,
-                            hash_memo: fast,
-                            iterative: fast,
+                            ..CountOptions::default()
                         };
-                        let got = tree_counts_opts(policy, &cands, &db, h.as_ref(), opts, fast);
-                        assert_eq!(got, expected, "{policy} sc={sc} fast={fast}");
+                        let got = tree_counts_opts(policy, &cands, &db, h.as_ref(), opts, trim);
+                        assert_eq!(got, expected, "{policy} sc={sc} trim={trim}");
                     }
                 }
             }
@@ -1028,51 +864,98 @@ mod tests {
         assert_eq!(got, vec![0]);
     }
 
-    /// The iterative and recursive walks must not merely agree on counts —
-    /// their WorkMeter tallies must be bit-identical, since the imbalance
-    /// metrics and the traced per-layer counts are built on those tallies.
+    /// Golden `WorkMeter` tallies of the walk on the paper's worked
+    /// example (§2.1.3), for every VISITED scheme, short-circuit setting
+    /// and item filter: `C_2` under a 3-way bitonic hash, `C_3 =
+    /// {(1,4,5)}` under `i mod 2`, and the join's unpruned `C_3` in a
+    /// tree of one-candidate leaves. The imbalance metrics and
+    /// the traced per-layer counters are built on these tallies, so the
+    /// walk's traversal order must not drift.
     #[test]
-    fn iterative_walk_meter_is_bit_identical() {
+    fn walk_tallies_match_golden_values() {
+        use arm_balance::AnyHash;
         let db = paper_db();
-        let cands = c2();
-        let h = BitonicHash::new(3);
-        let b = TreeBuilder::new(&cands, &h, 2);
-        b.insert_all();
-        for visited in [VisitedMode::PerNode, VisitedMode::LevelPath] {
-            for sc in [false, true] {
-                for memo in [false, true] {
-                    let mut meters = Vec::new();
-                    for iterative in [false, true] {
+        let mut c3 = CandidateSet::new(3);
+        c3.push(&[1, 4, 5]);
+        let mut joined = CandidateSet::new(3);
+        for s in [[1u32, 2, 4], [1, 2, 5], [1, 4, 5]] {
+            joined.push(&s);
+        }
+        let c2 = c2();
+        let fixtures = [
+            (&c2, AnyHash::Bitonic(BitonicHash::new(3)), 2),
+            (&c3, AnyHash::Mod(ModHash::new(2)), 2),
+            (&joined, AnyHash::Mod(ModHash::new(2)), 1),
+        ];
+        let mut got = Vec::new();
+        for (cands, hash, leaf_threshold) in fixtures {
+            for visited in [VisitedMode::PerNode, VisitedMode::LevelPath] {
+                for short_circuit in [false, true] {
+                    let row = [false, true].map(|trim| {
+                        let b = TreeBuilder::new(cands, &hash, leaf_threshold);
+                        b.insert_all();
                         let tree = freeze_policy(&b, PlacementPolicy::Gpp);
+                        let filter = trim.then(|| ItemFilter::from_candidates(cands, db.n_items()));
                         let mut scratch = CountScratch::new(db.n_items(), tree.n_nodes());
                         let mut meter = WorkMeter::default();
-                        let mut cref = CounterRef::Inline;
-                        let opts = CountOptions {
-                            short_circuit: sc,
-                            visited,
-                            hash_memo: memo,
-                            iterative,
-                        };
                         tree.count_partition(
-                            &h,
+                            &hash,
                             &db,
                             0..db.len(),
-                            None,
+                            filter.as_ref(),
                             &mut scratch,
-                            &mut cref,
-                            opts,
+                            &mut CounterRef::Inline,
+                            CountOptions {
+                                short_circuit,
+                                visited,
+                                ..CountOptions::default()
+                            },
                             &mut meter,
                         );
-                        assert_eq!(tree.inline_counts(), naive_counts(&cands, &db));
-                        meters.push(meter);
-                    }
-                    assert_eq!(
-                        meters[0], meters[1],
-                        "visited={visited:?} sc={sc} memo={memo}"
-                    );
+                        assert_eq!(tree.inline_counts(), naive_counts(cands, &db));
+                        let WorkMeter {
+                            txns,
+                            node_visits,
+                            leaf_scans,
+                            subset_checks,
+                            hits,
+                        } = meter;
+                        [txns, node_visits, leaf_scans, subset_checks, hits]
+                    });
+                    got.push(row);
                 }
             }
         }
+        // One row per (level, visited, short_circuit), in loop order, of
+        // [txns, node_visits, leaf_scans, subset_checks, hits] untrimmed
+        // and trimmed.
+        let golden: [[[u64; 5]; 2]; 12] = [
+            // C_2, PerNode, short circuit off
+            [[4, 19, 9, 14, 11], [4, 18, 8, 12, 11]],
+            // C_2, PerNode, short circuit on
+            [[4, 17, 9, 14, 11], [4, 16, 8, 12, 11]],
+            // C_2, LevelPath, short circuit off
+            [[4, 17, 9, 14, 11], [4, 16, 8, 12, 11]],
+            // C_2, LevelPath, short circuit on
+            [[4, 17, 9, 14, 11], [4, 16, 8, 12, 11]],
+            // C_3, PerNode, short circuit off
+            [[3, 3, 3, 3, 2], [2, 2, 2, 2, 2]],
+            // C_3, PerNode, short circuit on
+            [[3, 3, 3, 3, 2], [2, 2, 2, 2, 2]],
+            // C_3, LevelPath, short circuit off
+            [[3, 3, 3, 3, 2], [2, 2, 2, 2, 2]],
+            // C_3, LevelPath, short circuit on
+            [[3, 3, 3, 3, 2], [2, 2, 2, 2, 2]],
+            // unpruned C_3, PerNode, short circuit off
+            [[3, 14, 4, 7, 4], [2, 10, 3, 5, 4]],
+            // unpruned C_3, PerNode, short circuit on
+            [[3, 13, 4, 7, 4], [2, 9, 3, 5, 4]],
+            // unpruned C_3, LevelPath, short circuit off
+            [[3, 13, 4, 7, 4], [2, 9, 3, 5, 4]],
+            // unpruned C_3, LevelPath, short circuit on
+            [[3, 13, 4, 7, 4], [2, 9, 3, 5, 4]],
+        ];
+        assert_eq!(got, golden);
     }
 
     #[test]
@@ -1088,10 +971,6 @@ mod tests {
         let mut out = vec![9u32]; // stale contents must be cleared
         f.retain_into(&[0, 1, 2, 3, 4, 5, 6, 7], &mut out);
         assert_eq!(out, vec![1, 2, 4, 5]);
-
-        let g = ItemFilter::from_items([0u32, 65, 127], 128);
-        assert!(g.contains(65) && g.contains(0) && g.contains(127));
-        assert!(!g.contains(64) && !g.contains(1));
     }
 
     /// Trimming edge cases: a transaction trimmed below k items (or to
@@ -1407,6 +1286,35 @@ mod tests {
         assert_eq!(a.txns, 2);
         assert_eq!(a.subset_checks, 8);
         assert!(a.work_units() > 0);
+    }
+
+    /// A scratch re-targeted at a second tree counts it exactly as a
+    /// fresh one would.
+    #[test]
+    fn retargeted_scratch_counts_a_new_tree() {
+        let db = paper_db();
+        let h = ModHash::new(2);
+        let mut c3 = CandidateSet::new(3);
+        c3.push(&[1, 4, 5]);
+        let mut scratch = CountScratch::new(db.n_items(), 0);
+        for cands in [c2(), c3] {
+            let b = TreeBuilder::new(&cands, &h, 2);
+            b.insert_all();
+            let tree = freeze_policy(&b, PlacementPolicy::Gpp);
+            scratch.retarget(tree.n_nodes());
+            let mut meter = WorkMeter::default();
+            tree.count_partition(
+                &h,
+                &db,
+                0..db.len(),
+                None,
+                &mut scratch,
+                &mut CounterRef::Inline,
+                CountOptions::default(),
+                &mut meter,
+            );
+            assert_eq!(tree.inline_counts(), naive_counts(&cands, &db));
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property tests: the hash-tree counting kernel must agree with naive
 //! subset counting for every placement policy, hash function, visited
-//! mode, short-circuit setting, and fast-path knob (hash memoization,
-//! transaction trimming, explicit-stack traversal), over arbitrary
+//! mode, short-circuit setting, and transaction trimming, over arbitrary
 //! candidate sets and databases. The `trim_lossless_*` properties check
 //! that the hit trim's survivors lose nothing the next level counts.
 
@@ -266,8 +265,6 @@ proptest! {
         hash_kind in 0usize..3,
         short_circuit in any::<bool>(),
         level_path in any::<bool>(),
-        hash_memo in any::<bool>(),
-        iterative in any::<bool>(),
         trim in any::<bool>(),
     ) {
         let expected = naive_counts(&cands, &db);
@@ -275,8 +272,7 @@ proptest! {
         let opts = CountOptions {
             short_circuit,
             visited: if level_path { VisitedMode::LevelPath } else { VisitedMode::PerNode },
-            hash_memo,
-            iterative,
+            ..CountOptions::default()
         };
         let got = count_with(
             &cands,
@@ -327,48 +323,6 @@ proptest! {
         let untrimmed = count_with(&cands, &db, hash.as_ref(), policy, threshold, opts, false);
         let trimmed = count_with(&cands, &db, hash.as_ref(), policy, threshold, opts, true);
         prop_assert_eq!(trimmed, untrimmed);
-    }
-
-    /// The explicit-stack walk is observationally identical to the
-    /// recursive one: same counts AND bit-identical work meters.
-    #[test]
-    fn iterative_walk_matches_recursive(
-        cands in candidates(3),
-        db in database(),
-        fanout in 2u32..6,
-        short_circuit in any::<bool>(),
-        level_path in any::<bool>(),
-        hash_memo in any::<bool>(),
-    ) {
-        let hash = ModHash::new(fanout);
-        let run = |iterative: bool| {
-            let b = TreeBuilder::new(&cands, &hash, 2);
-            b.insert_all();
-            let tree = freeze_policy(&b, PlacementPolicy::Gpp);
-            let mut scratch = CountScratch::new(N_ITEMS, tree.n_nodes());
-            let mut meter = WorkMeter::default();
-            let opts = CountOptions {
-                short_circuit,
-                visited: if level_path { VisitedMode::LevelPath } else { VisitedMode::PerNode },
-                hash_memo,
-                iterative,
-            };
-            tree.count_partition(
-                &hash,
-                &db,
-                0..db.len(),
-                None,
-                &mut scratch,
-                &mut CounterRef::Inline,
-                opts,
-                &mut meter,
-            );
-            (tree.inline_counts(), meter)
-        };
-        let (counts_rec, meter_rec) = run(false);
-        let (counts_it, meter_it) = run(true);
-        prop_assert_eq!(counts_rec, counts_it);
-        prop_assert_eq!(meter_rec, meter_it);
     }
 
     /// Parallel insertion produces the same frozen image counts as

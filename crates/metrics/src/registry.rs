@@ -29,45 +29,43 @@ pub enum Counter {
     CtrIncrements = 3,
     /// CAS retries those increments needed (direct contention measure).
     CtrCasRetries = 4,
-    /// Counting-scratch structures allocated from scratch.
+    /// Counting scratches allocated (one per thread per tree).
     ScratchAllocs = 5,
-    /// Counting-scratch re-targets (pooled reuse instead of allocation).
-    ScratchRetargets = 6,
     /// Bytes of stamp tables sized across all iterations.
-    ScratchStampBytes = 7,
+    ScratchStampBytes = 6,
     /// Bytes of frozen hash trees across all iterations.
-    TreeBytes = 8,
+    TreeBytes = 7,
     /// Reachable nodes of frozen hash trees across all iterations.
-    TreeNodes = 9,
+    TreeNodes = 8,
     /// Scheduler chunks this thread claimed and executed (arm-exec).
-    ChunksExecuted = 10,
+    ChunksExecuted = 9,
     /// Chunks migrated onto this thread by a successful steal.
     /// Nothing increments this since the stealing scheduler was removed;
     /// kept (reads 0) because the `perfbench/` wall-clock benchmark names it.
-    ChunksStolen = 11,
+    ChunksStolen = 10,
     /// Steal probes this thread issued, successful or not.
     /// Nothing increments this since the stealing scheduler was removed;
     /// kept (reads 0) because the `perfbench/` wall-clock benchmark names it.
-    StealAttempts = 12,
+    StealAttempts = 11,
     /// Failed CAS iterations on the shared scheduling cursor.
-    CursorCasRetries = 13,
+    CursorCasRetries = 12,
     /// Tidset joins performed by the vertical miner (arm-vertical): every
     /// intersection and every diffset difference, early-stopped ones
     /// included, so the count depends only on which pairs were joined
     /// and stays comparable across kernel changes.
-    TidsetIntersections = 14,
+    TidsetIntersections = 13,
     /// `u64` words ANDed by the bitmap intersection kernel.
-    TidsetWordsAnded = 15,
+    TidsetWordsAnded = 14,
     /// Bytes of tidset storage materialized (lists, diffsets and bitmaps).
-    TidsetBytes = 16,
+    TidsetBytes = 15,
     /// Cancellation checkpoints passed at chunk claims (arm-faults).
-    CancelChecks = 17,
+    CancelChecks = 16,
     /// Fault-plan injections that fired during the run (arm-faults).
-    FaultsInjected = 18,
+    FaultsInjected = 17,
 }
 
 /// Number of distinct counters (shard slot count).
-pub const N_COUNTERS: usize = 19;
+pub const N_COUNTERS: usize = 18;
 
 impl Counter {
     /// Every counter, in slot order.
@@ -78,7 +76,6 @@ impl Counter {
         Counter::CtrIncrements,
         Counter::CtrCasRetries,
         Counter::ScratchAllocs,
-        Counter::ScratchRetargets,
         Counter::ScratchStampBytes,
         Counter::TreeBytes,
         Counter::TreeNodes,
@@ -102,7 +99,6 @@ impl Counter {
             Counter::CtrIncrements => "ctr_increments",
             Counter::CtrCasRetries => "ctr_cas_retries",
             Counter::ScratchAllocs => "scratch_allocs",
-            Counter::ScratchRetargets => "scratch_retargets",
             Counter::ScratchStampBytes => "scratch_stamp_bytes",
             Counter::TreeBytes => "tree_bytes",
             Counter::TreeNodes => "tree_nodes",

@@ -116,10 +116,8 @@ pub struct MemReport {
     pub tree_bytes: u64,
     /// Reachable frozen-tree nodes summed over iterations.
     pub tree_nodes: u64,
-    /// Counting scratches allocated fresh.
+    /// Counting scratches allocated (one per thread per tree).
     pub scratch_allocs: u64,
-    /// Pooled scratch re-targets (allocation-free reuse).
-    pub scratch_retargets: u64,
     /// Stamp-table bytes sized across iterations.
     pub scratch_stamp_bytes: u64,
 }
@@ -252,7 +250,6 @@ impl RunReport {
             tree_bytes: snap.total(Counter::TreeBytes),
             tree_nodes: snap.total(Counter::TreeNodes),
             scratch_allocs: snap.total(Counter::ScratchAllocs),
-            scratch_retargets: snap.total(Counter::ScratchRetargets),
             scratch_stamp_bytes: snap.total(Counter::ScratchStampBytes),
         };
     }
@@ -315,7 +312,6 @@ impl RunReport {
                     ("tree_bytes".into(), int(self.mem.tree_bytes)),
                     ("tree_nodes".into(), int(self.mem.tree_nodes)),
                     ("scratch_allocs".into(), int(self.mem.scratch_allocs)),
-                    ("scratch_retargets".into(), int(self.mem.scratch_retargets)),
                     (
                         "scratch_stamp_bytes".into(),
                         int(self.mem.scratch_stamp_bytes),
@@ -404,7 +400,6 @@ impl RunReport {
             tree_bytes: u64_field(m, "tree_bytes")?,
             tree_nodes: u64_field(m, "tree_nodes")?,
             scratch_allocs: u64_field(m, "scratch_allocs")?,
-            scratch_retargets: u64_field(m, "scratch_retargets")?,
             scratch_stamp_bytes: u64_field(m, "scratch_stamp_bytes")?,
         };
         for it in arr_field(v, "iters")? {

@@ -57,7 +57,7 @@ proptest! {
         wall_seconds in 0.0f64..1.0e9,
         phases in vec((0usize..NAMES.len(), 1u32..16, vec(0u64..MAX_INT, 0..5)), 0..6),
         threads in vec(vec(0u64..MAX_INT, 13), 0..5),
-        lock_mem in vec(0u64..MAX_INT, 17),
+        lock_mem in vec(0u64..MAX_INT, 16),
         iters in vec((1u32..16, vec(0u64..MAX_INT, 4)), 0..6),
         phase_floats in vec(0.0f64..1.0e6, 12),
     ) {
@@ -108,24 +108,23 @@ proptest! {
                 ctr_cas_retries: lock_mem[4],
             },
             sched: SchedReport {
-                chunks_executed: lock_mem[10],
-                cursor_cas_retries: lock_mem[11],
+                chunks_executed: lock_mem[9],
+                cursor_cas_retries: lock_mem[10],
             },
             vertical: VerticalReport {
-                intersections: lock_mem[12],
-                words_anded: lock_mem[13],
-                tidset_bytes: lock_mem[14],
+                intersections: lock_mem[11],
+                words_anded: lock_mem[12],
+                tidset_bytes: lock_mem[13],
             },
             faults: FaultReport {
-                cancel_checks: lock_mem[15],
-                faults_injected: lock_mem[16],
+                cancel_checks: lock_mem[14],
+                faults_injected: lock_mem[15],
             },
             mem: MemReport {
                 tree_bytes: lock_mem[5],
                 tree_nodes: lock_mem[6],
                 scratch_allocs: lock_mem[7],
-                scratch_retargets: lock_mem[8],
-                scratch_stamp_bytes: lock_mem[9],
+                scratch_stamp_bytes: lock_mem[8],
             },
             iters: iters
                 .iter()

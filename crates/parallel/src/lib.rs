@@ -6,8 +6,8 @@
 //!   [`arm_core::ccpd`], where it is also the one Apriori level loop
 //!   ([`arm_core::mine`] runs it at one thread); it is re-exported here
 //!   with its configuration ([`ParallelConfig`], [`DbPartition`]),
-//!   statistics ([`ParallelRunStats`]), scratch pool ([`ScratchPool`])
-//!   and pool helpers ([`count_pairs`], [`record_exec`]);
+//!   statistics ([`ParallelRunStats`]) and pool helpers ([`count_pairs`],
+//!   [`record_exec`]);
 //! * [`pccd`] — Partitioned Candidate, Common Database: the baseline whose
 //!   duplicated scans make it a speed-down (kept for the comparison);
 //! * [`report`] — folds a run into the machine-readable
@@ -38,7 +38,7 @@ pub mod report;
 
 pub use arm_core::ccpd;
 pub use arm_core::{
-    count_pairs, record_exec, DbPartition, ParallelConfig, ParallelRunStats, PhaseStat, ScratchPool,
+    count_pairs, record_exec, DbPartition, ParallelConfig, ParallelRunStats, PhaseStat,
 };
 pub use arm_exec::Scheduling;
 pub use arm_faults::{try_run_threads, CancelToken, FaultKind, FaultPlan, MiningError, RunControl};

@@ -11,7 +11,7 @@
 use arm_core::{
     adaptive_fanout, count_singletons, equivalence_classes, f1_items, frequent_from_counts,
     generate_class, make_hash, FrequentLevel, IterStats, MiningResult, ParallelConfig,
-    ParallelRunStats, ScratchPool,
+    ParallelRunStats,
 };
 use arm_dataset::Database;
 use arm_faults::{try_run_threads, MiningError, RunControl};
@@ -55,11 +55,6 @@ pub fn try_mine(
     ctrl.gate("f1", run_start)?;
 
     let f1_item_list = f1_items(&f1);
-    // Same pooling as CCPD: one scratch per worker across all iterations.
-    let scratch_pool = cfg
-        .base
-        .reuse_scratch
-        .then(|| ScratchPool::new(p, db.n_items()));
     let mut iter_stats = vec![IterStats {
         k: 1,
         n_candidates: db.n_items() as usize,
@@ -122,8 +117,7 @@ pub fn try_mine(
         let opts = CountOptions {
             short_circuit: cfg.base.short_circuit,
             visited: cfg.base.visited,
-            hash_memo: cfg.base.hash_memo,
-            iterative: cfg.base.iterative_walk,
+            ..CountOptions::default()
         };
         let (bin_counts, meters, tree_bytes, tree_nodes) = count_static(
             db,
@@ -131,7 +125,6 @@ pub fn try_mine(
             &cands,
             &hash,
             &assignment.bins,
-            &scratch_pool,
             opts,
             &metrics,
             p,
@@ -216,7 +209,6 @@ fn count_static(
     cands: &CandidateSet,
     hash: &arm_balance::AnyHash,
     bins: &[Vec<usize>],
-    scratch_pool: &Option<ScratchPool>,
     opts: CountOptions,
     metrics: &MetricsRegistry,
     p: usize,
@@ -255,21 +247,8 @@ fn count_static(
             .trim_transactions
             .then(|| ItemFilter::from_candidates(&local_set, db.n_items()));
         let filter = filter.as_ref();
-        let mut pooled;
-        let mut fresh;
-        let scratch: &mut CountScratch = match scratch_pool {
-            Some(pool) => {
-                shard.incr(Counter::ScratchRetargets);
-                pooled = pool.slot(t);
-                pooled.retarget(tree.n_nodes());
-                &mut pooled
-            }
-            None => {
-                shard.incr(Counter::ScratchAllocs);
-                fresh = CountScratch::new(db.n_items(), tree.n_nodes());
-                &mut fresh
-            }
-        };
+        shard.incr(Counter::ScratchAllocs);
+        let mut scratch = CountScratch::new(db.n_items(), tree.n_nodes());
         let local_counts: Vec<u32> = if tree.counters_inline() {
             let mut cref = CounterRef::Inline;
             tree.count_partition(
@@ -277,7 +256,7 @@ fn count_static(
                 db,
                 0..db.len(),
                 filter,
-                scratch,
+                &mut scratch,
                 &mut cref,
                 opts,
                 &mut meter,
@@ -292,7 +271,7 @@ fn count_static(
                     db,
                     0..db.len(),
                     filter,
-                    scratch,
+                    &mut scratch,
                     &mut cref,
                     opts,
                     &mut meter,
