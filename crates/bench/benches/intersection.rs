@@ -1,12 +1,17 @@
 //! Micro-benchmarks of the tidset join kernels: the branch-free sorted
-//! merge and its difference twin vs the bitmap word-AND on equal-length
-//! lists, across densities bracketing the 1/64 break-even the adaptive
-//! backend choice is built on.
+//! merge, its difference twin and the marked root join vs the bitmap
+//! word-AND on equal-length lists, across densities bracketing the 1/64
+//! break-even the adaptive backend choice is built on.
 
-use arm_vertical::{and_words, difference_linear, intersect_linear, TidSet};
+use arm_vertical::{
+    and_words, difference_linear, intersect_linear, intersect_marked, TidMarks, TidSet,
+};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const UNIVERSE: u32 = 65_536;
+
+/// Partners streamed per marked row in the `marked` bench.
+const PARTNERS: usize = 8;
 
 /// Deterministic sorted sample of `len` distinct tids out of
 /// [`UNIVERSE`].
@@ -79,6 +84,36 @@ fn bench_intersection_by_density(c: &mut Criterion) {
                 out.clear();
                 let _ = difference_linear(black_box(a), black_box(b), a.len(), &mut out);
                 out.len()
+            })
+        });
+        // One root row: mark `a` once, stream `PARTNERS` lists against
+        // it, each stopping at its exact intersection size (as the pair
+        // count gives it), and unmark. An iteration is `PARTNERS` joins.
+        let exact: Vec<usize> = (0..pairs.len())
+            .map(|i| {
+                let mut out = Vec::new();
+                intersect_linear(&pairs[i].0, &pairs[(i + 1) % pairs.len()].1, &mut out);
+                out.len()
+            })
+            .collect();
+        g.bench_function("marked", |bch| {
+            let mut marks = TidMarks::new(UNIVERSE as usize);
+            let mut out = Vec::new();
+            let mut next = 0;
+            bch.iter(|| {
+                let a = &pairs[next].0;
+                marks.mark(black_box(a));
+                let mut kept = 0;
+                for k in 0..PARTNERS {
+                    let i = (next + k) % pairs.len();
+                    let b = &pairs[(i + 1) % pairs.len()].1;
+                    out.clear();
+                    intersect_marked(&marks, black_box(b), exact[i], &mut out);
+                    kept += out.len();
+                }
+                marks.unmark(a);
+                next = (next + 1) % pairs.len();
+                kept
             })
         });
         g.bench_function("word-and", |bch| {

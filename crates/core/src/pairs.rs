@@ -102,7 +102,7 @@ impl PairIndex {
 
     /// The counters of the pairs `(a, b)` for every rank `b > a`, in
     /// order of `b`.
-    pub fn row<'c>(&self, counts: &'c [u32], a: usize) -> &'c [u32] {
+    fn row<'c>(&self, counts: &'c [u32], a: usize) -> &'c [u32] {
         let start = self.row[a];
         &counts[start..start + (self.items.len() - a - 1)]
     }
@@ -201,6 +201,12 @@ pub struct FrequentPairs<'a> {
 }
 
 impl FrequentPairs<'_> {
+    /// The partners of rank `a`: the ascending ranks `b > a` with
+    /// `(a, b)` frequent.
+    pub fn partners(&self, a: usize) -> &[u32] {
+        &self.partner[self.start[a]..self.start[a + 1]]
+    }
+
     /// Writes to `ids` the `F_2` ids of the frequent pairs contained in
     /// `txn` (ascending items), in ascending order. `ranks` and `marks`
     /// are scratch; `marks` is a bitmap over the ranks that must be all
@@ -472,8 +478,7 @@ mod tests {
             prop_assert_eq!(pairs.partner.len(), f2.len());
             let mut listed = Vec::new();
             for (a, &x) in items.iter().enumerate() {
-                let row = &pairs.partner[pairs.start[a]..pairs.start[a + 1]];
-                listed.extend(row.iter().map(|&b| [x, items[b as usize]]));
+                listed.extend(pairs.partners(a).iter().map(|&b| [x, items[b as usize]]));
             }
             let want: Vec<[Item; 2]> = f2.iter().map(|(s, _)| [s[0], s[1]]).collect();
             prop_assert_eq!(listed, want);

@@ -2,14 +2,15 @@
 //! construction, and the prefix-class DFS the driver in
 //! [`crate::parallel`] is built from.
 //!
-//! The DFS is split into `extend_one` (grow one member of a class) and
-//! `extend_all` (grow every member in order): a parallel task is
-//! exactly one `extend_one` call, and a class's subtree never depends on
-//! any other class's traversal, so every schedule emits the same itemsets.
+//! The DFS step is `Dfs::extend_one`, which grows one member of a class
+//! and recurses into its children: a parallel task is exactly one
+//! `extend_one` call on the root class, and a class's subtree never
+//! depends on any other class's traversal, so every schedule emits the
+//! same itemsets.
 
 use crate::config::VerticalConfig;
-use crate::tidset::{Backend, KernelStats, TidSet};
-use arm_core::PairIndex;
+use crate::tidset::{Backend, KernelStats, TidMarks, TidSet};
+use arm_core::{FrequentPairs, PairIndex};
 use arm_dataset::{partition::block_ranges, Database, Item, Tid};
 use arm_faults::{try_run_threads, MiningError, RunControl};
 
@@ -21,11 +22,13 @@ pub(crate) type Emitted = (Vec<Item>, u32);
 /// class that produced it, so parallel results merge deterministically.
 pub(crate) type ClassBuf = (usize, Vec<Emitted>);
 
-/// A prefix-class member during the DFS: the extending item and the
+/// A prefix-class member during the DFS: the extending item, its rank
+/// in the root class (the index of the root member holding it), and the
 /// tidset of `prefix ∪ {item}`.
 #[derive(Debug, Clone)]
 pub(crate) struct Member {
     pub item: Item,
+    pub rank: u32,
     pub tids: TidSet,
 }
 
@@ -35,10 +38,12 @@ pub(crate) fn n_words_for(n_txns: usize) -> usize {
 }
 
 /// Transposes the database into per-item ascending tidlists using `p`
-/// threads over contiguous transaction blocks. Blocks are merged in
-/// thread (= tid) order, so the result is deterministic and each list
-/// stays sorted. Returns the lists and the per-thread work tally
-/// (items visited).
+/// threads over contiguous transaction blocks. Each worker counts its
+/// block's items first and sizes every list from that count before
+/// filling it; blocks are merged in thread (= tid) order into lists
+/// sized from the summed counts, so the result is deterministic, each
+/// list stays sorted, and no list grows by reallocation. Returns the
+/// lists and the per-thread work tally (items visited).
 ///
 /// Each worker checkpoints the control's token once before scanning its
 /// block (the block is one indivisible unit of transposition work) and
@@ -51,32 +56,41 @@ pub(crate) fn try_transpose(
     ctrl: &RunControl,
 ) -> Result<(Vec<Vec<Tid>>, Vec<u64>), MiningError> {
     let p = p.max(1);
+    let n_items = db.n_items() as usize;
     let ranges = block_ranges(db.len(), p);
     let partials: Vec<(Vec<Vec<Tid>>, u64)> = try_run_threads(p, "transpose", &ctrl.cancel, |t| {
         ctrl.faults.fire("transpose", t, 0);
-        let mut lists: Vec<Vec<Tid>> = vec![Vec::new(); db.n_items() as usize];
-        let mut visited = 0u64;
         if !ctrl.cancel.checkpoint() {
-            return (lists, visited);
+            return (vec![Vec::new(); n_items], 0);
         }
-        for tid in ranges[t].clone() {
-            let txn = db.transaction(tid);
-            visited += txn.len() as u64;
-            for &item in txn {
+        let range = ranges[t].clone();
+        let offsets = db.offsets();
+        let block = &db.items()[offsets[range.start] as usize..offsets[range.end] as usize];
+        let mut sizes = vec![0usize; n_items];
+        for &item in block {
+            sizes[item as usize] += 1;
+        }
+        let mut lists: Vec<Vec<Tid>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for tid in range {
+            for &item in db.transaction(tid) {
                 lists[item as usize].push(tid as Tid);
             }
         }
-        (lists, visited)
+        (lists, block.len() as u64)
     })?;
     let work: Vec<u64> = partials.iter().map(|(_, w)| *w).collect();
-    let mut merged: Vec<Vec<Tid>> = vec![Vec::new(); db.n_items() as usize];
-    for (lists, _) in partials {
-        for (dst, src) in merged.iter_mut().zip(lists) {
-            if dst.is_empty() {
-                *dst = src;
-            } else {
-                dst.extend_from_slice(&src);
+    let mut partials = partials.into_iter().map(|(lists, _)| lists);
+    let mut merged = partials.next().expect("one block per thread");
+    let rest: Vec<Vec<Vec<Tid>>> = partials.collect();
+    if !rest.is_empty() {
+        for (i, dst) in merged.iter_mut().enumerate() {
+            let len = dst.len() + rest.iter().map(|lists| lists[i].len()).sum::<usize>();
+            let mut list = Vec::with_capacity(len);
+            list.append(dst);
+            for lists in &rest {
+                list.extend_from_slice(&lists[i]);
             }
+            *dst = list;
         }
     }
     Ok((merged, work))
@@ -95,6 +109,7 @@ pub(crate) fn build_root(
             stats.tidset_bytes += 4 * tids.len() as u64;
             root.push(Member {
                 item: i as Item,
+                rank: root.len() as u32,
                 tids: TidSet::Sorted(tids),
             });
         }
@@ -108,6 +123,54 @@ pub(crate) fn build_root(
 pub(crate) fn root_pairs(root: &[Member], n_items: u32) -> Option<PairIndex> {
     let items: Vec<Item> = root.iter().map(|m| m.item).collect();
     PairIndex::new(&items, n_items)
+}
+
+/// The root class's pair counts, borrowed in place: the summed counter
+/// array over a [`PairIndex`] of the root's ranks, and its frequent
+/// partner lists ([`PairIndex::frequent`]).
+pub(crate) struct RootPairs<'a> {
+    index: &'a PairIndex,
+    counts: &'a [u32],
+    frequent: FrequentPairs<'a>,
+}
+
+impl<'a> RootPairs<'a> {
+    /// Reads the frequent partners off `counts`, the pair counts over
+    /// `index`.
+    pub(crate) fn new(index: &'a PairIndex, counts: &'a [u32], min_support: u32) -> Self {
+        let (_, frequent) = index.frequent(counts, min_support);
+        RootPairs {
+            index,
+            counts,
+            frequent,
+        }
+    }
+
+    /// The support of the pair of root ranks `a < b`.
+    fn count(&self, a: u32, b: u32) -> u32 {
+        self.counts[self.index.index(a, b)]
+    }
+
+    /// The weight of root class `a`: the summed supports of its frequent
+    /// pairs, the tidset lengths its children start from.
+    pub(crate) fn weight(&self, a: usize) -> u64 {
+        let partners = self.frequent.partners(a);
+        partners
+            .iter()
+            .map(|&b| self.count(a as u32, b) as u64)
+            .sum()
+    }
+}
+
+/// What every class of one run is mined under: the root's pair counts
+/// (`None` when the pair array is unaddressable), the support and
+/// depth bounds, the backend policy and the transaction count.
+pub(crate) struct Dfs<'a> {
+    pub pairs: Option<&'a RootPairs<'a>>,
+    pub min_support: u32,
+    pub max_k: Option<u32>,
+    pub cfg: &'a VerticalConfig,
+    pub n_txns: usize,
 }
 
 /// Converts every member of a tidset class to `target` (members already
@@ -131,121 +194,148 @@ pub(crate) fn convert_members(
     }
 }
 
-/// Grows member `i` of `class`: joins it with every later member, emits
-/// the surviving children (itemsets of length `prefix.len() + 2`), and
-/// recurses while `max_k` allows.
-///
-/// At the root (empty `prefix`) members intersect, so the 2-itemsets
-/// keep their tidsets, and `pair_row` holds the pair counts of member
-/// `i` with each later member ([`PairIndex::row`]); a pair below
-/// `min_support` is skipped without intersecting, since its tidset would
-/// be dropped anyway. Below the root members join by [`TidSet::join`]:
-/// a sorted class yields diffsets, and a join stops as soon as the child
-/// cannot be frequent. A child class of tidsets re-decides its backend
-/// by its own density — deep classes are typically much sparser than
-/// the root; a class of diffsets is never converted.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn extend_one(
-    class: &[Member],
-    i: usize,
-    pair_row: Option<&[u32]>,
-    prefix: &mut Vec<Item>,
-    min_support: u32,
-    max_k: Option<u32>,
-    cfg: &VerticalConfig,
-    n_txns: usize,
-    stats: &mut KernelStats,
-    out: &mut Vec<(Vec<Item>, u32)>,
-) {
-    let a = &class[i];
-    let mut child: Vec<Member> = Vec::new();
-    let mut total_support = 0u64;
-    for (d, b) in class[i + 1..].iter().enumerate() {
-        let tids = if prefix.is_empty() {
-            if pair_row.is_some_and(|row| row[d] < min_support) {
-                continue;
-            }
-            let tids = a.tids.intersect(&b.tids, false, stats);
-            debug_assert!(
-                pair_row.is_none_or(|row| row[d] == tids.support()),
-                "tidset support disagrees with the pair count of ({}, {})",
-                a.item,
-                b.item
-            );
-            if tids.support() < min_support {
-                continue;
-            }
-            tids
+impl Dfs<'_> {
+    /// Grows member `i` of `class`: joins it with later members, emits
+    /// the surviving children (itemsets of length `prefix.len() + 2`),
+    /// and recurses while `max_k` allows. `marks` is the worker's
+    /// [`TidMarks`], all zero on entry and on return.
+    ///
+    /// At the root (empty `prefix`) member `a` intersects only its
+    /// frequent partners, read off the pair counts, so the 2-itemsets
+    /// keep their tidsets; a sorted `a` is marked once and each child is
+    /// built by [`TidMarks::join`] into a list sized by its pair count.
+    /// Below the root, members join by [`TidSet::join`]: a sorted class
+    /// yields diffsets, and a join stops as soon as the child cannot be
+    /// frequent. A join `PX ⋈ PY` whose 2-subset `{x, y}` is below
+    /// `min_support` is skipped without touching a tidset (one lookup in
+    /// the pair counts). A child class of tidsets re-decides its backend
+    /// by its own density — deep classes are typically much sparser than
+    /// the root; a class of diffsets is never converted.
+    pub(crate) fn extend_one(
+        &self,
+        class: &[Member],
+        i: usize,
+        prefix: &mut Vec<Item>,
+        marks: &mut TidMarks,
+        stats: &mut KernelStats,
+        out: &mut Vec<Emitted>,
+    ) {
+        let a = &class[i];
+        let mut child = if prefix.is_empty() {
+            self.root_children(class, i, marks, stats)
         } else {
-            match a.tids.join(&b.tids, min_support, stats) {
-                Some(tids) => tids,
-                None => continue,
-            }
+            self.class_children(class, i, stats)
         };
-        if let TidSet::Diff {
-            tids: diff,
-            support,
-        } = &tids
-        {
-            debug_assert!(
-                *support >= min_support
-                    && *support as usize + diff.len() == a.tids.support() as usize,
-                "diffset support {support} of ({}, {}) is not sup(PX) {} - |d| {}",
-                a.item,
-                b.item,
-                a.tids.support(),
-                diff.len()
-            );
+        if child.is_empty() {
+            return;
         }
-        total_support += tids.support() as u64;
-        child.push(Member { item: b.item, tids });
+        if !matches!(child[0].tids, TidSet::Diff { .. }) {
+            let total_support = child.iter().map(|m| m.tids.support() as u64).sum();
+            let target = self.cfg.choose(total_support, child.len(), self.n_txns);
+            convert_members(&mut child, target, n_words_for(self.n_txns), stats);
+        }
+        prefix.push(a.item);
+        for m in &child {
+            let mut items = Vec::with_capacity(prefix.len() + 1);
+            items.extend_from_slice(prefix);
+            items.push(m.item);
+            out.push((items, m.tids.support()));
+        }
+        let depth = prefix.len() as u32 + 1; // length of the emitted itemsets
+        if self.max_k.is_none_or(|cap| depth < cap) {
+            for j in 0..child.len() {
+                self.extend_one(&child, j, prefix, marks, stats, out);
+            }
+        }
+        prefix.pop();
     }
-    if child.is_empty() {
-        return;
-    }
-    if !matches!(child[0].tids, TidSet::Diff { .. }) {
-        let target = cfg.choose(total_support, child.len(), n_txns);
-        convert_members(&mut child, target, n_words_for(n_txns), stats);
-    }
-    prefix.push(a.item);
-    for m in &child {
-        let mut items = Vec::with_capacity(prefix.len() + 1);
-        items.extend_from_slice(prefix);
-        items.push(m.item);
-        out.push((items, m.tids.support()));
-    }
-    let depth = prefix.len() as u32 + 1; // length of the emitted itemsets
-    if max_k.is_none_or(|cap| depth < cap) {
-        extend_all(&child, prefix, min_support, max_k, cfg, n_txns, stats, out);
-    }
-    prefix.pop();
-}
 
-/// [`extend_one`] over every member of `class`, in order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn extend_all(
-    class: &[Member],
-    prefix: &mut Vec<Item>,
-    min_support: u32,
-    max_k: Option<u32>,
-    cfg: &VerticalConfig,
-    n_txns: usize,
-    stats: &mut KernelStats,
-    out: &mut Vec<(Vec<Item>, u32)>,
-) {
-    for i in 0..class.len() {
-        extend_one(
-            class,
-            i,
-            None,
-            prefix,
-            min_support,
-            max_k,
-            cfg,
-            n_txns,
-            stats,
-            out,
-        );
+    /// The frequent 2-itemsets of root member `i`, as tidsets.
+    fn root_children(
+        &self,
+        root: &[Member],
+        i: usize,
+        marks: &mut TidMarks,
+        stats: &mut KernelStats,
+    ) -> Vec<Member> {
+        let a = &root[i];
+        let Some(pairs) = self.pairs else {
+            return root[i + 1..]
+                .iter()
+                .filter_map(|b| {
+                    let tids = a.tids.intersect(&b.tids, false, stats);
+                    (tids.support() >= self.min_support).then_some(Member { tids, ..*b })
+                })
+                .collect();
+        };
+        let partners = pairs.frequent.partners(i);
+        let marked = match &a.tids {
+            TidSet::Sorted(tids) if !partners.is_empty() => {
+                marks.mark(tids);
+                stats.work_units += tids.len() as u64;
+                Some(tids)
+            }
+            _ => None,
+        };
+        let child = partners
+            .iter()
+            .map(|&rank| {
+                let b = &root[rank as usize];
+                let support = pairs.count(a.rank, rank);
+                let tids = match marked {
+                    Some(_) => marks.join(&b.tids, support, stats),
+                    None => a.tids.intersect(&b.tids, false, stats),
+                };
+                debug_assert_eq!(
+                    tids.support(),
+                    support,
+                    "tidset support disagrees with the pair count of ({}, {})",
+                    a.item,
+                    b.item
+                );
+                Member { tids, ..*b }
+            })
+            .collect();
+        if let Some(tids) = marked {
+            marks.unmark(tids);
+            debug_assert!(marks.is_clear(), "marks left set after row {}", a.item);
+        }
+        child
+    }
+
+    /// The frequent children of member `i` of a class below the root:
+    /// its joins with every later member whose 2-subset is frequent.
+    fn class_children(&self, class: &[Member], i: usize, stats: &mut KernelStats) -> Vec<Member> {
+        let a = &class[i];
+        let mut child = Vec::new();
+        for b in &class[i + 1..] {
+            if self
+                .pairs
+                .is_some_and(|pairs| pairs.count(a.rank, b.rank) < self.min_support)
+            {
+                continue;
+            }
+            let Some(tids) = a.tids.join(&b.tids, self.min_support, stats) else {
+                continue;
+            };
+            if let TidSet::Diff {
+                tids: diff,
+                support,
+            } = &tids
+            {
+                debug_assert!(
+                    *support >= self.min_support
+                        && *support as usize + diff.len() == a.tids.support() as usize,
+                    "diffset support {support} of ({}, {}) is not sup(PX) {} - |d| {}",
+                    a.item,
+                    b.item,
+                    a.tids.support(),
+                    diff.len()
+                );
+            }
+            child.push(Member { tids, ..*b });
+        }
+        child
     }
 }
 

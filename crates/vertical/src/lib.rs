@@ -8,9 +8,10 @@
 //! subsystem:
 //!
 //! * [`tidset`] — the [`TidSet`] representations (sorted lists, diffsets
-//!   and dense bitmaps) and their join kernels: intersection at the root,
-//!   and below it a difference that stops as soon as the itemset cannot
-//!   be frequent (dEclat's diffsets, from size 3 on);
+//!   and dense bitmaps) and their join kernels: intersection at the root
+//!   (through a [`TidMarks`] bitmap for sorted lists), and below it a
+//!   difference that stops as soon as the itemset cannot be frequent
+//!   (dEclat's diffsets, from size 3 on);
 //! * [`config`] — the [`VerticalConfig`] knobs: backend policy, density
 //!   threshold, class scheduling;
 //! * [`driver`] — transposition and the prefix-class DFS;
@@ -45,5 +46,6 @@ pub use parallel::{
     try_mine_eclat_parallel, TryMineOutcome,
 };
 pub use tidset::{
-    and_words, difference_linear, intersect_linear, intersect_sorted, Backend, KernelStats, TidSet,
+    and_words, difference_linear, intersect_linear, intersect_marked, intersect_sorted, Backend,
+    KernelStats, TidMarks, TidSet,
 };

@@ -4,25 +4,29 @@
 //! A task is one root-class member's entire DFS subtree
 //! (`extend_one` in [`crate::driver`]), so tasks touch disjoint outputs and
 //! need no locks. Threads append `(class_index, itemsets)` buffers;
-//! the merge orders them by class index and stable-sorts by length,
-//! which yields the canonical length-then-lex order, bit-identical to the
-//! sequential oracle [`arm_core::mine_eclat`] under *any* schedule —
-//! itemset order never depends on which thread ran which class.
+//! the merge places them by class index and then, in one counting pass,
+//! by length, which yields the canonical length-then-lex order,
+//! bit-identical to the sequential oracle [`arm_core::mine_eclat`] under
+//! *any* schedule — itemset order never depends on which thread ran
+//! which class.
 //!
 //! Before the classes are mined, a `count` phase counts every pair of
 //! frequent items into per-thread triangular arrays over the
 //! transactions (the `C_2` kernel of [`arm_core::pairs`], as Zaki's
-//! Eclat finds `F_2` horizontally). The root DFS then intersects only
-//! the pairs that are frequent, and root class `i` is weighted by the
-//! summed supports of its frequent pairs `(i, j)` — the tidset lengths
-//! its children start from. The default `Guided` mode re-balances
+//! Eclat finds `F_2` horizontally), and reads each item's frequent
+//! partners off them ([`arm_core::FrequentPairs`]). The root DFS then
+//! intersects only those pairs, below the root a join whose 2-subset is
+//! infrequent is skipped, and root class `i` is weighted by the summed
+//! supports of its frequent pairs `(i, j)` — the tidset lengths its
+//! children start from. The default `Guided` mode re-balances
 //! mis-estimates at run time.
 
 use crate::config::VerticalConfig;
 use crate::driver::{
-    build_root, convert_members, extend_one, n_words_for, root_pairs, try_transpose, ClassBuf,
+    build_root, convert_members, n_words_for, root_pairs, try_transpose, ClassBuf, Dfs, Emitted,
+    RootPairs,
 };
-use crate::tidset::KernelStats;
+use crate::tidset::{KernelStats, TidMarks};
 use arm_core::pairs::reduce_into_first;
 use arm_core::{count_pairs, record_exec, ParallelConfig, ParallelRunStats};
 use arm_dataset::{block_ranges, Database, Item};
@@ -153,6 +157,31 @@ fn fold_kernel_stats(metrics: &MetricsRegistry, t: usize, s: &KernelStats) {
     shard.add(Counter::TidsetBytes, s.tidset_bytes);
 }
 
+/// Concatenates `singletons` and the class buffers in order, stably
+/// grouped by itemset length: one counting pass sizes each length's
+/// run, and a second moves every itemset into its slot.
+fn place_by_length(singletons: Vec<Emitted>, by_class: Vec<Vec<Emitted>>) -> Vec<Emitted> {
+    let all = || singletons.iter().chain(by_class.iter().flatten());
+    let mut next = Vec::new();
+    for (items, _) in all() {
+        if next.len() <= items.len() {
+            next.resize(items.len() + 1, 0usize);
+        }
+        next[items.len()] += 1;
+    }
+    let mut placed = 0;
+    for slot in &mut next {
+        (*slot, placed) = (placed, placed + *slot);
+    }
+    let mut out = vec![(Vec::new(), 0); placed];
+    for emitted in singletons.into_iter().chain(by_class.into_iter().flatten()) {
+        let slot = &mut next[emitted.0.len()];
+        out[*slot] = emitted;
+        *slot += 1;
+    }
+    out
+}
+
 #[allow(clippy::too_many_arguments)]
 fn mine_parallel_impl(
     db: &Database,
@@ -196,7 +225,7 @@ fn mine_parallel_impl(
         if run_deep {
             // `None` only when the pair array is unaddressable; the root
             // then intersects every pair.
-            let pairs = match root_pairs(&root, db.n_items()) {
+            let counted = match root_pairs(&root, db.n_items()) {
                 Some(index) => {
                     let span = metrics.phase("count", 2);
                     let ranges = block_ranges(db.len(), p);
@@ -209,17 +238,15 @@ fn mine_parallel_impl(
                 }
                 None => None,
             };
-            let pair_row = |i: usize| pairs.as_ref().map(|(index, counts)| index.row(counts, i));
+            let pairs = counted
+                .as_ref()
+                .map(|(index, counts)| RootPairs::new(index, counts, min_support));
             // Class i's children start from the tidsets of its frequent
             // pairs, so it weighs their summed supports; without pair
             // counts it intersects every later member: Σ_{j ≥ i} support_j.
             let weights: Vec<u64> = (0..root.len())
-                .map(|i| match pair_row(i) {
-                    Some(row) => row
-                        .iter()
-                        .filter(|&&c| c >= min_support)
-                        .map(|&c| c as u64)
-                        .sum(),
+                .map(|i| match &pairs {
+                    Some(pairs) => pairs.weight(i),
                     None => root[i..].iter().map(|m| m.tids.support() as u64).sum(),
                 })
                 .collect();
@@ -247,10 +274,18 @@ fn mine_parallel_impl(
             let pool = ChunkPool::with_floor(seed_ranges, cfg.scheduling, 1)
                 .with_cancel_token(ctrl.cancel.clone());
             let span = metrics.phase("mine", 1);
+            let dfs = Dfs {
+                pairs: pairs.as_ref(),
+                min_support,
+                max_k,
+                cfg,
+                n_txns: db.len(),
+            };
             let root_ref = &root;
             let results: Vec<(KernelStats, Vec<ClassBuf>)> =
                 try_run_threads(p, "mine", &ctrl.cancel, |t| {
                     let mut stats = KernelStats::default();
+                    let mut marks = TidMarks::new(db.len());
                     let mut bufs = Vec::new();
                     let mut claim = 0u64;
                     while let Some(range) = pool.next(t) {
@@ -258,16 +293,11 @@ fn mine_parallel_impl(
                         claim += 1;
                         for ci in range {
                             let mut class_out = Vec::new();
-                            let mut prefix = Vec::new();
-                            extend_one(
+                            dfs.extend_one(
                                 root_ref,
                                 ci,
-                                pair_row(ci),
-                                &mut prefix,
-                                min_support,
-                                max_k,
-                                cfg,
-                                db.len(),
+                                &mut Vec::new(),
+                                &mut marks,
                                 &mut stats,
                                 &mut class_out,
                             );
@@ -284,18 +314,16 @@ fn mine_parallel_impl(
             ctrl.gate("mine", run_start)?;
 
             let span = metrics.phase("merge", 1);
-            let mut by_class: Vec<ClassBuf> =
-                results.into_iter().flat_map(|(_, bufs)| bufs).collect();
-            by_class.sort_by_key(|(ci, _)| *ci);
-            for (_, mut chunk) in by_class {
-                out.append(&mut chunk);
+            let mut by_class: Vec<Vec<Emitted>> = vec![Vec::new(); root.len()];
+            for (ci, buf) in results.into_iter().flat_map(|(_, bufs)| bufs) {
+                by_class[ci] = buf;
             }
-            // A stable sort by length alone is canonical: each class
-            // buffer is a DFS preorder over a lexicographic prefix tree,
-            // so its itemsets of any one length are already in lex order,
-            // and the buffers follow F1 in ascending class index, which is
-            // ascending first item.
-            out.sort_by_key(|(s, _)| s.len());
+            // Placing itemsets by length, class after class, is canonical:
+            // each class buffer is a DFS preorder over a lexicographic
+            // prefix tree, so its itemsets of any one length are already
+            // in lex order, and the buffers follow F1 in ascending class
+            // index, which is ascending first item.
+            out = place_by_length(out, by_class);
             debug_assert!(
                 out.windows(2)
                     .all(|w| (w[0].0.len(), &w[0].0) < (w[1].0.len(), &w[1].0)),
@@ -504,6 +532,74 @@ mod tests {
                     let tiles = random_tiles(n_classes, p, &mut rng);
                     let (got, _) = mine_eclat_parallel_seeded(&db, minsup, None, &cfg, p, &tiles);
                     prop_assert_eq!(&got, &want, "backend={:?} tiles={:?}", backend, tiles);
+                }
+            }
+        }
+    }
+
+    /// Joins below the root, counted by brute force over the oracle's
+    /// itemsets: every class `Q` (a frequent itemset) joins each pair of
+    /// its members `Q ∪ {x}`, `Q ∪ {y}`, and the 2-subset prune skips
+    /// the pairs with `{x, y}` infrequent. Returns (all, skipped).
+    fn class_joins(want: &[(Vec<Item>, u32)]) -> (u64, u64) {
+        let frequent: std::collections::HashSet<&[Item]> =
+            want.iter().map(|(s, _)| s.as_slice()).collect();
+        let (mut all, mut skipped) = (0, 0);
+        for (q, _) in want {
+            let ext: Vec<Item> = want
+                .iter()
+                .filter(|(s, _)| s.len() == q.len() + 1 && s.starts_with(q))
+                .map(|(s, _)| s[q.len()])
+                .collect();
+            for (i, &x) in ext.iter().enumerate() {
+                for &y in &ext[i + 1..] {
+                    all += 1;
+                    skipped += u64::from(!frequent.contains(&[x, y][..]));
+                }
+            }
+        }
+        (all, skipped)
+    }
+
+    #[test]
+    fn infrequent_two_subsets_prune_class_joins() {
+        // Items 1 and 2 each pair often with 0 but rarely with each
+        // other: the class of {0} joins {0, 1} and {0, 2} only if the
+        // prune misses that {1, 2} is infrequent.
+        let mut txns = vec![vec![0u32, 1], vec![0, 2], vec![1, 2], vec![0, 1, 3]];
+        txns.extend([vec![0, 1], vec![0, 2], vec![0, 2, 3], vec![0, 3]]);
+        let fixed = Database::from_transactions(4, txns).unwrap();
+        let dbs = [
+            (fixed, 2),
+            (dense_db(9, 40, 55, 3), 10),
+            (dense_db(10, 30, 70, 11), 12),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x9a1);
+        for (db, minsup) in &dbs {
+            let want = mine_eclat(db, *minsup, None);
+            let (all, skipped) = class_joins(&want);
+            assert!(skipped > 0, "no join for the prune to skip");
+            let n_f2 = want.iter().filter(|(s, _)| s.len() == 2).count() as u64;
+            let n_classes = want.iter().take_while(|(s, _)| s.len() == 1).count();
+            for backend in [TidBackend::Sorted, TidBackend::Bitmap, TidBackend::Auto] {
+                let cfg = VerticalConfig::default().with_backend(backend);
+                for p in 1..=3 {
+                    let tiles = random_tiles(n_classes, p, &mut rng);
+                    let runs = [
+                        mine_eclat_parallel(db, *minsup, None, &cfg, p),
+                        mine_eclat_parallel_seeded(db, *minsup, None, &cfg, p, &tiles),
+                    ];
+                    for (got, stats) in runs {
+                        assert_eq!(got, want, "backend={backend:?} p={p} tiles={tiles:?}");
+                        if MetricsRegistry::enabled() {
+                            // The root intersects every frequent pair once.
+                            assert_eq!(
+                                stats.metrics.total(Counter::TidsetIntersections),
+                                n_f2 + all - skipped,
+                                "backend={backend:?} p={p}"
+                            );
+                        }
+                    }
                 }
             }
         }

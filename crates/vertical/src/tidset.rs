@@ -22,11 +22,22 @@
 //!   tid in 64 (the break-even ratio behind
 //!   [`crate::VerticalConfig::density_threshold`]).
 //!
+//!
+//! A sorted root also joins through a [`TidMarks`] bitmap: Eclat marks
+//! the tids of root member `a` once, then builds `t(ab)` for each
+//! frequent partner `b` with [`intersect_marked`], which streams `t(b)`
+//! and keeps the marked tids. Each step stores the tid unconditionally
+//! and advances the write index by its mark bit, so no step's loads wait
+//! on the previous step's, and `t(a)` is read once per row rather than
+//! once per partner. The pair count gives the child's exact size, so the
+//! kernel stops once it has stored that many tids, and its output is
+//! allocated exactly.
+//!
 //! The raw kernels ([`intersect_linear`], [`difference_linear`],
-//! [`and_words`]) are exported for the criterion `intersection` bench;
-//! the drivers go through [`TidSet::intersect`] (the root) and
-//! [`TidSet::join`] (every class below it), which also book
-//! [`KernelStats`] telemetry.
+//! [`intersect_marked`], [`and_words`]) are exported for the criterion
+//! `intersection` bench; the drivers go through [`TidSet::intersect`]
+//! and `TidMarks::join` (the root) and [`TidSet::join`] (every class
+//! below it), which also book [`KernelStats`] telemetry.
 
 use arm_dataset::Tid;
 
@@ -43,9 +54,10 @@ pub struct KernelStats {
     /// Bytes of tidset storage materialized (outputs and conversions).
     pub tidset_bytes: u64,
     /// Abstract work units (merge: `|a| + |b|`; difference: the elements
-    /// it consumed, fewer than `|a| + |b|` when it stops early; AND:
-    /// words touched) — the per-thread tally behind the `mine` phase's
-    /// imbalance.
+    /// it consumed, fewer than `|a| + |b|` when it stops early; marked:
+    /// the elements of `a` marked, once per row, plus the elements of
+    /// each `b` streamed; AND: words touched) — the per-thread tally
+    /// behind the `mine` phase's imbalance.
     pub work_units: u64,
 }
 
@@ -318,6 +330,96 @@ pub fn difference_linear(
     Ok(a.len() + j)
 }
 
+/// A bitmap over the transaction space that marks one tidset at a time,
+/// for the marked root joins ([`intersect_marked`]). Every bit is zero
+/// between uses: [`TidMarks::unmark`] clears what [`TidMarks::mark`] set.
+#[derive(Debug, Clone)]
+pub struct TidMarks {
+    words: Vec<u64>,
+}
+
+impl TidMarks {
+    /// All-zero marks over `n_txns` transactions.
+    pub fn new(n_txns: usize) -> Self {
+        TidMarks {
+            words: vec![0; n_txns.div_ceil(64)],
+        }
+    }
+
+    /// Sets the bits of `tids` (all below the `n_txns` of [`TidMarks::new`]).
+    pub fn mark(&mut self, tids: &[Tid]) {
+        for &t in tids {
+            self.words[t as usize / 64] |= 1 << (t % 64);
+        }
+    }
+
+    /// Clears the bits [`TidMarks::mark`] set for `tids`, leaving every
+    /// bit zero when `tids` was the only set marked. It zeroes whole
+    /// words: no other tidset may share them.
+    pub fn unmark(&mut self, tids: &[Tid]) {
+        for &t in tids {
+            self.words[t as usize / 64] = 0;
+        }
+    }
+
+    /// True when no bit is set.
+    pub(crate) fn is_clear(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// `1` if `t` is marked, else `0`.
+    #[inline]
+    fn bit(&self, t: Tid) -> usize {
+        (self.words[t as usize / 64] >> (t % 64) & 1) as usize
+    }
+
+    /// The marked root join: `t(a) ∩ t(b)` for the marked `t(a)` and a
+    /// sorted `b` whose intersection with it holds exactly `support`
+    /// tids (its pair count), into a list of exactly that capacity.
+    /// Books one intersection, the streamed elements of `b` and the
+    /// output's bytes into `stats` (marking `t(a)` is booked by the
+    /// caller, once per row).
+    pub(crate) fn join(&self, b: &TidSet, support: u32, stats: &mut KernelStats) -> TidSet {
+        let TidSet::Sorted(b) = b else {
+            panic!("{MIXED}");
+        };
+        let mut out = Vec::with_capacity(support as usize);
+        let streamed = intersect_marked(self, b, support as usize, &mut out);
+        debug_assert_eq!(
+            out.len(),
+            support as usize,
+            "pair count is not |t(a) ∩ t(b)|"
+        );
+        stats.intersections += 1;
+        stats.work_units += streamed.max(1) as u64;
+        stats.tidset_bytes += 4 * out.len() as u64;
+        TidSet::Sorted(out)
+    }
+}
+
+/// Intersection of the tids marked in `marks` with the ascending slice
+/// `b`, appended to `out`, keeping at most `limit` tids. Each step
+/// stores `b[j]` unconditionally and advances the write index by its
+/// mark bit, so no load waits on the previous step's outcome. The loop
+/// stops once `limit` tids are kept, so with `limit` the exact size of
+/// the intersection it stores into exactly `limit` slots past `out`'s
+/// length, and a larger `limit` keeps the whole intersection. Returns
+/// the number of elements of `b` streamed.
+pub fn intersect_marked(marks: &TidMarks, b: &[Tid], limit: usize, out: &mut Vec<Tid>) -> usize {
+    let start = out.len();
+    out.resize(start + limit.min(b.len()), 0);
+    let dst = &mut out[start..];
+    let (mut j, mut n) = (0usize, 0usize);
+    while n < dst.len() && j < b.len() {
+        let t = b[j];
+        dst[n] = t;
+        n += marks.bit(t);
+        j += 1;
+    }
+    out.truncate(start + n);
+    j
+}
+
 /// Word-wise AND of two equal-universe bitmaps into `out`, returning the
 /// popcount of the result. The popcount folds into the AND loop so the
 /// support needs no second pass.
@@ -475,6 +577,75 @@ mod tests {
                     prop_assert_eq!(st.intersections, 1);
                     prop_assert!(st.work_units <= (a.len() + b.len()).max(1) as u64);
                 }
+            }
+        }
+    }
+
+    /// Tids at the marks' word edges for a universe of `n_txns`, plus
+    /// `extra` random ones below it, ascending and distinct.
+    fn edge_tids(n_txns: u32, extra: &[u32]) -> Vec<Tid> {
+        let edges = [0, 63, 64, 65, n_txns - 1];
+        let set: BTreeSet<Tid> = edges.iter().chain(extra).map(|&t| t % n_txns).collect();
+        set.into_iter().collect()
+    }
+
+    proptest! {
+        /// The marked kernel equals `BTreeSet` intersection for random
+        /// subsets of edge-rich tid lists, empty operands, a stream that
+        /// is all marked and one that is all unmarked; fed its exact
+        /// support it fills a list of exactly that capacity; and the
+        /// marks are all zero again after each unmark.
+        #[test]
+        fn marked_equals_btreeset_intersection(
+            n_txns in 66u32..400,
+            extra in proptest::collection::vec(0u32..u32::MAX, 0..200),
+            keep_a in 0u32..=100,
+            keep_b in 0u32..=100,
+            seed in 0u64..u64::MAX,
+            prefix in proptest::collection::vec(0u32..u32::MAX, 0..4),
+        ) {
+            let universe = edge_tids(n_txns, &extra);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut subset = |keep: u32| -> Vec<Tid> {
+                universe.iter().copied().filter(|_| rng.gen_range(0..100u32) < keep).collect()
+            };
+            let (a, b) = (subset(keep_a), subset(keep_b));
+            let unmarked: Vec<Tid> = (0..n_txns).filter(|t| !a.contains(t)).collect();
+            let mut marks = TidMarks::new(n_txns as usize);
+            for (a, b) in [
+                (&a, &b),
+                (&a, &a),
+                (&a, &unmarked),
+                (&a, &vec![]),
+                (&vec![], &b),
+            ] {
+                let want: Vec<Tid> = a
+                    .iter()
+                    .collect::<BTreeSet<_>>()
+                    .intersection(&b.iter().collect::<BTreeSet<_>>())
+                    .map(|&&t| t)
+                    .collect();
+                marks.mark(a);
+                // A limit of |b| keeps the whole intersection, appended
+                // past a non-empty `out`.
+                let mut out = prefix.clone();
+                let streamed = intersect_marked(&marks, b, b.len(), &mut out);
+                prop_assert_eq!(&out[..prefix.len()], &prefix[..], "prefix");
+                prop_assert_eq!(&out[prefix.len()..], &want[..], "marked");
+                prop_assert_eq!(streamed, b.len());
+                // The exact support stops at the last match, into exactly
+                // that capacity.
+                let mut st = KernelStats::default();
+                let got = marks.join(&TidSet::Sorted(b.clone()), want.len() as u32, &mut st);
+                let TidSet::Sorted(got) = got else { unreachable!() };
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(got.capacity(), want.len());
+                let last = want.last().map_or(0, |t| b.partition_point(|x| x <= t));
+                prop_assert_eq!(st.work_units, last.max(1) as u64);
+                prop_assert_eq!(st.intersections, 1);
+                prop_assert_eq!(st.tidset_bytes, 4 * want.len() as u64);
+                marks.unmark(a);
+                prop_assert!(marks.is_clear(), "marks left set");
             }
         }
     }
