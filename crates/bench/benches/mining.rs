@@ -2,7 +2,7 @@
 //! CCPD at several thread counts on a small synthetic dataset.
 
 use arm_core::{mine, AprioriConfig, Support};
-use arm_parallel::{ccpd, pccd, ParallelConfig};
+use arm_parallel::{ccpd, pccd, ParallelConfig, RunControl};
 use arm_quest::{generate, QuestParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -55,7 +55,12 @@ fn bench_parallel(c: &mut Criterion) {
     }
     let cfg = ParallelConfig::new(base, 2);
     g.bench_with_input(BenchmarkId::new("pccd", 2), &cfg, |b, cfg| {
-        b.iter(|| pccd::mine(&db, cfg).0.total_frequent())
+        b.iter(|| {
+            pccd::try_mine(&db, cfg, &RunControl::default())
+                .expect("no token, no faults")
+                .0
+                .total_frequent()
+        })
     });
     g.finish();
 }

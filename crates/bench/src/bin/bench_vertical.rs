@@ -29,7 +29,7 @@ use arm_core::mine_eclat;
 use arm_dataset::Database;
 use arm_metrics::Counter;
 use arm_quest::{generate, LengthDist};
-use arm_vertical::{TidBackend, VerticalConfig};
+use arm_vertical::{RunControl, TidBackend, VerticalConfig};
 
 fn backend_name(b: TidBackend) -> &'static str {
     match b {
@@ -97,10 +97,12 @@ fn main() {
         for backend in [TidBackend::Sorted, TidBackend::Bitmap, TidBackend::Auto] {
             let cfg = VerticalConfig::default().with_backend(backend);
             for &p in &threads {
-                let (wall, (itemsets, stats)) = time_best(reps, || {
-                    arm_vertical::mine_eclat_parallel(db, minsup, max_k, &cfg, p)
+                let (wall, (result, stats)) = time_best(reps, || {
+                    let ctrl = RunControl::default();
+                    arm_vertical::try_mine_eclat_parallel(db, minsup, max_k, &cfg, p, &ctrl)
+                        .expect("no token, no faults")
                 });
-                if itemsets != oracle {
+                if result.all_itemsets() != oracle {
                     eprintln!("DIVERGENCE: {name} {} P={p}", backend_name(backend));
                     diverged = true;
                 }

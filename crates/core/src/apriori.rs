@@ -4,9 +4,9 @@
 //! thread under the static schedule with an inert
 //! [`RunControl`](arm_faults::RunControl): sequential Apriori is CCPD at
 //! `P = 1`, so every counting path (pair array, class arrays, hash tree)
-//! and every per-iteration statistic exists once. [`MiningResult`] and
-//! [`IterStats`] are what both entry points return; [`make_hash`] and
-//! [`f1_items`] build a level's hash function.
+//! and every per-iteration statistic exists once. [`MiningResult`] (of
+//! CCPD, PCCD and parallel Eclat) and [`IterStats`] are the result
+//! types; [`make_hash`] and [`f1_items`] build a level's hash function.
 
 use crate::ccpd;
 use crate::config::{AprioriConfig, HashScheme};
@@ -44,7 +44,7 @@ pub struct IterStats {
 pub struct MiningResult {
     /// `levels[0]` is `F_1`, `levels[i]` is `F_{i+1}`.
     pub levels: Vec<FrequentLevel>,
-    /// One entry per executed iteration (including the final empty one).
+    /// One entry per executed iteration, the final empty one too (none for Eclat).
     pub iter_stats: Vec<IterStats>,
     /// The resolved absolute minimum support.
     pub min_support: u32,

@@ -79,8 +79,9 @@ use std::time::Instant;
 /// count and schedule) and the run's phase statistics.
 ///
 /// Infallible wrapper over [`try_mine`] with an inert [`RunControl`]: no
-/// token, no faults. A worker panic — impossible to observe through this
-/// API before the fault layer existed — is re-raised on the caller.
+/// token, no faults. A worker panic is re-raised on the caller. It stays
+/// only because `perfbench/` calls it and [`crate::mine`] is it at one
+/// thread.
 pub fn mine(db: &Database, cfg: &ParallelConfig) -> (MiningResult, ParallelRunStats) {
     try_mine(db, cfg, &RunControl::default()).unwrap_or_else(|e| panic!("{e}"))
 }

@@ -11,10 +11,11 @@
 //!
 //! Each worker counts its transaction ranges into a private array
 //! ([`PairIndex::count_into`]); the arrays are summed by [`reduce_into_first`]
-//! and [`PairIndex::frequent`] reads `F_2` off the total in one scan, in
-//! canonical order, both as a level and as per-rank partner lists
-//! ([`FrequentPairs`]): for each rank, the ascending higher ranks it forms
-//! a frequent pair with, row after row, so a pair's slot is its `F_2` id.
+//! and [`PairIndex::frequent_pairs`] reads `F_2` off the total in one scan
+//! as per-rank partner lists ([`FrequentPairs`]): for each rank, the
+//! ascending higher ranks it forms a frequent pair with, row after row, so
+//! a pair's slot is its `F_2` id. [`PairIndex::frequent`] also builds the
+//! canonical `F_2` level from them.
 //! The `k = 3` class-array pass ([`crate::class_array`]) reads each
 //! transaction's `F_2` ids straight off its items with them: it marks the
 //! transaction's ranks in a bitmap and keeps the marked partners of each,
@@ -142,31 +143,41 @@ impl PairIndex {
         increments
     }
 
-    /// `F_2`, the pairs whose count reaches `min_support`, read off the
-    /// array in one scan: as a level in canonical (lexicographic) order,
-    /// and as per-rank partner lists over this index's ranks in the same
-    /// order, so a pair's slot is its `F_2` id.
-    pub fn frequent(&self, counts: &[u32], min_support: u32) -> (FrequentLevel, FrequentPairs<'_>) {
-        let mut sets = CandidateSet::new(2);
-        let mut supports = Vec::new();
+    /// `F_2`'s per-rank partner lists: the pairs whose count reaches
+    /// `min_support`, read off the array in one scan, row after row, so a
+    /// pair's slot is its `F_2` id.
+    pub fn frequent_pairs(&self, counts: &[u32], min_support: u32) -> FrequentPairs<'_> {
         let mut start = Vec::with_capacity(self.items.len() + 1);
         let mut partner = Vec::new();
         start.push(0);
-        for (a, &x) in self.items.iter().enumerate() {
+        for a in 0..self.items.len() {
             for (b, &c) in (a as u32 + 1..).zip(self.row(counts, a)) {
                 if c >= min_support {
-                    sets.push(&[x, self.items[b as usize]]);
-                    supports.push(c);
                     partner.push(b);
                 }
             }
             start.push(partner.len());
         }
-        let pairs = FrequentPairs {
+        FrequentPairs {
             index: self,
             start,
             partner,
-        };
+        }
+    }
+
+    /// `F_2` both as a level in canonical (lexicographic) order and as
+    /// its partner lists ([`PairIndex::frequent_pairs`]), in the same
+    /// order.
+    pub fn frequent(&self, counts: &[u32], min_support: u32) -> (FrequentLevel, FrequentPairs<'_>) {
+        let pairs = self.frequent_pairs(counts, min_support);
+        let mut sets = CandidateSet::with_capacity(2, pairs.partner.len());
+        let mut supports = Vec::with_capacity(pairs.partner.len());
+        for (a, &x) in self.items.iter().enumerate() {
+            for &b in pairs.partners(a) {
+                sets.push(&[x, self.items[b as usize]]);
+                supports.push(counts[self.index(a as u32, b)]);
+            }
+        }
         (FrequentLevel::new(sets, supports), pairs)
     }
 
@@ -187,7 +198,7 @@ impl PairIndex {
 }
 
 /// `F_2` as per-rank partner lists over a [`PairIndex`]'s ranks
-/// ([`PairIndex::frequent`]), in CSR form: the partners of rank `a`
+/// ([`PairIndex::frequent_pairs`]), in CSR form: the partners of rank `a`
 /// are `partner[start[a]..start[a + 1]]`, the ascending ranks `b > a`
 /// with `(a, b)` frequent. `F_2` is lex-ordered, so the slot of a pair in
 /// `partner` is its `F_2` id.
@@ -519,7 +530,7 @@ mod tests {
             let idx = PairIndex::new(&items, 2 * n).unwrap();
             let counts: Vec<u32> =
                 (0..idx.len()).map(|_| u32::from(next() % 100 < density)).collect();
-            let (_, pairs) = idx.frequent(&counts, 1);
+            let pairs = idx.frequent_pairs(&counts, 1);
             // The F_2 id of a frequent pair: the frequent slots before it.
             let id_of: Vec<u32> = counts
                 .iter()

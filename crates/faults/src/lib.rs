@@ -20,7 +20,7 @@
 //!   mechanisms above actually work under fire.
 //!
 //! [`RunControl`] bundles a token and a plan; every `try_mine_*` entry
-//! point takes one, and the infallible `mine_*` APIs wrap them with the
+//! point takes one, and the few panicking `mine*` wrappers left pass the
 //! inert default.
 //!
 //! ```
@@ -51,7 +51,7 @@ use std::time::Instant;
 /// Everything a fallible mining run threads through its workers: the
 /// cancellation token and the (usually empty) fault plan. `Default` is
 /// fully inert — no deadline, no injections — which is what the
-/// infallible `mine_*` wrappers pass.
+/// panicking `mine*` wrappers pass.
 #[derive(Debug, Default)]
 pub struct RunControl {
     /// Cancellation/deadline handle. Clone it before the run to cancel

@@ -75,6 +75,12 @@ impl CandidateSet {
         (0..self.len() as u32).map(move |id| (id, self.get(id)))
     }
 
+    /// Moves the candidates out into an exactly sized set, keeping this one's allocation.
+    pub fn take(&mut self) -> CandidateSet {
+        let items = self.items.split_off(0);
+        CandidateSet { k: self.k, items }
+    }
+
     /// Appends all candidates of `other` (same `k`).
     pub fn extend_from(&mut self, other: &CandidateSet) {
         assert_eq!(
@@ -140,6 +146,22 @@ mod tests {
         c.push(&[0, 2]);
         let v: Vec<(u32, Vec<Item>)> = c.iter().map(|(i, s)| (i, s.to_vec())).collect();
         assert_eq!(v, vec![(0, vec![0, 1]), (1, vec![0, 2])]);
+    }
+
+    #[test]
+    fn take_moves_out_and_keeps_the_allocation() {
+        let mut c = CandidateSet::new(2);
+        for b in 1..4 {
+            c.push(&[0, b]);
+        }
+        let cap = c.items.capacity();
+        assert!(cap > 6, "the buffer has room to spare");
+        let taken = c.take();
+        let got: Vec<&[Item]> = taken.iter().map(|(_, s)| s).collect();
+        assert_eq!(got, [[0, 1], [0, 2], [0, 3]]);
+        assert_eq!((taken.k(), taken.items.capacity()), (2, 6), "exactly sized");
+        assert!(c.is_empty());
+        assert_eq!((c.k(), c.items.capacity()), (2, cap));
     }
 
     #[test]

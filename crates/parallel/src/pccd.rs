@@ -23,17 +23,9 @@ use arm_mem::LocalCounters;
 use arm_metrics::{Counter, MetricsRegistry};
 use std::time::Instant;
 
-/// Runs PCCD, returning the mining result (identical to sequential) and
-/// phase statistics.
-///
-/// Infallible wrapper over [`try_mine`] with an inert [`RunControl`]; a
-/// contained worker panic is re-raised on the caller.
-pub fn mine(db: &Database, cfg: &ParallelConfig) -> (MiningResult, ParallelRunStats) {
-    try_mine(db, cfg, &RunControl::default()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs PCCD under a [`RunControl`]: cancellation is observed once per
-/// worker scan; fault-plan sites fire in phase `count`.
+/// Runs PCCD under a [`RunControl`], returning the mining result
+/// (identical to sequential) and phase statistics. Cancellation is
+/// observed once per worker scan; fault-plan sites fire in phase `count`.
 /// Same `Err` guarantees as [`crate::ccpd::try_mine`].
 pub fn try_mine(
     db: &Database,
@@ -335,7 +327,12 @@ mod tests {
         let db = paper_db();
         let expected = mine_seq(&db, &base_cfg()).all_itemsets();
         for p in [1usize, 2, 3] {
-            let (r, _) = mine(&db, &ParallelConfig::new(base_cfg(), p));
+            let (r, _) = try_mine(
+                &db,
+                &ParallelConfig::new(base_cfg(), p),
+                &RunControl::default(),
+            )
+            .unwrap();
             assert_eq!(r.all_itemsets(), expected, "P={p}");
         }
     }
@@ -346,12 +343,14 @@ mod tests {
         // mode changes neither the itemsets nor any thread's count work.
         let db = paper_db();
         for p in [1usize, 2, 3, 8] {
-            let (oracle, oracle_stats) = mine(
+            let (oracle, oracle_stats) = try_mine(
                 &db,
                 &ParallelConfig::new(base_cfg(), p).with_scheduling(Scheduling::Static),
-            );
+                &RunControl::default(),
+            )
+            .unwrap();
             let cfg = ParallelConfig::new(base_cfg(), p).with_scheduling(Scheduling::Guided);
-            let (r, stats) = mine(&db, &cfg);
+            let (r, stats) = try_mine(&db, &cfg, &RunControl::default()).unwrap();
             assert_eq!(r.all_itemsets(), oracle.all_itemsets(), "P={p}");
             assert_eq!(stats.count_meters, oracle_stats.count_meters, "P={p}");
         }
@@ -368,8 +367,14 @@ mod tests {
             trim_transactions: false,
             ..base_cfg()
         };
-        let (_, ccpd_stats) = ccpd::mine(&db, &ParallelConfig::new(cfg.clone(), 3));
-        let (_, pccd_stats) = mine(&db, &ParallelConfig::new(cfg, 3));
+        let (_, ccpd_stats) = ccpd::try_mine(
+            &db,
+            &ParallelConfig::new(cfg.clone(), 3),
+            &RunControl::default(),
+        )
+        .unwrap();
+        let (_, pccd_stats) =
+            try_mine(&db, &ParallelConfig::new(cfg, 3), &RunControl::default()).unwrap();
         let ccpd_txns: u64 = ccpd_stats.count_meters.iter().map(|m| m.txns).sum();
         let pccd_txns: u64 = pccd_stats.count_meters.iter().map(|m| m.txns).sum();
         assert!(
@@ -382,7 +387,12 @@ mod tests {
     fn handles_more_threads_than_candidates() {
         let db = paper_db();
         let expected = mine_seq(&db, &base_cfg()).all_itemsets();
-        let (r, _) = mine(&db, &ParallelConfig::new(base_cfg(), 8));
+        let (r, _) = try_mine(
+            &db,
+            &ParallelConfig::new(base_cfg(), 8),
+            &RunControl::default(),
+        )
+        .unwrap();
         assert_eq!(r.all_itemsets(), expected);
     }
 }

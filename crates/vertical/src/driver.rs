@@ -13,14 +13,11 @@ use crate::tidset::{Backend, KernelStats, TidMarks, TidSet};
 use arm_core::{FrequentPairs, PairIndex};
 use arm_dataset::{partition::block_ranges, Database, Item, Tid};
 use arm_faults::{try_run_threads, MiningError, RunControl};
+use arm_hashtree::CandidateSet;
 
-/// One mined itemset with its support — the element type of every
-/// miner's output buffer.
-pub(crate) type Emitted = (Vec<Item>, u32);
-
-/// A per-class output buffer tagged with the index of the first-level
-/// class that produced it, so parallel results merge deterministically.
-pub(crate) type ClassBuf = (usize, Vec<Emitted>);
+/// One root class's itemsets by length: entry `i` holds the `(i + 2)`-itemsets
+/// and their supports in lex order (empty past the class's depth in a reused one).
+pub(crate) type ClassLevels = Vec<(CandidateSet, Vec<u32>)>;
 
 /// A prefix-class member during the DFS: the extending item, its rank
 /// in the root class (the index of the root member holding it), and the
@@ -127,7 +124,7 @@ pub(crate) fn root_pairs(root: &[Member], n_items: u32) -> Option<PairIndex> {
 
 /// The root class's pair counts, borrowed in place: the summed counter
 /// array over a [`PairIndex`] of the root's ranks, and its frequent
-/// partner lists ([`PairIndex::frequent`]).
+/// partner lists ([`PairIndex::frequent_pairs`]).
 pub(crate) struct RootPairs<'a> {
     index: &'a PairIndex,
     counts: &'a [u32],
@@ -138,11 +135,10 @@ impl<'a> RootPairs<'a> {
     /// Reads the frequent partners off `counts`, the pair counts over
     /// `index`.
     pub(crate) fn new(index: &'a PairIndex, counts: &'a [u32], min_support: u32) -> Self {
-        let (_, frequent) = index.frequent(counts, min_support);
         RootPairs {
             index,
             counts,
-            frequent,
+            frequent: index.frequent_pairs(counts, min_support),
         }
     }
 
@@ -195,10 +191,10 @@ pub(crate) fn convert_members(
 }
 
 impl Dfs<'_> {
-    /// Grows member `i` of `class`: joins it with later members, emits
-    /// the surviving children (itemsets of length `prefix.len() + 2`),
-    /// and recurses while `max_k` allows. `marks` is the worker's
-    /// [`TidMarks`], all zero on entry and on return.
+    /// Grows member `i` of `class`: joins it with later members, appends
+    /// the surviving children (itemsets of length `prefix.len() + 2`) to
+    /// their length's entry of `out`, and recurses while `max_k` allows.
+    /// `marks` is the worker's [`TidMarks`], all zero on entry and on return.
     ///
     /// At the root (empty `prefix`) member `a` intersects only its
     /// frequent partners, read off the pair counts, so the 2-itemsets
@@ -218,7 +214,7 @@ impl Dfs<'_> {
         prefix: &mut Vec<Item>,
         marks: &mut TidMarks,
         stats: &mut KernelStats,
-        out: &mut Vec<Emitted>,
+        out: &mut ClassLevels,
     ) {
         let a = &class[i];
         let mut child = if prefix.is_empty() {
@@ -235,14 +231,19 @@ impl Dfs<'_> {
             convert_members(&mut child, target, n_words_for(self.n_txns), stats);
         }
         prefix.push(a.item);
-        for m in &child {
-            let mut items = Vec::with_capacity(prefix.len() + 1);
-            items.extend_from_slice(prefix);
-            items.push(m.item);
-            out.push((items, m.tids.support()));
+        let depth = prefix.len() + 1; // length of the emitted itemsets
+        if out.len() < depth - 1 {
+            // Reached through a parent of the length before: one entry short.
+            out.push((CandidateSet::new(depth as u32), Vec::new()));
         }
-        let depth = prefix.len() as u32 + 1; // length of the emitted itemsets
-        if self.max_k.is_none_or(|cap| depth < cap) {
+        let (sets, supports) = &mut out[depth - 2];
+        for m in &child {
+            prefix.push(m.item);
+            sets.push(prefix);
+            prefix.pop();
+            supports.push(m.tids.support());
+        }
+        if self.max_k.is_none_or(|cap| (depth as u32) < cap) {
             for j in 0..child.len() {
                 self.extend_one(&child, j, prefix, marks, stats, out);
             }

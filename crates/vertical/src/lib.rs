@@ -15,22 +15,25 @@
 //! * [`config`] — the [`VerticalConfig`] knobs: backend policy, density
 //!   threshold, class scheduling;
 //! * [`driver`] — transposition and the prefix-class DFS;
-//! * [`parallel`] — [`mine_eclat_parallel`]: first-level equivalence
-//!   classes as weighted tasks on the `arm-exec` chunk pool, with a
-//!   deterministic merge (bit-identical to [`arm_core::mine_eclat`] at
-//!   any thread count, `1` included).
+//! * [`parallel`] — [`try_mine_eclat_parallel`]: first-level equivalence
+//!   classes as weighted tasks on the `arm-exec` chunk pool, merged
+//!   into a [`arm_core::MiningResult`] equal to CCPD's at any thread
+//!   count, `1` included, so rules and summaries take it unchanged.
 //!
 //! ```
 //! use arm_dataset::Database;
-//! use arm_vertical::{mine_eclat_parallel, VerticalConfig};
+//! use arm_vertical::{try_mine_eclat_parallel, RunControl, VerticalConfig};
 //!
 //! let db = Database::from_transactions(
 //!     8,
 //!     [vec![1u32, 4, 5], vec![1, 2], vec![3, 4, 5], vec![1, 2, 4, 5]],
 //! )
 //! .unwrap();
-//! let (itemsets, stats) = mine_eclat_parallel(&db, 2, None, &VerticalConfig::default(), 2);
-//! assert!(itemsets.contains(&(vec![1, 4, 5], 2)));
+//! let cfg = VerticalConfig::default();
+//! let (result, stats) = try_mine_eclat_parallel(&db, 2, None, &cfg, 2, &RunControl::default())
+//!     .expect("no token, no faults");
+//! assert_eq!(result.support_of(&[1, 4, 5]), Some(2));
+//! assert!(arm_core::generate_rules(&result, 1.0).iter().any(|r| r.antecedent == vec![2]));
 //! assert_eq!(stats.n_threads, 2);
 //! ```
 
@@ -43,7 +46,7 @@ pub use arm_faults::{CancelToken, FaultKind, FaultPlan, MiningError, RunControl}
 pub use config::{TidBackend, VerticalConfig};
 pub use parallel::{
     class_seeds, mine_eclat_parallel, mine_eclat_parallel_seeded, mine_hybrid,
-    try_mine_eclat_parallel, TryMineOutcome,
+    try_mine_eclat_parallel,
 };
 pub use tidset::{
     and_words, difference_linear, intersect_linear, intersect_marked, intersect_sorted, Backend,

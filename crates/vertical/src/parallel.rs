@@ -3,12 +3,11 @@
 //!
 //! A task is one root-class member's entire DFS subtree
 //! (`extend_one` in [`crate::driver`]), so tasks touch disjoint outputs and
-//! need no locks. Threads append `(class_index, itemsets)` buffers;
-//! the merge places them by class index and then, in one counting pass,
-//! by length, which yields the canonical length-then-lex order,
-//! bit-identical to the sequential oracle [`arm_core::mine_eclat`] under
-//! *any* schedule — itemset order never depends on which thread ran
-//! which class.
+//! need no locks. Each class writes its itemsets into one flat buffer per
+//! length; the merge concatenates them length by length, in class order,
+//! into a [`MiningResult`] equal to CCPD's ([`arm_core::ccpd::try_mine`])
+//! and to the sequential oracle [`arm_core::mine_eclat`] under *any*
+//! schedule: itemset order never depends on which thread ran which class.
 //!
 //! Before the classes are mined, a `count` phase counts every pair of
 //! frequent items into per-thread triangular arrays over the
@@ -23,23 +22,22 @@
 
 use crate::config::VerticalConfig;
 use crate::driver::{
-    build_root, convert_members, n_words_for, root_pairs, try_transpose, ClassBuf, Dfs, Emitted,
+    build_root, convert_members, n_words_for, root_pairs, try_transpose, ClassLevels, Dfs,
     RootPairs,
 };
 use crate::tidset::{KernelStats, TidMarks};
 use arm_core::pairs::reduce_into_first;
-use arm_core::{count_pairs, record_exec, ParallelConfig, ParallelRunStats};
+use arm_core::{
+    count_pairs, frequent_from_counts, record_exec, FrequentLevel, MiningResult, ParallelConfig,
+    ParallelRunStats,
+};
 use arm_dataset::{block_ranges, Database, Item};
 use arm_exec::ChunkPool;
 use arm_faults::{try_run_threads, MiningError, RunControl};
-use arm_hashtree::WorkMeter;
+use arm_hashtree::{CandidateSet, WorkMeter};
 use arm_metrics::{Counter, MetricsRegistry};
 use std::ops::Range;
 use std::time::Instant;
-
-/// What every fallible driver in this crate produces: the canonical
-/// itemset list plus run stats, or the error that ended the run.
-pub type TryMineOutcome = Result<(Vec<(Vec<Item>, u32)>, ParallelRunStats), MiningError>;
 
 /// Greedy contiguous split of class indices into `p` ranges of roughly
 /// equal total weight — the pool's seed ranges. Exported for tests that
@@ -68,9 +66,9 @@ pub fn class_seeds(weights: &[u64], p: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Parallel Eclat over `n_threads` workers. Returns the frequent
-/// itemsets in canonical length-then-lex order (bit-identical to
-/// [`arm_core::mine_eclat`]) and the run's phase/telemetry stats.
+/// [`try_mine_eclat_parallel`] with an inert [`RunControl`], flattened
+/// to `(items, support)` in length-then-lex order; a worker panic is
+/// re-raised on the caller. It stays only because `perfbench/` times it.
 pub fn mine_eclat_parallel(
     db: &Database,
     min_support: u32,
@@ -78,23 +76,22 @@ pub fn mine_eclat_parallel(
     cfg: &VerticalConfig,
     n_threads: usize,
 ) -> (Vec<(Vec<Item>, u32)>, ParallelRunStats) {
-    mine_parallel_impl(
+    try_mine_eclat_parallel(
         db,
         min_support,
         max_k,
         cfg,
         n_threads,
-        None,
         &RunControl::default(),
     )
+    .map(|(r, s)| (r.all_itemsets(), s))
     .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`mine_eclat_parallel`] under the horizontal miners' config: support
 /// resolved against `db`, depth cap from `pcfg.base`, `pcfg.n_threads`
-/// workers. It exists only because `perfbench/` still times a `hybrid`
-/// row through it, and goes with the benchmark change that removes
-/// perfbench's hybrid rows (ROADMAP items 1–2).
+/// workers. It stays only because `perfbench/` times a `hybrid` row
+/// through it.
 #[doc(hidden)]
 pub fn mine_hybrid(
     db: &Database,
@@ -110,10 +107,12 @@ pub fn mine_hybrid(
     )
 }
 
-/// [`mine_eclat_parallel`] under a [`RunControl`]: cancellation is
-/// observed per transpose block, per pair-count chunk and per class-range
-/// claim, worker panics return as [`MiningError::WorkerPanicked`], and
-/// fault-plan sites fire in phases `transpose`, `count` and `mine`.
+/// Parallel Eclat over `n_threads` workers: a [`MiningResult`] whose
+/// levels equal CCPD's (no `iter_stats`), and the run's stats. Under the
+/// [`RunControl`], cancellation is observed per transpose block, per
+/// pair-count chunk and per class-range claim, worker panics return as
+/// [`MiningError::WorkerPanicked`], and fault-plan sites fire in phases
+/// `transpose`, `count` and `mine`.
 pub fn try_mine_eclat_parallel(
     db: &Database,
     min_support: u32,
@@ -121,14 +120,14 @@ pub fn try_mine_eclat_parallel(
     cfg: &VerticalConfig,
     n_threads: usize,
     ctrl: &RunControl,
-) -> TryMineOutcome {
+) -> Result<(MiningResult, ParallelRunStats), MiningError> {
     mine_parallel_impl(db, min_support, max_k, cfg, n_threads, None, ctrl)
 }
 
-/// [`mine_eclat_parallel`] with caller-provided seed ranges over the
-/// root-class index space, replacing the weight-based split. The ranges
-/// must tile `0..n_root_classes` (every first-level class exactly once);
-/// the stress suite uses this to feed the pool adversarial splits.
+/// [`try_mine_eclat_parallel`], uncontrolled, with caller-provided seed
+/// ranges over the root-class index space instead of the weight-based
+/// split. The ranges must tile `0..n_root_classes` (every first-level
+/// class exactly once); the stress suite feeds adversarial splits here.
 pub fn mine_eclat_parallel_seeded(
     db: &Database,
     min_support: u32,
@@ -136,7 +135,7 @@ pub fn mine_eclat_parallel_seeded(
     cfg: &VerticalConfig,
     n_threads: usize,
     seeds: &[Range<usize>],
-) -> (Vec<(Vec<Item>, u32)>, ParallelRunStats) {
+) -> (MiningResult, ParallelRunStats) {
     mine_parallel_impl(
         db,
         min_support,
@@ -157,29 +156,23 @@ fn fold_kernel_stats(metrics: &MetricsRegistry, t: usize, s: &KernelStats) {
     shard.add(Counter::TidsetBytes, s.tidset_bytes);
 }
 
-/// Concatenates `singletons` and the class buffers in order, stably
-/// grouped by itemset length: one counting pass sizes each length's
-/// run, and a second moves every itemset into its slot.
-fn place_by_length(singletons: Vec<Emitted>, by_class: Vec<Vec<Emitted>>) -> Vec<Emitted> {
-    let all = || singletons.iter().chain(by_class.iter().flatten());
-    let mut next = Vec::new();
-    for (items, _) in all() {
-        if next.len() <= items.len() {
-            next.resize(items.len() + 1, 0usize);
+/// The levels `F_2, F_3, …`: the class buffers concatenated length by
+/// length in class order. Each buffer is a DFS preorder over a lex prefix
+/// tree and class `i`'s itemsets start with root item `i`, so each level
+/// is in lex order; a class that emits length `k` emits every shorter one.
+fn merge_levels(by_class: &[ClassLevels]) -> impl Iterator<Item = FrequentLevel> + '_ {
+    let n_lengths = by_class.iter().map(Vec::len).max().unwrap_or(0);
+    (0..n_lengths).map(move |i| {
+        let parts = || by_class.iter().filter_map(move |levels| levels.get(i));
+        let n = parts().map(|(_, supports)| supports.len()).sum();
+        let mut sets = CandidateSet::with_capacity(i as u32 + 2, n);
+        let mut supports = Vec::with_capacity(n);
+        for (s, c) in parts() {
+            sets.extend_from(s);
+            supports.extend_from_slice(c);
         }
-        next[items.len()] += 1;
-    }
-    let mut placed = 0;
-    for slot in &mut next {
-        (*slot, placed) = (placed, placed + *slot);
-    }
-    let mut out = vec![(Vec::new(), 0); placed];
-    for emitted in singletons.into_iter().chain(by_class.into_iter().flatten()) {
-        let slot = &mut next[emitted.0.len()];
-        out[*slot] = emitted;
-        *slot += 1;
-    }
-    out
+        FrequentLevel::new(sets, supports)
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -191,14 +184,13 @@ fn mine_parallel_impl(
     n_threads: usize,
     seeds: Option<&[Range<usize>]>,
     ctrl: &RunControl,
-) -> TryMineOutcome {
+) -> Result<(MiningResult, ParallelRunStats), MiningError> {
     let run_start = Instant::now();
     let p = n_threads.max(1);
+    let min_support = min_support.max(1);
     let metrics = MetricsRegistry::new(p);
-    let mut out: Vec<(Vec<Item>, u32)> = Vec::new();
+    let mut levels = Vec::new();
     if max_k != Some(0) {
-        let min_support = min_support.max(1);
-
         let span = metrics.phase("transpose", 1);
         let (tidlists, transpose_work) = try_transpose(db, p, ctrl)?;
         span.finish(transpose_work);
@@ -208,10 +200,9 @@ fn mine_parallel_impl(
         // (one pass over the frequent singletons).
         let span = metrics.phase("classes", 1);
         let mut root_stats = KernelStats::default();
+        let counts: Vec<u32> = tidlists.iter().map(|tids| tids.len() as u32).collect();
+        levels.push(frequent_from_counts(&counts, min_support));
         let mut root = build_root(tidlists, min_support, &mut root_stats);
-        for m in &root {
-            out.push((vec![m.item], m.tids.support()));
-        }
         let run_deep = max_k != Some(1) && !root.is_empty();
         if run_deep {
             let total: u64 = root.iter().map(|m| m.tids.support() as u64).sum();
@@ -282,26 +273,30 @@ fn mine_parallel_impl(
                 n_txns: db.len(),
             };
             let root_ref = &root;
-            let results: Vec<(KernelStats, Vec<ClassBuf>)> =
+            let results: Vec<(KernelStats, Vec<(usize, ClassLevels)>)> =
                 try_run_threads(p, "mine", &ctrl.cancel, |t| {
                     let mut stats = KernelStats::default();
                     let mut marks = TidMarks::new(db.len());
                     let mut bufs = Vec::new();
+                    let mut scratch = ClassLevels::new();
                     let mut claim = 0u64;
                     while let Some(range) = pool.next(t) {
                         ctrl.faults.fire("mine", t, claim);
                         claim += 1;
                         for ci in range {
-                            let mut class_out = Vec::new();
                             dfs.extend_one(
                                 root_ref,
                                 ci,
                                 &mut Vec::new(),
                                 &mut marks,
                                 &mut stats,
-                                &mut class_out,
+                                &mut scratch,
                             );
-                            bufs.push((ci, class_out));
+                            // Exactly sized copies: the scratch keeps its
+                            // buffers, grown once per worker, not per class.
+                            let levels = scratch.iter_mut().take_while(|(_, c)| !c.is_empty());
+                            let levels = levels.map(|(s, c)| (s.take(), c.split_off(0))).collect();
+                            bufs.push((ci, levels));
                         }
                     }
                     (stats, bufs)
@@ -314,21 +309,11 @@ fn mine_parallel_impl(
             ctrl.gate("mine", run_start)?;
 
             let span = metrics.phase("merge", 1);
-            let mut by_class: Vec<Vec<Emitted>> = vec![Vec::new(); root.len()];
+            let mut by_class: Vec<ClassLevels> = vec![Vec::new(); root.len()];
             for (ci, buf) in results.into_iter().flat_map(|(_, bufs)| bufs) {
                 by_class[ci] = buf;
             }
-            // Placing itemsets by length, class after class, is canonical:
-            // each class buffer is a DFS preorder over a lexicographic
-            // prefix tree, so its itemsets of any one length are already
-            // in lex order, and the buffers follow F1 in ascending class
-            // index, which is ascending first item.
-            out = place_by_length(out, by_class);
-            debug_assert!(
-                out.windows(2)
-                    .all(|w| (w[0].0.len(), &w[0].0) < (w[1].0.len(), &w[1].0)),
-                "merged itemsets are not in strict length-then-lex order"
-            );
+            levels.extend(merge_levels(&by_class));
             span.finish_serial();
         }
     }
@@ -342,7 +327,12 @@ fn mine_parallel_impl(
         count_meters: vec![WorkMeter::default(); p],
         metrics: metrics.snapshot(),
     };
-    Ok((out, stats))
+    let result = MiningResult {
+        levels,
+        iter_stats: Vec::new(),
+        min_support,
+    };
+    Ok((result, stats))
 }
 
 #[cfg(test)]
@@ -353,6 +343,31 @@ mod tests {
     use arm_exec::Scheduling;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// [`try_mine_eclat_parallel`] with an inert control, flattened.
+    fn eclat(
+        db: &Database,
+        minsup: u32,
+        max_k: Option<u32>,
+        cfg: &VerticalConfig,
+        p: usize,
+    ) -> (Vec<(Vec<Item>, u32)>, ParallelRunStats) {
+        let (r, stats) =
+            try_mine_eclat_parallel(db, minsup, max_k, cfg, p, &RunControl::default()).unwrap();
+        (r.all_itemsets(), stats)
+    }
+
+    /// [`mine_eclat_parallel_seeded`], flattened.
+    fn seeded(
+        db: &Database,
+        minsup: u32,
+        cfg: &VerticalConfig,
+        p: usize,
+        seeds: &[Range<usize>],
+    ) -> (Vec<(Vec<Item>, u32)>, ParallelRunStats) {
+        let (r, stats) = mine_eclat_parallel_seeded(db, minsup, None, cfg, p, seeds);
+        (r.all_itemsets(), stats)
+    }
 
     fn paper_db() -> Database {
         Database::from_transactions(
@@ -399,7 +414,7 @@ mod tests {
                     .with_scheduling(mode);
                 let want = mine_eclat(&db, 2, None);
                 for p in [1, 2, 4, 8] {
-                    let (got, stats) = mine_eclat_parallel(&db, 2, None, &cfg, p);
+                    let (got, stats) = eclat(&db, 2, None, &cfg, p);
                     assert_eq!(got, want, "backend={backend:?} mode={mode:?} p={p}");
                     assert_eq!(stats.n_threads, p);
                     assert!(stats.phases.iter().any(|ph| ph.name == "mine"));
@@ -420,7 +435,7 @@ mod tests {
                 for max_k in [None, Some(0), Some(1), Some(2), Some(3), Some(10)] {
                     for p in [1, 2] {
                         assert_eq!(
-                            mine_eclat_parallel(&db, minsup, max_k, &cfg, p).0,
+                            eclat(&db, minsup, max_k, &cfg, p).0,
                             mine_eclat(&db, minsup, max_k),
                             "backend={backend:?} minsup={minsup} max_k={max_k:?} p={p}"
                         );
@@ -434,9 +449,9 @@ mod tests {
     fn max_k_edges() {
         let db = paper_db();
         let cfg = VerticalConfig::default();
-        let (zero, _) = mine_eclat_parallel(&db, 1, Some(0), &cfg, 4);
+        let (zero, _) = eclat(&db, 1, Some(0), &cfg, 4);
         assert!(zero.is_empty());
-        let (ones, _) = mine_eclat_parallel(&db, 2, Some(1), &cfg, 4);
+        let (ones, _) = eclat(&db, 2, Some(1), &cfg, 4);
         assert!(ones.iter().all(|(s, _)| s.len() == 1));
         assert_eq!(ones.len(), 4);
     }
@@ -452,7 +467,7 @@ mod tests {
             vec![0..0, 0..1, 1..1, 1..4],
             vec![0..2, 2..3, 3..4],
         ] {
-            let (got, _) = mine_eclat_parallel_seeded(&db, 2, None, &cfg, seeds.len(), &seeds);
+            let (got, _) = seeded(&db, 2, &cfg, seeds.len(), &seeds);
             assert_eq!(got, want, "seeds={seeds:?}");
         }
     }
@@ -503,7 +518,7 @@ mod tests {
             x[..2] == y[..2] && x[2] < y[2] && !supports.contains_key(&[x[0], x[1], x[2], y[2]][..])
         })));
         let cfg = VerticalConfig::default().with_backend(TidBackend::Sorted);
-        assert_eq!(mine_eclat_parallel(&db, minsup, None, &cfg, 1).0, want);
+        assert_eq!(eclat(&db, minsup, None, &cfg, 1).0, want);
     }
 
     proptest! {
@@ -527,10 +542,10 @@ mod tests {
             for backend in [TidBackend::Sorted, TidBackend::Bitmap, TidBackend::Auto] {
                 let cfg = VerticalConfig::default().with_backend(backend);
                 for p in 1..=3 {
-                    let (got, _) = mine_eclat_parallel(&db, minsup, None, &cfg, p);
+                    let (got, _) = eclat(&db, minsup, None, &cfg, p);
                     prop_assert_eq!(&got, &want, "backend={:?} p={}", backend, p);
                     let tiles = random_tiles(n_classes, p, &mut rng);
-                    let (got, _) = mine_eclat_parallel_seeded(&db, minsup, None, &cfg, p, &tiles);
+                    let (got, _) = seeded(&db, minsup, &cfg, p, &tiles);
                     prop_assert_eq!(&got, &want, "backend={:?} tiles={:?}", backend, tiles);
                 }
             }
@@ -586,8 +601,8 @@ mod tests {
                 for p in 1..=3 {
                     let tiles = random_tiles(n_classes, p, &mut rng);
                     let runs = [
-                        mine_eclat_parallel(db, *minsup, None, &cfg, p),
-                        mine_eclat_parallel_seeded(db, *minsup, None, &cfg, p, &tiles),
+                        eclat(db, *minsup, None, &cfg, p),
+                        seeded(db, *minsup, &cfg, p, &tiles),
                     ];
                     for (got, stats) in runs {
                         assert_eq!(got, want, "backend={backend:?} p={p} tiles={tiles:?}");
@@ -610,13 +625,13 @@ mod tests {
     fn seeded_split_must_cover() {
         let db = paper_db();
         let seeds = vec![0..2, 2..3]; // misses class 3
-        mine_eclat_parallel_seeded(&db, 2, None, &VerticalConfig::default(), 2, &seeds);
+        seeded(&db, 2, &VerticalConfig::default(), 2, &seeds);
     }
 
     #[test]
     fn telemetry_lands_in_snapshot() {
         let db = paper_db();
-        let (_, stats) = mine_eclat_parallel(&db, 2, None, &VerticalConfig::default(), 2);
+        let (_, stats) = eclat(&db, 2, None, &VerticalConfig::default(), 2);
         if stats.metrics.enabled {
             assert!(stats.metrics.total(Counter::TidsetIntersections) > 0);
             assert!(stats.metrics.total(Counter::TidsetBytes) > 0);
@@ -628,7 +643,7 @@ mod tests {
         let db = paper_db();
         let run = |backend| {
             let cfg = VerticalConfig::default().with_backend(backend);
-            let (_, stats) = mine_eclat_parallel(&db, 2, None, &cfg, 1);
+            let (_, stats) = eclat(&db, 2, None, &cfg, 1);
             let total = |c| stats.metrics.total(c);
             (
                 total(Counter::TidsetIntersections),
@@ -649,7 +664,7 @@ mod tests {
     fn empty_database() {
         let db = Database::from_transactions(4, Vec::<Vec<u32>>::new()).unwrap();
         for p in [1, 2] {
-            let (got, _) = mine_eclat_parallel(&db, 1, None, &VerticalConfig::default(), p);
+            let (got, _) = eclat(&db, 1, None, &VerticalConfig::default(), p);
             assert!(got.is_empty());
         }
     }

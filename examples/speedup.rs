@@ -45,7 +45,8 @@ fn main() {
     println!("\nPCCD baseline (duplicated scans):");
     for p in [1usize, 4] {
         let cfg = ParallelConfig::new(base.clone(), p);
-        let (_, stats) = pccd::mine(&db, &cfg);
+        let (_, stats) =
+            pccd::try_mine(&db, &cfg, &RunControl::default()).expect("no token, no faults");
         let total_txns: u64 = stats.count_meters.iter().map(|m| m.txns).sum();
         println!(
             "  P={p}: total transactions scanned across threads = {total_txns} \

@@ -10,15 +10,17 @@
 //!
 //! Text input: one transaction per line, whitespace-separated item ids.
 //!
-//! Mining starts from `AprioriConfig::default()`, so every level is
-//! counted in arrays (`pair_array`): `C_2` in the pair array, each
-//! `C_k`, `k ≥ 3`, in class arrays. No hash tree is built unless a
-//! hash-tree option is given: any of `--placement`, `--hash`,
-//! `--leaf-threshold`, `--fanout`, `--visited` and `--no-short-circuit`
-//! selects the paper's hash-tree counter (`pair_array = false`) at every
-//! level.
+//! By default the itemsets are mined by parallel Eclat
+//! (`try_mine_eclat_parallel`), the fastest miner (EXPERIMENTS.md, "One
+//! result type", times `arm-mine` on both). Any hash-tree option —
+//! `--placement`, `--hash`, `--leaf-threshold`, `--fanout`, `--visited`
+//! or `--no-short-circuit` — selects CCPD with the paper's hash-tree
+//! counter (`pair_array = false`) at every level, shaped by those
+//! options. Both miners return the same levels, so the listing and the
+//! rules are the same either way. `--threads` takes 1 to 1024 workers.
+//! A run that fails prints `error: …` and exits with code 1.
 
-use parallel_arm::cli::{mining_config, Args, CliError, MINING_FLAGS, MINING_OPTS};
+use parallel_arm::cli::{mining_config, threads, Args, CliError, MINING_FLAGS, MINING_OPTS};
 use parallel_arm::prelude::*;
 use std::io::Write;
 
@@ -30,9 +32,10 @@ fn usage() -> ! {
          \t[--confidence 0.8] [--threads N] [--placement CCPD|SPP|LPP|GPP|L-SPP|L-LPP|L-GPP|LCA-GPP]\n\
          \t[--hash bitonic|mod] [--leaf-threshold T] [--fanout auto|H] [--max-k K]\n\
          \t[--visited node|level] [--no-short-circuit] [--summary all|maximal|closed] [--top N]\n\
-         Counting uses arrays and builds no hash tree; any of --placement, --hash,\n\
-         --leaf-threshold, --fanout, --visited or --no-short-circuit selects the\n\
-         hash-tree counter (the options shape that tree)."
+         Mines with parallel Eclat; any of --placement, --hash, --leaf-threshold,\n\
+         --fanout, --visited or --no-short-circuit mines with CCPD's hash-tree\n\
+         counter instead (the options shape that tree). Same output either way.\n\
+         --threads takes 1 to 1024."
     );
     std::process::exit(2);
 }
@@ -55,9 +58,7 @@ fn main() {
         usage();
     };
     let cfg = mining_config(&args).unwrap_or_else(|e| fail(e));
-    let threads: usize = args
-        .get_parsed("threads", 1, "an integer")
-        .unwrap_or_else(|e| fail(e));
+    let threads = threads(&args).unwrap_or_else(|e| fail(e));
     let confidence: f64 = args
         .get_parsed("confidence", 0.8, "a fraction")
         .unwrap_or_else(|e| fail(e));
@@ -85,7 +86,20 @@ fn main() {
         db.n_items(),
         threads
     );
-    let result = ccpd::mine(&db, &ParallelConfig::new(cfg, threads)).0;
+    let ctrl = RunControl::default();
+    let mined = if cfg.pair_array {
+        let min_support = cfg.min_support.absolute(db.len());
+        let vcfg = VerticalConfig::default();
+        try_mine_eclat_parallel(&db, min_support, cfg.max_k, &vcfg, threads, &ctrl)
+    } else {
+        ccpd::try_mine(&db, &ParallelConfig::new(cfg, threads), &ctrl)
+    };
+    let result = mined
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        })
+        .0;
 
     let listed: Vec<(Vec<u32>, u32)> = match args.get("summary").unwrap_or("all") {
         "maximal" => parallel_arm::core::maximal_itemsets(&result),

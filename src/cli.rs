@@ -214,6 +214,20 @@ pub fn mining_config(args: &Args) -> Result<AprioriConfig, CliError> {
     Ok(cfg)
 }
 
+/// The most worker threads `--threads` accepts. Every run allocates a
+/// metrics shard and spawns a thread per worker, so the count is bounded
+/// before anything is allocated.
+pub const MAX_THREADS: usize = 1024;
+
+/// Reads `--threads` (default 1): an integer in `1..=MAX_THREADS`.
+pub fn threads(args: &Args) -> Result<usize, CliError> {
+    const EXPECTED: &str = "an integer from 1 to 1024";
+    match args.get_parsed("threads", 1, EXPECTED)? {
+        n @ 1..=MAX_THREADS => Ok(n),
+        n => Err(CliError::bad("threads", &n.to_string(), EXPECTED)),
+    }
+}
+
 /// Option names accepted by [`mining_config`].
 pub const MINING_OPTS: &[&str] = &[
     "support",
@@ -318,6 +332,23 @@ mod tests {
         ] {
             let cfg = mining_config(&parse(words)).unwrap();
             assert!(!cfg.pair_array, "{words:?} selects the tree");
+        }
+    }
+
+    #[test]
+    fn threads_are_bounded() {
+        assert_eq!(threads(&parse(&[])), Ok(1));
+        for n in [1, 2, MAX_THREADS] {
+            assert_eq!(threads(&parse(&["--threads", &n.to_string()])), Ok(n));
+        }
+        let too_many = (MAX_THREADS + 1).to_string();
+        let beyond_usize = format!("{}0", usize::MAX);
+        for v in ["0", &too_many, &beyond_usize, "-1", "two", ""] {
+            let err = threads(&parse(&["--threads", v])).unwrap_err();
+            assert!(
+                matches!(&err, CliError::BadValue { key, .. } if key == "threads"),
+                "--threads {v:?}: {err:?}"
+            );
         }
     }
 

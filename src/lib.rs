@@ -17,7 +17,7 @@
 //! | [`hashtree`] | the candidate hash tree: concurrent build, placement freeze, counting |
 //! | [`core`] | Apriori as one level loop (CCPD at any thread count), candidate generation, rule generation, phase/work statistics |
 //! | [`parallel`] | the PCCD baseline, run reports, the CCPD driver's paths |
-//! | [`vertical`] | tidset (Eclat) mining: bitmap/list backends, the parallel driver |
+//! | [`vertical`] | tidset (Eclat) mining: bitmap/list backends, the parallel driver (same `MiningResult` as CCPD) |
 //! | [`faults`] | cancellation tokens, deadline/fault injection, panic-contained `try_mine_*` errors |
 //! | [`metrics`] | phase timers, lock/counter telemetry, `RunReport` JSON/CSV |
 //!
@@ -30,17 +30,24 @@
 //! let db = parallel_arm::quest::generate(
 //!     &QuestParams::paper(10, 4, 1_000),
 //! );
-//! // ... mine it with all optimizations on, using 2 threads ...
+//! // ... mine it with CCPD, the paper's miner, using 2 threads ...
 //! let base = AprioriConfig {
 //!     min_support: Support::Fraction(0.01),
 //!     ..AprioriConfig::default()
 //! };
-//! let (result, stats) = ccpd::mine(&db, &ParallelConfig::new(base, 2));
-//! // ... and derive association rules.
-//! let rules = generate_rules(&result, 0.9);
+//! let ctrl = RunControl::default();
+//! let (result, stats) = ccpd::try_mine(&db, &ParallelConfig::new(base.clone(), 2), &ctrl)?;
 //! assert!(result.total_frequent() > 0);
 //! assert!(stats.wall_of(&["count"]) <= stats.wall);
+//! // ... or with parallel Eclat, which returns the same levels ...
+//! let min_support = base.min_support.absolute(db.len());
+//! let vcfg = VerticalConfig::default();
+//! let (eclat, _) = try_mine_eclat_parallel(&db, min_support, None, &vcfg, 2, &ctrl)?;
+//! assert_eq!(eclat.levels, result.levels);
+//! // ... and derive association rules from either.
+//! let rules = generate_rules(&eclat, 0.9);
 //! let _ = rules;
+//! # Ok::<(), MiningError>(())
 //! ```
 
 pub mod cli;
@@ -69,7 +76,5 @@ pub mod prelude {
     pub use arm_metrics::{MetricsRegistry, MetricsSnapshot, RunReport};
     pub use arm_parallel::{ccpd, pccd, run_report, ParallelConfig, ParallelRunStats, Scheduling};
     pub use arm_quest::{generate, QuestParams};
-    pub use arm_vertical::{
-        mine_eclat_parallel, try_mine_eclat_parallel, TidBackend, VerticalConfig,
-    };
+    pub use arm_vertical::{try_mine_eclat_parallel, TidBackend, VerticalConfig};
 }

@@ -130,7 +130,7 @@ impl Miner {
             Miner::Eclat => {
                 let minsup = (db.len() as f64 * 0.02).ceil().max(1.0) as u32;
                 vertical::try_mine_eclat_parallel(db, minsup, Some(4), &vcfg(mode), p, ctrl)
-                    .map(|(r, _)| r)
+                    .map(|(r, _)| r.all_itemsets())
             }
         }
     }

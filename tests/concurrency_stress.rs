@@ -287,9 +287,7 @@ fn vertical_randomized_class_splits_are_bit_identical_to_sequential() {
     // first-level class space, every round bit-identical to the
     // sequential oracle for both tidset backends.
     use parallel_arm::core::mine_eclat;
-    use parallel_arm::vertical::{
-        mine_eclat_parallel, mine_eclat_parallel_seeded, TidBackend, VerticalConfig,
-    };
+    use parallel_arm::vertical::{mine_eclat_parallel_seeded, TidBackend, VerticalConfig};
 
     let mut p = QuestParams::paper(10, 4, 1_000).with_seed(42);
     p.n_patterns = 60;
@@ -305,13 +303,18 @@ fn vertical_randomized_class_splits_are_bit_identical_to_sequential() {
         assert!(!expected.is_empty());
         // Parallel runs do exactly the one-thread intersection count
         // (tasks are disjoint class subtrees — no duplicated work).
-        let (_, one) = mine_eclat_parallel(&db, minsup, None, &cfg, 1);
+        let (_, one) =
+            try_mine_eclat_parallel(&db, minsup, None, &cfg, 1, &RunControl::default()).unwrap();
         let one_isects = one.metrics.total(Counter::TidsetIntersections);
         for round in 0..ROUNDS {
             let mut rng = StdRng::seed_from_u64(0xECA7 ^ round);
             let seeds = random_splits(&mut rng, n_classes, THREADS);
             let (got, stats) = mine_eclat_parallel_seeded(&db, minsup, None, &cfg, THREADS, &seeds);
-            assert_eq!(got, expected, "backend={backend:?} round {round}");
+            assert_eq!(
+                got.all_itemsets(),
+                expected,
+                "backend={backend:?} round {round}"
+            );
             assert_eq!(stats.n_threads, THREADS);
             assert_eq!(
                 stats.metrics.total(Counter::TidsetIntersections),

@@ -11,7 +11,7 @@
 use parallel_arm::core::{mine_eclat, mine_partition, naive::mine_levelwise};
 use parallel_arm::hashtree::VisitedMode;
 use parallel_arm::prelude::*;
-use parallel_arm::vertical::{mine_eclat_parallel, mine_hybrid};
+use parallel_arm::vertical::mine_hybrid;
 
 const N_SEEDS: u64 = 20;
 const FRACTION: f64 = 0.02;
@@ -62,7 +62,7 @@ fn parallel_drivers_agree_with_sequential_on_twenty_datasets() {
             let pc = ParallelConfig::new(cfg(), p);
             let (ccpd_r, _) = ccpd::mine(&db, &pc);
             assert_eq!(ccpd_r.all_itemsets(), expected, "seed {seed} CCPD P={p}");
-            let (pccd_r, _) = pccd::mine(&db, &pc);
+            let (pccd_r, _) = pccd::try_mine(&db, &pc, &RunControl::default()).unwrap();
             assert_eq!(pccd_r.all_itemsets(), expected, "seed {seed} PCCD P={p}");
             if p == 1 {
                 continue;
@@ -302,18 +302,29 @@ fn vertical_miners_agree_with_apriori_on_twenty_datasets() {
     for seed in 0..N_SEEDS {
         let db = dataset(seed);
         let minsup = db.absolute_support(FRACTION);
-        let expected = parallel_arm::core::mine(&db, &cfg()).all_itemsets();
+        let expected = parallel_arm::core::mine(&db, &cfg());
+        let eclat = |vc: &VerticalConfig, p| {
+            try_mine_eclat_parallel(&db, minsup, None, vc, p, &RunControl::default()).unwrap()
+        };
         // Both tidset backends (and the density-adaptive default), each
-        // on every thread count, one included.
+        // on every thread count, one included: CCPD's levels, level for
+        // level.
         for backend in [TidBackend::Sorted, TidBackend::Bitmap, TidBackend::Auto] {
             let vc = VerticalConfig::default().with_backend(backend);
             for p in [1usize, 2, 4, 8] {
-                let (par, _) = mine_eclat_parallel(&db, minsup, None, &vc, p);
-                assert_eq!(par, expected, "seed {seed}: parallel {backend:?} P={p}");
+                let (par, _) = eclat(&vc, p);
+                assert_eq!(par.min_support, expected.min_support, "seed {seed}");
+                assert_eq!(
+                    par.levels, expected.levels,
+                    "seed {seed}: parallel {backend:?} P={p}"
+                );
             }
         }
         // Unoptimized path (linear merge, static schedule, lists only).
-        let (un, _) = mine_eclat_parallel(&db, minsup, None, &VerticalConfig::unoptimized(), 1);
-        assert_eq!(un, expected, "seed {seed}: unoptimized vertical");
+        let (un, _) = eclat(&VerticalConfig::unoptimized(), 1);
+        assert_eq!(
+            un.levels, expected.levels,
+            "seed {seed}: unoptimized vertical"
+        );
     }
 }

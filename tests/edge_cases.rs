@@ -56,7 +56,7 @@ fn max_k_zero_and_one_yield_only_singletons() {
             max_k: Some(cap),
             ..cfg_abs(2)
         };
-        let r = parallel_arm::core::mine(&db, &cfg);
+        let r = all_paths(&db, &cfg);
         assert!(
             r.all_itemsets().iter().all(|(s, _)| s.len() == 1),
             "cap={cap}"
@@ -71,7 +71,12 @@ fn more_threads_than_transactions() {
     let (r, stats) = ccpd::mine(&db, &ParallelConfig::new(cfg_abs(2), 16));
     assert_eq!(r.all_itemsets(), expected);
     assert_eq!(stats.n_threads, 16);
-    let (r2, _) = pccd::mine(&db, &ParallelConfig::new(cfg_abs(2), 16));
+    let (r2, _) = pccd::try_mine(
+        &db,
+        &ParallelConfig::new(cfg_abs(2), 16),
+        &RunControl::default(),
+    )
+    .unwrap();
     assert_eq!(r2.all_itemsets(), expected);
 }
 
@@ -120,16 +125,27 @@ fn transactions_shorter_than_k_are_ignored() {
     assert_eq!(r.support_of(&[0]), Some(15));
 }
 
-/// Runs the same config through the sequential, CCPD, and PCCD paths and
-/// asserts all three agree; returns the sequential result for further
-/// checks.
+/// Runs the same config through the sequential, CCPD, PCCD and parallel
+/// Eclat paths and asserts all four agree (Eclat level for level);
+/// returns the sequential result for further checks.
 fn all_paths(db: &Database, cfg: &AprioriConfig) -> MiningResult {
     let seq = parallel_arm::core::mine(db, cfg);
     let expected = seq.all_itemsets();
+    let vcfg = VerticalConfig::default();
     for p in [1usize, 4] {
+        let ctrl = RunControl::default();
+        let (e, _) =
+            try_mine_eclat_parallel(db, seq.min_support, cfg.max_k, &vcfg, p, &ctrl).unwrap();
+        assert_eq!(e.levels, seq.levels, "Eclat P={p}");
+        assert_eq!(e.min_support, seq.min_support, "Eclat P={p}");
         let (c, _) = ccpd::mine(db, &ParallelConfig::new(cfg.clone(), p));
         assert_eq!(c.all_itemsets(), expected, "CCPD P={p}");
-        let (q, _) = pccd::mine(db, &ParallelConfig::new(cfg.clone(), p));
+        let (q, _) = pccd::try_mine(
+            db,
+            &ParallelConfig::new(cfg.clone(), p),
+            &RunControl::default(),
+        )
+        .unwrap();
         assert_eq!(q.all_itemsets(), expected, "PCCD P={p}");
     }
     seq
@@ -237,6 +253,11 @@ fn quest_generator_edge_parameters() {
 fn pccd_with_single_candidate() {
     // One candidate, many threads: most local trees are empty.
     let db = Database::from_transactions(4, [vec![0u32, 1], vec![0, 1], vec![2]]).unwrap();
-    let (r, _) = pccd::mine(&db, &ParallelConfig::new(cfg_abs(2), 6));
+    let (r, _) = pccd::try_mine(
+        &db,
+        &ParallelConfig::new(cfg_abs(2), 6),
+        &RunControl::default(),
+    )
+    .unwrap();
     assert_eq!(r.support_of(&[0, 1]), Some(2));
 }

@@ -80,6 +80,19 @@ fn dataset_io_roundtrip_preserves_mining_results() {
     assert_eq!(a, b);
 }
 
+/// Writes a T10.I4 database of 2,000 transactions as text to `name`
+/// under a fresh directory in the system temp dir; returns the directory
+/// and the file.
+fn text_input(name: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("data.txt");
+    let db = parallel_arm::quest::generate(&QuestParams::paper(10, 4, 2_000));
+    let file = std::fs::File::create(&input).unwrap();
+    parallel_arm::dataset::io::write_text(&db, std::io::BufWriter::new(file)).unwrap();
+    (dir, input)
+}
+
 /// `arm-mine data.txt | head -2`: a reader that closes the pipe early must
 /// end the run quietly, not with "failed printing to stdout" and the exit
 /// code 101 of a panic.
@@ -88,13 +101,7 @@ fn arm_mine_exits_quietly_when_the_reader_closes_early() {
     use std::io::{BufRead, BufReader};
     use std::process::{Command, Stdio};
 
-    let dir = std::env::temp_dir().join(format!("arm-mine-pipe-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let input = dir.join("data.txt");
-    let db = parallel_arm::quest::generate(&QuestParams::paper(10, 4, 2_000));
-    let file = std::fs::File::create(&input).unwrap();
-    parallel_arm::dataset::io::write_text(&db, std::io::BufWriter::new(file)).unwrap();
-
+    let (dir, input) = text_input("arm-mine-pipe");
     // At 0.3% support the listing runs to a few hundred KB, far more than
     // a pipe buffers, so the miner is still writing when the reader quits.
     let mut child = Command::new(env!("CARGO_BIN_EXE_arm-mine"))
@@ -114,4 +121,35 @@ fn arm_mine_exits_quietly_when_the_reader_closes_early() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
+
+/// `arm-mine` mines with parallel Eclat by default and with CCPD's hash
+/// tree when a tree option is given: the listing, the summaries and the
+/// rules are byte for byte the same.
+#[test]
+fn arm_mine_prints_the_same_with_eclat_and_the_hash_tree() {
+    let (dir, input) = text_input("arm-mine-miners");
+    let run = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arm-mine"))
+            .arg(&input)
+            .args(["--support", "0.005", "--confidence", "0.5"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        out.stdout
+    };
+    for summary in ["all", "closed", "maximal"] {
+        for threads in ["1", "2"] {
+            let args = ["--summary", summary, "--threads", threads];
+            let eclat = run(&args);
+            assert!(
+                eclat.iter().filter(|&&b| b == b'\n').count() > 3,
+                "{args:?}"
+            );
+            let tree = run(&[&args[..], &["--hash", "bitonic"]].concat());
+            assert!(eclat == tree, "{args:?}: Eclat and the hash tree differ");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,7 +12,6 @@
 
 use parallel_arm::core::{mine, mine_eclat, mine_partition, naive::mine_levelwise};
 use parallel_arm::prelude::*;
-use parallel_arm::vertical::mine_eclat_parallel;
 
 const FRACTION: f64 = 0.02;
 
@@ -49,10 +48,12 @@ fn all_miners(db: &Database, max_k: Option<u32>) -> Vec<(String, Mined)> {
         let pc = ParallelConfig::new(cfg(max_k), p);
         let (r, _) = ccpd::mine(db, &pc);
         out.push((format!("ccpd-p{p}"), r.all_itemsets()));
-        let (r, _) = pccd::mine(db, &pc);
+        let (r, _) = pccd::try_mine(db, &pc, &RunControl::default()).unwrap();
         out.push((format!("pccd-p{p}"), r.all_itemsets()));
-        let (r, _) = mine_eclat_parallel(db, minsup, max_k, &VerticalConfig::default(), p);
-        out.push((format!("par-eclat-p{p}"), r));
+        let vcfg = VerticalConfig::default();
+        let ctrl = RunControl::default();
+        let (r, _) = try_mine_eclat_parallel(db, minsup, max_k, &vcfg, p, &ctrl).unwrap();
+        out.push((format!("par-eclat-p{p}"), r.all_itemsets()));
     }
     out
 }

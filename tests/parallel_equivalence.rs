@@ -81,7 +81,12 @@ fn pccd_equals_sequential() {
     let db = synthetic(10);
     let expected = expected(&db);
     for p in [1usize, 2, 5] {
-        let (r, _) = pccd::mine(&db, &ParallelConfig::new(base_cfg(), p));
+        let (r, _) = pccd::try_mine(
+            &db,
+            &ParallelConfig::new(base_cfg(), p),
+            &RunControl::default(),
+        )
+        .unwrap();
         assert_eq!(r.all_itemsets(), expected, "P={p}");
     }
 }

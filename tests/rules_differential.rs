@@ -150,8 +150,9 @@ fn confidence_lift_leverage_match_first_principles() {
 
 #[test]
 fn rules_agree_across_sequential_and_parallel_mining() {
-    // The rule generator consumes a MiningResult; CCPD's and the
-    // sequential miner's results are interchangeable inputs.
+    // The rule generator consumes a MiningResult; CCPD's, parallel
+    // Eclat's and the sequential miner's results are interchangeable
+    // inputs.
     for seed in [3u64, 9] {
         let (db, sequential) = mined(seed);
         let cfg = AprioriConfig {
@@ -159,16 +160,32 @@ fn rules_agree_across_sequential_and_parallel_mining() {
             max_k: Some(5),
             ..AprioriConfig::default()
         };
-        let (par, _) = ccpd::mine(&db, &ParallelConfig::new(cfg, 4));
-        for min_conf in [0.6, 0.9] {
-            let a = generate_rules(&sequential, min_conf);
-            let b = generate_rules(&par, min_conf);
-            assert_eq!(a.len(), b.len(), "seed={seed} conf={min_conf}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.antecedent, y.antecedent);
-                assert_eq!(x.consequent, y.consequent);
-                assert_eq!(x.support, y.support);
-                assert!((x.confidence - y.confidence).abs() < 1e-12);
+        let ctrl = RunControl::default();
+        let vcfg = VerticalConfig::default();
+        let minsup = sequential.min_support;
+        let runs = [
+            (
+                "CCPD",
+                ccpd::try_mine(&db, &ParallelConfig::new(cfg, 4), &ctrl),
+            ),
+            (
+                "Eclat",
+                try_mine_eclat_parallel(&db, minsup, Some(5), &vcfg, 4, &ctrl),
+            ),
+        ];
+        for (miner, run) in runs {
+            let (par, _) = run.unwrap();
+            for min_conf in [0.6, 0.9] {
+                let a = generate_rules(&sequential, min_conf);
+                let b = generate_rules(&par, min_conf);
+                let what = format!("{miner} seed={seed} conf={min_conf}");
+                assert_eq!(a.len(), b.len(), "{what}");
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.antecedent, y.antecedent, "{what}");
+                    assert_eq!(x.consequent, y.consequent, "{what}");
+                    assert_eq!(x.support, y.support, "{what}");
+                    assert!((x.confidence - y.confidence).abs() < 1e-12, "{what}");
+                }
             }
         }
     }

@@ -182,7 +182,7 @@ fn pccd_every_mode_matches_static_oracle() {
         for p in [2, top.min(5)] {
             for mode in all_modes() {
                 let cfg = ParallelConfig::new(base_cfg(), p).with_scheduling(mode);
-                let (r, _) = pccd::mine(db, &cfg);
+                let (r, _) = pccd::try_mine(db, &cfg, &RunControl::default()).unwrap();
                 assert_eq!(
                     r.all_itemsets(),
                     oracle.itemsets,
