@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the tidset join kernels: the branch-free sorted
 //! merge, its difference twin and the marked root join vs the bitmap
-//! word-AND on equal-length lists, across densities bracketing the 1/64
-//! break-even the adaptive backend choice is built on.
+//! word-AND on equal-length lists, across densities bracketing the
+//! per-join break-even of one tid in 64. `Auto` chooses a whole run's
+//! layout at the root, where the measured break-even is denser (1/16).
 
 use arm_vertical::{
     and_words, difference_linear, intersect_linear, intersect_marked, TidMarks, TidSet,

@@ -2,8 +2,9 @@
 //! (`BENCH_vertical.json`).
 //!
 //! Runs the parallel Eclat driver with both forced tidset backends (and
-//! the density-adaptive default) at P = 1 and P = `host_cores` on three
-//! QUEST workloads, timing each by measured wall clock (best of the reps):
+//! the default `Auto`, which picks one layout from the root's density)
+//! at P = 1 and P = `host_cores` on three QUEST workloads, timing each by
+//! measured wall clock (best of the reps):
 //!
 //! * **dense** — `T10.I4` squeezed onto a 50-item universe, so every
 //!   tidset covers a fifth of the database and the word-AND kernel's
@@ -13,13 +14,17 @@
 //! * **skewed** — the sparse workload under a Zipf-tailed transaction
 //!   length distribution (the scheduling stressor).
 //!
-//! Two gates, reflected in the exit code so CI can smoke-run this:
+//! Three gates, reflected in the exit code so CI can smoke-run this:
 //!
 //! 1. **Correctness** — every backend × P must match the sequential
 //!    oracle [`arm_core::mine_eclat`] (hard failure).
 //! 2. **Backend** — on dense at P = `host_cores`, the bitmap backend must
 //!    beat the sorted-list backend on wall time (hard failure; a ratio of
 //!    two runs at the same P, so it holds on any core count).
+//! 3. **Auto** — on every workload and P, the `auto` row's `words_anded`
+//!    and `tidset_kb` must equal those of the forced backend that
+//!    [`VerticalConfig::choose`] names for the root (hard failure;
+//!    counters, not wall time, so it holds on any host).
 //!
 //! Thread scaling is not gated here: the wall-clock benchmark in
 //! `perfbench/` measures it end to end.
@@ -29,7 +34,7 @@ use arm_core::mine_eclat;
 use arm_dataset::Database;
 use arm_metrics::Counter;
 use arm_quest::{generate, LengthDist};
-use arm_vertical::{RunControl, TidBackend, VerticalConfig};
+use arm_vertical::{Backend, RunControl, TidBackend, VerticalConfig};
 
 fn backend_name(b: TidBackend) -> &'static str {
     match b {
@@ -86,6 +91,7 @@ fn main() {
     ];
 
     let mut rows: Vec<Row> = Vec::new();
+    let mut root_layouts: Vec<(&str, &str)> = Vec::new();
     let mut diverged = false;
     println!(
         "{:<24} {:<9} {:<7} {:>2} {:>10} {:>7} {:>12} {:>12} {:>9}",
@@ -94,6 +100,13 @@ fn main() {
     for (name, db, minsup, max_k) in workloads {
         let oracle = mine_eclat(db, minsup, max_k);
         assert!(!oracle.is_empty(), "{name}: degenerate workload");
+        let singletons = oracle.iter().filter(|(s, _)| s.len() == 1);
+        let total = singletons.clone().map(|(_, c)| *c as u64).sum();
+        let layout = match VerticalConfig::default().choose(total, singletons.count(), db.len()) {
+            Backend::Sorted => "sorted",
+            Backend::Bitmap => "bitmap",
+        };
+        root_layouts.push((name, layout));
         for backend in [TidBackend::Sorted, TidBackend::Bitmap, TidBackend::Auto] {
             let cfg = VerticalConfig::default().with_backend(backend);
             for &p in &threads {
@@ -145,6 +158,18 @@ fn main() {
         eprintln!("FAIL: bitmap backend lost to sorted lists on the dense workload");
     }
 
+    // ---- gate 3: auto runs the layout its root names ------------------
+    let mut auto_strays = false;
+    for &(ds, layout) in &root_layouts {
+        for &p in &threads {
+            let (auto, named) = (at(ds, "auto", p), at(ds, layout, p));
+            if (auto.words_anded, auto.tidset_kb) != (named.words_anded, named.tidset_kb) {
+                eprintln!("FAIL: {ds} P={p}: auto left the root's {layout} layout");
+                auto_strays = true;
+            }
+        }
+    }
+
     // ---- hand-formatted JSON snapshot ---------------------------------
     let mut json = String::new();
     json.push_str("{\n");
@@ -166,6 +191,11 @@ fn main() {
         "  \"dense_p{p_max}_bitmap_speedup\": {:.4},\n",
         dense_sorted.wall_seconds / dense_bitmap.wall_seconds.max(1e-12)
     ));
+    let layouts: Vec<String> = root_layouts
+        .iter()
+        .map(|(ds, layout)| format!("\"{ds}\": \"{layout}\""))
+        .collect();
+    json.push_str(&format!("  \"auto_layout\": {{{}}},\n", layouts.join(", ")));
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
@@ -188,7 +218,7 @@ fn main() {
     std::fs::write("BENCH_vertical.json", &json).expect("write BENCH_vertical.json");
     println!("wrote BENCH_vertical.json");
 
-    if diverged || !bitmap_wins {
+    if diverged || !bitmap_wins || auto_strays {
         std::process::exit(1);
     }
 }

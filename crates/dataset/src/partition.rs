@@ -105,9 +105,11 @@ pub fn weighted_ranges_for_k(db: &Database, parts: usize, k: u32) -> Vec<Range<u
     split_by_weights(&weights, parts)
 }
 
-/// Greedy contiguous split of `weights` into `parts` ranges of roughly
-/// equal total weight.
-fn split_by_weights(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
+/// Greedy contiguous split of `weights` into `parts` ranges (at least
+/// one) of roughly equal total weight; trailing ranges are empty when
+/// there are fewer weights than parts.
+pub fn split_by_weights(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.max(1);
     let n = weights.len();
     let total: u64 = weights.iter().sum();
     let target = (total as f64 / parts as f64).max(1.0);

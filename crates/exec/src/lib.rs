@@ -231,8 +231,10 @@ impl ChunkPool {
                 return None;
             }
             let want = ((total - v) / (2 * self.n_threads)).max(floor);
-            // Seed range containing virtual position v; chunks never cross
-            // the boundary so `Static`-seeded weighted splits stay meaningful.
+            // Seed range containing virtual position v. Chunks never cross
+            // its end, so weighted seeds clip them: under block seeds the
+            // first chunk, (total - v) / (2P) items, can swallow a heavy
+            // head of the input that weighted seeds split across threads.
             let idx = prefix.partition_point(|&s| s <= v) - 1;
             let boundary = prefix[idx + 1];
             let new_v = (v + want).min(boundary);

@@ -6,10 +6,9 @@ use arm_exec::Scheduling;
 /// Tidset representation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TidBackend {
-    /// Pick per equivalence class by density (see
-    /// [`VerticalConfig::density_threshold`]). Root and child classes
-    /// re-decide independently, so a run can start on bitmaps and fall
-    /// back to lists as tidsets thin out with depth.
+    /// Pick once per run, by the root class's average density (see
+    /// [`VerticalConfig::choose`]); every class below the root keeps its
+    /// parent's layout.
     #[default]
     Auto,
     /// Always sorted tid lists.
@@ -18,6 +17,14 @@ pub enum TidBackend {
     Bitmap,
 }
 
+/// `Auto` mines on bitmaps iff the root's members cover at least one
+/// transaction in this many, on average. The layout is chosen once, so
+/// this is a whole-run break-even, not a per-join one (one AND word per
+/// 64 transactions): sorted lists won at root density 1/20.1 and
+/// bitmaps at 1/10.2 (EXPERIMENTS.md, "Tidset layout chosen once, at
+/// the root").
+const AUTO_BITMAP_DENSITY: u64 = 16;
+
 /// Configuration of the vertical (Eclat) miners. Defaults are the fully
 /// optimized settings; [`VerticalConfig::unoptimized`] turns every
 /// fast-path off for A/B comparison, mirroring `AprioriConfig`.
@@ -25,12 +32,6 @@ pub enum TidBackend {
 pub struct VerticalConfig {
     /// Tidset representation policy.
     pub backend: TidBackend,
-    /// With [`TidBackend::Auto`], a class mines on bitmaps iff its
-    /// members' average support is at least `density_threshold · n_txns`.
-    /// Default `1/64`: one AND word covers 64 transactions, so that is
-    /// the density where the bitmap's fixed `n/64`-word cost matches the
-    /// sorted merge's length-proportional cost.
-    pub density_threshold: f64,
     /// Ignored: sorted lists always take the branch-free merge. The
     /// field stays only because the frozen wall-clock benchmark passes
     /// it to [`crate::TidSet::intersect`]; the next change to that
@@ -44,7 +45,6 @@ impl Default for VerticalConfig {
     fn default() -> Self {
         VerticalConfig {
             backend: TidBackend::Auto,
-            density_threshold: 1.0 / 64.0,
             galloping: true,
             scheduling: Scheduling::default(),
         }
@@ -59,7 +59,6 @@ impl VerticalConfig {
             backend: TidBackend::Sorted,
             galloping: false,
             scheduling: Scheduling::Static,
-            ..VerticalConfig::default()
         }
     }
 
@@ -75,23 +74,23 @@ impl VerticalConfig {
         self
     }
 
-    /// Resolves the backend for a class whose members' supports sum to
-    /// `total_support`, over a database of `n_txns` transactions.
+    /// Resolves the backend of a run whose root class (the frequent
+    /// singletons) has `n_members` members with supports summing to
+    /// `total_support`, over a database of `n_txns` transactions. `Auto`
+    /// picks bitmaps iff the root's average density is at least 1/16;
+    /// every class below the root keeps the root's layout.
     pub fn choose(&self, total_support: u64, n_members: usize, n_txns: usize) -> Backend {
         match self.backend {
             TidBackend::Sorted => Backend::Sorted,
             TidBackend::Bitmap => Backend::Bitmap,
-            TidBackend::Auto => {
-                if n_members == 0 || n_txns == 0 {
-                    return Backend::Sorted;
-                }
-                let avg = total_support as f64 / n_members as f64;
-                if avg >= self.density_threshold * n_txns as f64 {
-                    Backend::Bitmap
-                } else {
-                    Backend::Sorted
-                }
+            TidBackend::Auto
+                if n_txns > 0
+                    && n_members > 0
+                    && total_support * AUTO_BITMAP_DENSITY >= (n_members * n_txns) as u64 =>
+            {
+                Backend::Bitmap
             }
+            TidBackend::Auto => Backend::Sorted,
         }
     }
 }
@@ -106,7 +105,6 @@ mod tests {
         assert_eq!(c.backend, TidBackend::Auto);
         assert!(c.galloping);
         assert_eq!(c.scheduling, Scheduling::Guided);
-        assert!((c.density_threshold - 1.0 / 64.0).abs() < 1e-12);
     }
 
     #[test]
@@ -122,9 +120,9 @@ mod tests {
     #[test]
     fn auto_choice_follows_density() {
         let c = VerticalConfig::default();
-        // 6400 txns, threshold density = 100 tids per member.
-        assert_eq!(c.choose(400, 4, 6400), Backend::Bitmap); // avg 100
-        assert_eq!(c.choose(396, 4, 6400), Backend::Sorted); // avg 99
+        // 6400 txns at density 1/16: 400 tids per member.
+        assert_eq!(c.choose(1600, 4, 6400), Backend::Bitmap); // avg 400
+        assert_eq!(c.choose(1596, 4, 6400), Backend::Sorted); // avg 399
         assert_eq!(c.choose(0, 0, 6400), Backend::Sorted);
         assert_eq!(c.choose(0, 4, 0), Backend::Sorted);
         let forced = c.with_backend(TidBackend::Bitmap);

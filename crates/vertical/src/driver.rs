@@ -8,7 +8,6 @@
 //! depends on any other class's traversal, so every schedule emits the
 //! same itemsets.
 
-use crate::config::VerticalConfig;
 use crate::tidset::{Backend, KernelStats, TidMarks, TidSet};
 use arm_core::{FrequentPairs, PairIndex};
 use arm_dataset::{partition::block_ranges, Database, Item, Tid};
@@ -27,11 +26,6 @@ pub(crate) struct Member {
     pub item: Item,
     pub rank: u32,
     pub tids: TidSet,
-}
-
-/// Bitmap word count covering `n_txns` transactions.
-pub(crate) fn n_words_for(n_txns: usize) -> usize {
-    n_txns.div_ceil(64)
 }
 
 /// Transposes the database into per-item ascending tidlists using `p`
@@ -159,35 +153,12 @@ impl<'a> RootPairs<'a> {
 }
 
 /// What every class of one run is mined under: the root's pair counts
-/// (`None` when the pair array is unaddressable), the support and
-/// depth bounds, the backend policy and the transaction count.
+/// (`None` when the pair array is unaddressable) and the support and
+/// depth bounds.
 pub(crate) struct Dfs<'a> {
     pub pairs: Option<&'a RootPairs<'a>>,
     pub min_support: u32,
     pub max_k: Option<u32>,
-    pub cfg: &'a VerticalConfig,
-    pub n_txns: usize,
-}
-
-/// Converts every member of a tidset class to `target` (members already
-/// there are untouched, so repeated calls are idempotent). Diffset
-/// classes are never converted.
-pub(crate) fn convert_members(
-    members: &mut [Member],
-    target: Backend,
-    n_words: usize,
-    stats: &mut KernelStats,
-) {
-    for m in members {
-        if m.tids.backend() != target {
-            let converted = match target {
-                Backend::Bitmap => m.tids.to_bitmap(n_words),
-                Backend::Sorted => m.tids.to_sorted(),
-            };
-            stats.tidset_bytes += converted.bytes();
-            m.tids = converted;
-        }
-    }
 }
 
 impl Dfs<'_> {
@@ -204,9 +175,9 @@ impl Dfs<'_> {
     /// yields diffsets, and a join stops as soon as the child cannot be
     /// frequent. A join `PX ⋈ PY` whose 2-subset `{x, y}` is below
     /// `min_support` is skipped without touching a tidset (one lookup in
-    /// the pair counts). A child class of tidsets re-decides its backend
-    /// by its own density — deep classes are typically much sparser than
-    /// the root; a class of diffsets is never converted.
+    /// the pair counts). A child keeps its parent's layout: a bitmap
+    /// class's children are bitmaps, a sorted root's are lists, and every
+    /// sorted class's below the root are diffsets.
     pub(crate) fn extend_one(
         &self,
         class: &[Member],
@@ -217,7 +188,7 @@ impl Dfs<'_> {
         out: &mut ClassLevels,
     ) {
         let a = &class[i];
-        let mut child = if prefix.is_empty() {
+        let child = if prefix.is_empty() {
             self.root_children(class, i, marks, stats)
         } else {
             self.class_children(class, i, stats)
@@ -225,11 +196,13 @@ impl Dfs<'_> {
         if child.is_empty() {
             return;
         }
-        if !matches!(child[0].tids, TidSet::Diff { .. }) {
-            let total_support = child.iter().map(|m| m.tids.support() as u64).sum();
-            let target = self.cfg.choose(total_support, child.len(), self.n_txns);
-            convert_members(&mut child, target, n_words_for(self.n_txns), stats);
-        }
+        let diffs = !prefix.is_empty() && a.tids.backend() == Backend::Sorted;
+        debug_assert!(
+            child.iter().all(|m| m.tids.backend() == a.tids.backend()
+                && matches!(m.tids, TidSet::Diff { .. }) == diffs),
+            "a child of {} left its parent's layout",
+            a.item
+        );
         prefix.push(a.item);
         let depth = prefix.len() + 1; // length of the emitted itemsets
         if out.len() < depth - 1 {

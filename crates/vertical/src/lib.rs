@@ -12,8 +12,9 @@
 //!   (through a [`TidMarks`] bitmap for sorted lists), and below it a
 //!   difference that stops as soon as the itemset cannot be frequent
 //!   (dEclat's diffsets, from size 3 on);
-//! * [`config`] — the [`VerticalConfig`] knobs: backend policy, density
-//!   threshold, class scheduling;
+//! * [`config`] — the [`VerticalConfig`] knobs: backend policy (`Auto`
+//!   picks one layout per run from the root's density, between the
+//!   measured break-evens 1/20 and 1/10) and class scheduling;
 //! * [`driver`] — transposition and the prefix-class DFS;
 //! * [`parallel`] — [`try_mine_eclat_parallel`]: first-level equivalence
 //!   classes as weighted tasks on the `arm-exec` chunk pool, merged

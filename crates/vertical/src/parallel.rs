@@ -21,11 +21,8 @@
 //! mis-estimates at run time.
 
 use crate::config::VerticalConfig;
-use crate::driver::{
-    build_root, convert_members, n_words_for, root_pairs, try_transpose, ClassLevels, Dfs,
-    RootPairs,
-};
-use crate::tidset::{KernelStats, TidMarks};
+use crate::driver::{build_root, root_pairs, try_transpose, ClassLevels, Dfs, RootPairs};
+use crate::tidset::{Backend, KernelStats, TidMarks};
 use arm_core::pairs::reduce_into_first;
 use arm_core::{
     count_pairs, frequent_from_counts, record_exec, FrequentLevel, MiningResult, ParallelConfig,
@@ -42,29 +39,7 @@ use std::time::Instant;
 /// Greedy contiguous split of class indices into `p` ranges of roughly
 /// equal total weight — the pool's seed ranges. Exported for tests that
 /// need to reproduce (or deliberately skew) the driver's split.
-pub fn class_seeds(weights: &[u64], p: usize) -> Vec<Range<usize>> {
-    let p = p.max(1);
-    let n = weights.len();
-    let total: u64 = weights.iter().sum();
-    let target = (total as f64 / p as f64).max(1.0);
-    let mut out = Vec::with_capacity(p);
-    let mut start = 0usize;
-    let mut acc: u64 = 0;
-    for (i, &w) in weights.iter().enumerate() {
-        acc += w;
-        let remaining = p - out.len();
-        if remaining > 1 && acc as f64 >= target && n - (i + 1) >= remaining - 1 {
-            out.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    out.push(start..n);
-    while out.len() < p {
-        out.push(n..n);
-    }
-    out
-}
+pub use arm_dataset::partition::split_by_weights as class_seeds;
 
 /// [`try_mine_eclat_parallel`] with an inert [`RunControl`], flattened
 /// to `(items, support)` in length-then-lex order; a worker panic is
@@ -196,18 +171,21 @@ fn mine_parallel_impl(
         span.finish(transpose_work);
         ctrl.gate("transpose", run_start)?;
 
-        // The root class and its backend choice are cheap and serial
-        // (one pass over the frequent singletons).
+        // The root class and the run's one backend choice are cheap and
+        // serial (one pass over the frequent singletons); every class
+        // below the root keeps the root's layout.
         let span = metrics.phase("classes", 1);
         let mut root_stats = KernelStats::default();
         let counts: Vec<u32> = tidlists.iter().map(|tids| tids.len() as u32).collect();
         levels.push(frequent_from_counts(&counts, min_support));
         let mut root = build_root(tidlists, min_support, &mut root_stats);
         let run_deep = max_k != Some(1) && !root.is_empty();
-        if run_deep {
-            let total: u64 = root.iter().map(|m| m.tids.support() as u64).sum();
-            let target = cfg.choose(total, root.len(), db.len());
-            convert_members(&mut root, target, n_words_for(db.len()), &mut root_stats);
+        let total: u64 = root.iter().map(|m| m.tids.support() as u64).sum();
+        if run_deep && cfg.choose(total, root.len(), db.len()) == Backend::Bitmap {
+            for m in &mut root {
+                m.tids = m.tids.to_bitmap(db.len().div_ceil(64));
+                root_stats.tidset_bytes += m.tids.bytes();
+            }
         }
         span.finish_serial();
         fold_kernel_stats(&metrics, 0, &root_stats);
@@ -269,8 +247,6 @@ fn mine_parallel_impl(
                 pairs: pairs.as_ref(),
                 min_support,
                 max_k,
-                cfg,
-                n_txns: db.len(),
             };
             let root_ref = &root;
             let results: Vec<(KernelStats, Vec<(usize, ClassLevels)>)> =
@@ -657,6 +633,47 @@ mod tests {
         if MetricsRegistry::enabled() {
             assert!(sorted_isects > 0);
             assert!(bitmap_words > 0);
+        }
+    }
+
+    #[test]
+    fn auto_runs_the_backend_its_root_names() {
+        // The paper's four transactions are dense (root density 11/16).
+        // So is the 20% fixture's root, but its 3-itemset classes are
+        // sparser than 1/64, where a per-class rule would switch to lists.
+        // T10.I4 over 1000 items is sparse (about 1/100).
+        let quest = arm_quest::generate(&arm_quest::QuestParams::paper(10, 4, 2_000));
+        for (db, minsup, named) in [
+            (paper_db(), 2, Backend::Bitmap),
+            (dense_db(30, 600, 20, 5), 3, Backend::Bitmap),
+            (quest, 10, Backend::Sorted),
+        ] {
+            let auto = VerticalConfig::default();
+            let (itemsets, _) = eclat(&db, minsup, None, &auto, 1);
+            let singletons = itemsets.iter().filter(|(s, _)| s.len() == 1);
+            let total = singletons.clone().map(|(_, c)| *c as u64).sum();
+            assert_eq!(auto.choose(total, singletons.count(), db.len()), named);
+            assert!(
+                itemsets.iter().any(|(s, _)| s.len() >= 3),
+                "no class below the root"
+            );
+            let forced = auto.clone().with_backend(match named {
+                Backend::Sorted => TidBackend::Sorted,
+                Backend::Bitmap => TidBackend::Bitmap,
+            });
+            for p in [1, 2] {
+                let (a, a_stats) = eclat(&db, minsup, None, &auto, p);
+                let (f, f_stats) = eclat(&db, minsup, None, &forced, p);
+                assert_eq!(a, f, "named={named:?} p={p}");
+                for c in [
+                    Counter::TidsetIntersections,
+                    Counter::TidsetWordsAnded,
+                    Counter::TidsetBytes,
+                ] {
+                    let (a, f) = (a_stats.metrics.total(c), f_stats.metrics.total(c));
+                    assert_eq!(a, f, "named={named:?} p={p} counter={c:?}");
+                }
+            }
         }
     }
 

@@ -17,11 +17,12 @@
 //!   it: past that point `PXY` cannot be frequent.
 //! * [`TidSet::Bitmap`] — one bit per transaction packed into `u64`
 //!   words. Intersection is a word-wise AND with a fused `count_ones`
-//!   popcount; cost is `n_txns / 64` words regardless of density, so it
-//!   beats the sorted merge once the operands are denser than about one
-//!   tid in 64 (the break-even ratio behind
-//!   [`crate::VerticalConfig::density_threshold`]).
-//!
+//!   popcount; cost is `n_txns / 64` words regardless of density, so one
+//!   AND beats one merge once the operands are denser than about one tid
+//!   in 64. A run picks its layout once, at the root
+//!   ([`crate::VerticalConfig::choose`]): a bitmap root stays on bitmaps
+//!   all the way down, and a sorted root's classes below it join by
+//!   difference. Sorted lists are never rebuilt from bitmaps.
 //!
 //! A sorted root also joins through a [`TidMarks`] bitmap: Eclat marks
 //! the tids of root member `a` once, then builds `t(ab)` for each
@@ -154,28 +155,9 @@ impl TidSet {
                     count: tids.len() as u32,
                 }
             }
-            TidSet::Diff { .. } => panic!("{DIFF_CONVERSION}"),
-        }
-    }
-
-    /// Converts to a sorted list (no-op copy if already sorted). Panics
-    /// on a diffset, which holds no tidset of its own.
-    pub fn to_sorted(&self) -> TidSet {
-        match self {
-            TidSet::Sorted(tids) => TidSet::Sorted(tids.clone()),
-            TidSet::Bitmap { words, count } => {
-                let mut tids = Vec::with_capacity(*count as usize);
-                for (w, &word) in words.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros();
-                        tids.push((w as u32) * 64 + b);
-                        bits &= bits - 1;
-                    }
-                }
-                TidSet::Sorted(tids)
+            TidSet::Diff { .. } => {
+                panic!("a diffset cannot be converted without its prefix's tidset")
             }
-            TidSet::Diff { .. } => panic!("{DIFF_CONVERSION}"),
         }
     }
 
@@ -235,7 +217,6 @@ impl TidSet {
 }
 
 const MIXED: &str = "mixed tidset backends within one equivalence class";
-const DIFF_CONVERSION: &str = "a diffset cannot be converted without its prefix's tidset";
 
 /// Sorted-slice intersection with [`KernelStats`] bookkeeping: the
 /// sorted-list arm of [`TidSet::intersect`].
@@ -650,6 +631,16 @@ mod tests {
         }
     }
 
+    /// The ascending tids of a bitmap's set bits.
+    fn decode(set: &TidSet) -> Vec<Tid> {
+        let TidSet::Bitmap { words, .. } = set else {
+            panic!("not a bitmap: {set:?}")
+        };
+        (0..64 * words.len() as Tid)
+            .filter(|&t| words[t as usize / 64] >> (t % 64) & 1 == 1)
+            .collect()
+    }
+
     #[test]
     fn join_below_the_root() {
         let mut st = KernelStats::default();
@@ -690,8 +681,8 @@ mod tests {
         // Bitmap classes intersect, keeping only frequent children.
         let (bx, by) = (px.to_bitmap(1), py.to_bitmap(1));
         assert_eq!(
-            bx.join(&by, 3, &mut st).map(|t| t.to_sorted()),
-            Some(TidSet::Sorted(vec![2, 3, 5]))
+            bx.join(&by, 3, &mut st).map(|t| decode(&t)),
+            Some(vec![2, 3, 5])
         );
         assert_eq!(bx.join(&by, 4, &mut st), None);
         assert_eq!(pxy.bytes(), 8);
@@ -725,7 +716,7 @@ mod tests {
         let bm = s.to_bitmap(8);
         assert_eq!(bm.support(), tids.len() as u32);
         assert_eq!(bm.backend(), Backend::Bitmap);
-        assert_eq!(bm.to_sorted(), s);
+        assert_eq!(decode(&bm), tids);
         assert_eq!(bm.bytes(), 64);
         assert_eq!(s.bytes(), 4 * tids.len() as u64);
     }
@@ -739,7 +730,7 @@ mod tests {
         assert_eq!(sorted, TidSet::Sorted(vec![3, 64, 100]));
         let bm = a.to_bitmap(2).intersect(&b.to_bitmap(2), false, &mut st);
         assert_eq!(bm.support(), 3);
-        assert_eq!(bm.to_sorted(), sorted);
+        assert_eq!(TidSet::Sorted(decode(&bm)), sorted);
         assert_eq!(st.intersections, 2);
         assert_eq!(st.words_anded, 2);
         assert!(st.tidset_bytes > 0 && st.work_units > 0);
