@@ -9,7 +9,8 @@
 //! time, so the gate means the same on any host: both rows must count
 //! the same hits (trimming is lossless), and the trimmed walk must make
 //! strictly fewer node visits and subset checks (trimming pays by
-//! shrinking the walk).
+//! shrinking the walk). It also fails unless the run report it writes,
+//! `BENCH_counting.report.json`, reads back as exactly that report.
 //!
 //! The RunReport run sets `pair_array: false`, so its `C_2` count is the
 //! same hash-tree kernel the rows time.
@@ -154,8 +155,8 @@ fn main() {
 
     // ---- RunReport: one instrumented CCPD run over the same dataset ----
     // Exercises the observability layer end-to-end: phase timers, lock
-    // telemetry on the shared tree build, and per-thread work land in one
-    // `arm-run-report/v2` document alongside the snapshot above.
+    // counters on the shared tree build, and per-thread work land in one
+    // `arm-run-report/v3` document alongside the snapshot above.
     let base_cfg = AprioriConfig {
         min_support: Support::Fraction(0.005),
         max_k: timing_max_k(scale),
@@ -166,8 +167,11 @@ fn main() {
         arm_parallel::ccpd::mine(&db, &arm_parallel::ParallelConfig::new(base_cfg, 2));
     let report = arm_parallel::run_report("ccpd", "T10.I4.D100K", &result, &stats);
     let report_path = "BENCH_counting.report.json";
-    std::fs::write(report_path, arm_metrics::reports_to_json(&[report]))
-        .expect("write BENCH_counting.report.json");
+    std::fs::write(
+        report_path,
+        arm_metrics::reports_to_json(std::slice::from_ref(&report)),
+    )
+    .expect("write BENCH_counting.report.json");
     println!("wrote {report_path}");
 
     // ---- gate: deterministic tallies only ------------------------------
@@ -188,6 +192,12 @@ fn main() {
         failures.push(format!(
             "trimming did not cut subset checks: {} -> {}",
             base.meter.subset_checks, trimmed.meter.subset_checks
+        ));
+    }
+    let written = std::fs::read_to_string(report_path).expect("read BENCH_counting.report.json");
+    if arm_metrics::reports_from_json(&written) != Ok(vec![report]) {
+        failures.push(format!(
+            "{report_path} does not read back as the report written"
         ));
     }
     if !failures.is_empty() {

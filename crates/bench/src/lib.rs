@@ -202,7 +202,7 @@ impl Csv {
     }
 }
 
-/// Writes `reports` as one `arm-run-report/v2` JSON document next to the
+/// Writes `reports` as one `arm-run-report/v3` JSON document next to the
 /// CSV outputs (`ARM_OUT`, else `EXPERIMENTS-data/`), returning the path
 /// written. Every figure binary funnels its runs through this so all
 /// machine-readable output shares one schema.

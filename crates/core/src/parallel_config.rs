@@ -13,13 +13,21 @@ pub enum DbPartition {
     Block,
     /// One static split weighted by the mean estimated workload over the
     /// expected iterations, `(Σ_{k=1..kmax} C(l,k)) / kmax`.
+    ///
+    /// The weights model the hash-tree walk, whose work per transaction
+    /// of length `l` grows as `C(l, k)`. They do not model the default
+    /// array path: there, at P = 2 on a skewed database, this split
+    /// counted 39–55% slower than `Block` although it balanced the work
+    /// (EXPERIMENTS.md, "Ablations").
     WeightedStatic {
         /// The `kmax` horizon of the estimate.
         kmax: usize,
     },
     /// Re-partition every iteration by the exact per-transaction workload
     /// `C(l, k)` (the paper's re-partitioning alternative; contiguity is
-    /// preserved so transactions rarely change owners).
+    /// preserved so transactions rarely change owners). Like
+    /// `WeightedStatic`, the weights model the hash-tree walk, not the
+    /// default array path's pair and class arrays.
     WeightedPerIteration,
 }
 

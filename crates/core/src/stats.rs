@@ -28,7 +28,8 @@ pub struct ParallelRunStats {
     pub phases: Vec<PhaseStat>,
     /// End-to-end wall time.
     pub wall: Duration,
-    /// Per-thread counting meters, merged across iterations.
+    /// Per-thread counting meters, merged across iterations (parallel
+    /// Eclat: its `count` phase's pair-count meters).
     pub count_meters: Vec<WorkMeter>,
     /// Per-thread telemetry counters (lock contention, counter CAS
     /// retries, scratch/tree tallies). All-zero when the `metrics`

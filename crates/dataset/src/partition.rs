@@ -73,6 +73,12 @@ pub fn binomial_saturating(n: u64, k: u64) -> u64 {
 /// Contiguity is preserved deliberately: the paper stresses "respecting the
 /// locality of the partition by moving transactions only when absolutely
 /// necessary".
+///
+/// The weights model the hash-tree subset walk (`C(l, k)` subsets per
+/// transaction), not CCPD's default pair and class arrays: there, at
+/// P = 2 on a skewed database, these seeds counted 39–55% slower than
+/// block seeds although they balanced the work (EXPERIMENTS.md,
+/// "Ablations").
 pub fn weighted_ranges(db: &Database, parts: usize, kmax: usize) -> Vec<Range<usize>> {
     if parts == 0 {
         return Vec::new();
@@ -90,7 +96,8 @@ pub fn weighted_ranges(db: &Database, parts: usize, kmax: usize) -> Vec<Range<us
 /// Splits the database into `parts` contiguous ranges with approximately
 /// equal `C(l, k)` workload for iteration `k` — the paper's *per-iteration
 /// re-partitioning* alternative (§3.2.2). Contiguity again preserves
-/// partition locality.
+/// partition locality. As in [`weighted_ranges`], `C(l, k)` models the
+/// hash-tree walk, not the default array path.
 pub fn weighted_ranges_for_k(db: &Database, parts: usize, k: u32) -> Vec<Range<usize>> {
     if parts == 0 {
         return Vec::new();

@@ -9,13 +9,13 @@
 //!   scoped [`PhaseSpan`] timers, and [`MetricsSnapshot`] extraction;
 //! * [`tally`] — [`TalliedCounters`], the shared-support-counter wrapper
 //!   that measures striped-counter contention (increments + CAS retries);
-//! * [`report`] — [`RunReport`], the one JSON/CSV schema every benchmark
-//!   binary emits;
+//! * [`report`] — [`RunReport`], the one JSON schema every benchmark
+//!   binary emits, with each thread's counters keyed by [`Counter::name`];
 //! * [`json`] — the minimal serializer/parser behind it (the workspace
 //!   deliberately has no serde).
 //!
 //! Everything behaves with the `enabled` cargo feature off: phase timers,
-//! snapshots, and reports still work (telemetry fields read as zero), and
+//! snapshots, and reports still work (counters read as zero), and
 //! every per-event recording call compiles to a no-op on a zero-sized
 //! shard, so hot kernels pay nothing.
 //!
@@ -44,8 +44,6 @@ pub use registry::{
     Counter, MetricsRegistry, MetricsSnapshot, PhaseRecord, PhaseSpan, Shard, N_COUNTERS,
 };
 pub use report::{
-    reports_from_json, reports_to_json, FaultReport, IterReport, LockReport, MemReport,
-    PhaseReport, RunReport, SchedReport, ThreadReport, VerticalReport, PHASE_CSV_HEADER, SCHEMA,
-    SUMMARY_CSV_HEADER,
+    reports_from_json, reports_to_json, IterReport, PhaseReport, RunReport, ThreadReport, SCHEMA,
 };
 pub use tally::TalliedCounters;

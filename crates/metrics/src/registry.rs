@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 /// Identifiers of the per-thread event counters.
 ///
 /// The discriminant doubles as the shard slot index; `name()` is the
-/// field name used in reports.
+/// counter's one key in a report's thread `counters` rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// Per-leaf build-lock acquisitions (§3.1.4 tree formation).
@@ -90,7 +90,7 @@ impl Counter {
         Counter::FaultsInjected,
     ];
 
-    /// The report field name.
+    /// The counter's key in a report's thread `counters` rows.
     pub fn name(self) -> &'static str {
         match self {
             Counter::LeafLockAcquires => "leaf_lock_acquires",

@@ -1,18 +1,42 @@
 //! `RunReport` — the one machine-readable schema every benchmark binary
-//! emits (JSON and CSV), covering phase timers, per-thread work, lock
-//! telemetry, and memory counters.
+//! emits (JSON), covering phase timers, per-thread work and the
+//! registry's counters.
 //!
 //! The schema maps onto the paper's evaluation (see DESIGN.md §6):
 //! `phases` carries the per-phase timing breakdowns behind Figs. 8–10,
 //! `threads`/`phases[].imbalance` the per-processor work distributions,
-//! `locks` the §3.1.4 contention discussion, and `iters` the hash-tree
-//! profile of Figs. 6–7.
+//! each thread's `counters` row the §3.1.4 contention discussion, and
+//! `iters` the hash-tree profile of Figs. 6–7. A counter appears under
+//! one name only, its [`Counter::name`]; run totals are
+//! [`RunReport::total`], summed from the rows.
+//!
+//! ```no_run
+//! use arm_metrics::{reports_from_json, Counter};
+//!
+//! let text = std::fs::read_to_string("EXPERIMENTS-data/fig8.report.json")?;
+//! for report in reports_from_json(&text).map_err(std::io::Error::other)? {
+//!     println!(
+//!         "{} on {} (P={}): {:.3}s wall",
+//!         report.algorithm, report.dataset, report.n_threads, report.wall_seconds,
+//!     );
+//!     for ph in &report.phases {
+//!         println!("  {} k={}: {:.4}s imbalance {:.2}", ph.name, ph.k, ph.wall_seconds, ph.imbalance);
+//!     }
+//!     println!(
+//!         "  lock contention: {}/{} acquires contended, {}ns waited",
+//!         report.total(Counter::LeafLockContended),
+//!         report.total(Counter::LeafLockAcquires),
+//!         report.total(Counter::LeafLockWaitNs),
+//!     );
+//! }
+//! # Ok::<(), std::io::Error>(())
+//! ```
 
 use crate::json::{parse, Json};
-use crate::registry::{Counter, MetricsSnapshot, PhaseRecord};
+use crate::registry::{Counter, MetricsSnapshot, PhaseRecord, N_COUNTERS};
 
 /// Schema tag written into every report file.
-pub const SCHEMA: &str = "arm-run-report/v2";
+pub const SCHEMA: &str = "arm-run-report/v3";
 
 /// One phase entry of a report.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -30,7 +54,7 @@ pub struct PhaseReport {
     pub imbalance: f64,
 }
 
-/// Per-thread section: counting work plus this thread's telemetry shard.
+/// Per-thread section: counting work plus this thread's counter row.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThreadReport {
     /// Worker index.
@@ -47,79 +71,8 @@ pub struct ThreadReport {
     pub subset_checks: u64,
     /// Successful candidate hits.
     pub hits: u64,
-    /// Per-leaf build-lock acquisitions.
-    pub lock_acquires: u64,
-    /// Contended build-lock acquisitions.
-    pub lock_contended: u64,
-    /// Nanoseconds waited on contended build locks.
-    pub lock_wait_ns: u64,
-    /// Shared support-counter increments.
-    pub ctr_increments: u64,
-    /// CAS retries across those increments.
-    pub ctr_cas_retries: u64,
-    /// Scheduler chunks this thread claimed and executed.
-    pub chunks_executed: u64,
-    /// Failed CAS iterations on the shared scheduling cursor.
-    pub cursor_cas_retries: u64,
-}
-
-/// Lock/contention totals across threads.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LockReport {
-    /// Total per-leaf build-lock acquisitions.
-    pub leaf_acquires: u64,
-    /// Acquisitions that found the lock held.
-    pub leaf_contended: u64,
-    /// Total nanoseconds waited on held leaf locks.
-    pub leaf_wait_ns: u64,
-    /// Total shared support-counter increments.
-    pub ctr_increments: u64,
-    /// Total CAS retries on shared counters.
-    pub ctr_cas_retries: u64,
-}
-
-/// Scheduling totals across threads (arm-exec chunk pools).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SchedReport {
-    /// Total chunks claimed and executed.
-    pub chunks_executed: u64,
-    /// Failed CAS iterations on shared scheduling cursors.
-    pub cursor_cas_retries: u64,
-}
-
-/// Vertical-mining totals across threads (arm-vertical tidset kernels).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct VerticalReport {
-    /// Tidset joins performed: intersections and diffset differences,
-    /// early-stopped ones included.
-    pub intersections: u64,
-    /// `u64` words ANDed by the bitmap kernel.
-    pub words_anded: u64,
-    /// Bytes of tidset storage materialized (lists, diffsets and bitmaps).
-    pub tidset_bytes: u64,
-}
-
-/// Fault-layer totals across threads (arm-faults cancellation and
-/// injection instrumentation).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultReport {
-    /// Cancellation checkpoints passed at chunk claims.
-    pub cancel_checks: u64,
-    /// Fault-plan injections that fired (nonzero only under chaos tests).
-    pub faults_injected: u64,
-}
-
-/// Allocator/scratch/tree memory totals.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MemReport {
-    /// Bytes of frozen hash trees summed over iterations.
-    pub tree_bytes: u64,
-    /// Reachable frozen-tree nodes summed over iterations.
-    pub tree_nodes: u64,
-    /// Counting scratches allocated (one per thread per tree).
-    pub scratch_allocs: u64,
-    /// Stamp-table bytes sized across iterations.
-    pub scratch_stamp_bytes: u64,
+    /// This thread's registry counters, indexed by `Counter as usize`.
+    pub counters: [u64; N_COUNTERS],
 }
 
 /// One per-iteration entry (mirrors `IterStats`).
@@ -154,30 +107,11 @@ pub struct RunReport {
     pub wall_seconds: f64,
     /// Phases in execution order.
     pub phases: Vec<PhaseReport>,
-    /// Per-thread work and telemetry.
+    /// Per-thread work and counters.
     pub threads: Vec<ThreadReport>,
-    /// Lock/contention totals.
-    pub locks: LockReport,
-    /// Scheduling totals.
-    pub sched: SchedReport,
-    /// Vertical-mining kernel totals.
-    pub vertical: VerticalReport,
-    /// Fault-layer totals.
-    pub faults: FaultReport,
-    /// Memory totals.
-    pub mem: MemReport,
     /// Per-iteration tree/candidate profile.
     pub iters: Vec<IterReport>,
 }
-
-/// Header row matching [`RunReport::phase_csv_rows`].
-pub const PHASE_CSV_HEADER: &str =
-    "algorithm,dataset,n_threads,phase,k,wall_seconds,imbalance,total_work";
-
-/// Header row matching [`RunReport::summary_csv_row`].
-pub const SUMMARY_CSV_HEADER: &str = "algorithm,dataset,n_threads,min_support,wall_seconds,\
-leaf_lock_acquires,leaf_lock_contended,leaf_lock_wait_ns,ctr_increments,\
-ctr_cas_retries,tree_bytes";
 
 impl RunReport {
     /// An empty report carrying only identity fields.
@@ -206,9 +140,9 @@ impl RunReport {
             .collect();
     }
 
-    /// Merges a registry snapshot: sets `metrics_enabled`, fills each
-    /// thread's telemetry fields (growing `threads` if needed), and the
-    /// `locks`/`mem` totals. Work fields in `threads` are left untouched.
+    /// Merges a registry snapshot: sets `metrics_enabled` and copies each
+    /// thread's counter row (growing `threads` if needed; a row the
+    /// snapshot lacks reads zero). Work fields are left untouched.
     pub fn apply_snapshot(&mut self, snap: &MetricsSnapshot) {
         self.metrics_enabled = snap.enabled;
         while self.threads.len() < snap.per_thread.len() {
@@ -218,40 +152,13 @@ impl RunReport {
             });
         }
         for (t, row) in self.threads.iter_mut().enumerate() {
-            row.lock_acquires = snap.get(t, Counter::LeafLockAcquires);
-            row.lock_contended = snap.get(t, Counter::LeafLockContended);
-            row.lock_wait_ns = snap.get(t, Counter::LeafLockWaitNs);
-            row.ctr_increments = snap.get(t, Counter::CtrIncrements);
-            row.ctr_cas_retries = snap.get(t, Counter::CtrCasRetries);
-            row.chunks_executed = snap.get(t, Counter::ChunksExecuted);
-            row.cursor_cas_retries = snap.get(t, Counter::CursorCasRetries);
+            row.counters = snap.per_thread.get(t).copied().unwrap_or_default();
         }
-        self.locks = LockReport {
-            leaf_acquires: snap.total(Counter::LeafLockAcquires),
-            leaf_contended: snap.total(Counter::LeafLockContended),
-            leaf_wait_ns: snap.total(Counter::LeafLockWaitNs),
-            ctr_increments: snap.total(Counter::CtrIncrements),
-            ctr_cas_retries: snap.total(Counter::CtrCasRetries),
-        };
-        self.sched = SchedReport {
-            chunks_executed: snap.total(Counter::ChunksExecuted),
-            cursor_cas_retries: snap.total(Counter::CursorCasRetries),
-        };
-        self.vertical = VerticalReport {
-            intersections: snap.total(Counter::TidsetIntersections),
-            words_anded: snap.total(Counter::TidsetWordsAnded),
-            tidset_bytes: snap.total(Counter::TidsetBytes),
-        };
-        self.faults = FaultReport {
-            cancel_checks: snap.total(Counter::CancelChecks),
-            faults_injected: snap.total(Counter::FaultsInjected),
-        };
-        self.mem = MemReport {
-            tree_bytes: snap.total(Counter::TreeBytes),
-            tree_nodes: snap.total(Counter::TreeNodes),
-            scratch_allocs: snap.total(Counter::ScratchAllocs),
-            scratch_stamp_bytes: snap.total(Counter::ScratchStampBytes),
-        };
+    }
+
+    /// Counter `c` summed over the thread rows.
+    pub fn total(&self, c: Counter) -> u64 {
+        self.threads.iter().map(|t| t.counters[c as usize]).sum()
     }
 
     /// The report as a [`Json`] value.
@@ -270,53 +177,6 @@ impl RunReport {
             (
                 "threads".into(),
                 Json::Arr(self.threads.iter().map(thread_value).collect()),
-            ),
-            (
-                "locks".into(),
-                Json::Obj(vec![
-                    ("leaf_acquires".into(), int(self.locks.leaf_acquires)),
-                    ("leaf_contended".into(), int(self.locks.leaf_contended)),
-                    ("leaf_wait_ns".into(), int(self.locks.leaf_wait_ns)),
-                    ("ctr_increments".into(), int(self.locks.ctr_increments)),
-                    ("ctr_cas_retries".into(), int(self.locks.ctr_cas_retries)),
-                ]),
-            ),
-            (
-                "sched".into(),
-                Json::Obj(vec![
-                    ("chunks_executed".into(), int(self.sched.chunks_executed)),
-                    (
-                        "cursor_cas_retries".into(),
-                        int(self.sched.cursor_cas_retries),
-                    ),
-                ]),
-            ),
-            (
-                "vertical".into(),
-                Json::Obj(vec![
-                    ("intersections".into(), int(self.vertical.intersections)),
-                    ("words_anded".into(), int(self.vertical.words_anded)),
-                    ("tidset_bytes".into(), int(self.vertical.tidset_bytes)),
-                ]),
-            ),
-            (
-                "faults".into(),
-                Json::Obj(vec![
-                    ("cancel_checks".into(), int(self.faults.cancel_checks)),
-                    ("faults_injected".into(), int(self.faults.faults_injected)),
-                ]),
-            ),
-            (
-                "mem".into(),
-                Json::Obj(vec![
-                    ("tree_bytes".into(), int(self.mem.tree_bytes)),
-                    ("tree_nodes".into(), int(self.mem.tree_nodes)),
-                    ("scratch_allocs".into(), int(self.mem.scratch_allocs)),
-                    (
-                        "scratch_stamp_bytes".into(),
-                        int(self.mem.scratch_stamp_bytes),
-                    ),
-                ]),
             ),
             (
                 "iters".into(),
@@ -354,6 +214,11 @@ impl RunReport {
             });
         }
         for t in arr_field(v, "threads")? {
+            let row = t.get("counters").ok_or("missing counters")?;
+            let mut counters = [0; N_COUNTERS];
+            for c in Counter::ALL {
+                counters[c as usize] = u64_field(row, c.name())?;
+            }
             r.threads.push(ThreadReport {
                 id: u64_field(t, "id")? as usize,
                 work_units: u64_field(t, "work_units")?,
@@ -362,46 +227,9 @@ impl RunReport {
                 leaf_scans: u64_field(t, "leaf_scans")?,
                 subset_checks: u64_field(t, "subset_checks")?,
                 hits: u64_field(t, "hits")?,
-                lock_acquires: u64_field(t, "lock_acquires")?,
-                lock_contended: u64_field(t, "lock_contended")?,
-                lock_wait_ns: u64_field(t, "lock_wait_ns")?,
-                ctr_increments: u64_field(t, "ctr_increments")?,
-                ctr_cas_retries: u64_field(t, "ctr_cas_retries")?,
-                chunks_executed: u64_field(t, "chunks_executed")?,
-                cursor_cas_retries: u64_field(t, "cursor_cas_retries")?,
+                counters,
             });
         }
-        let l = v.get("locks").ok_or("missing locks")?;
-        r.locks = LockReport {
-            leaf_acquires: u64_field(l, "leaf_acquires")?,
-            leaf_contended: u64_field(l, "leaf_contended")?,
-            leaf_wait_ns: u64_field(l, "leaf_wait_ns")?,
-            ctr_increments: u64_field(l, "ctr_increments")?,
-            ctr_cas_retries: u64_field(l, "ctr_cas_retries")?,
-        };
-        let s = v.get("sched").ok_or("missing sched")?;
-        r.sched = SchedReport {
-            chunks_executed: u64_field(s, "chunks_executed")?,
-            cursor_cas_retries: u64_field(s, "cursor_cas_retries")?,
-        };
-        let s = v.get("vertical").ok_or("missing vertical")?;
-        r.vertical = VerticalReport {
-            intersections: u64_field(s, "intersections")?,
-            words_anded: u64_field(s, "words_anded")?,
-            tidset_bytes: u64_field(s, "tidset_bytes")?,
-        };
-        let s = v.get("faults").ok_or("missing faults")?;
-        r.faults = FaultReport {
-            cancel_checks: u64_field(s, "cancel_checks")?,
-            faults_injected: u64_field(s, "faults_injected")?,
-        };
-        let m = v.get("mem").ok_or("missing mem")?;
-        r.mem = MemReport {
-            tree_bytes: u64_field(m, "tree_bytes")?,
-            tree_nodes: u64_field(m, "tree_nodes")?,
-            scratch_allocs: u64_field(m, "scratch_allocs")?,
-            scratch_stamp_bytes: u64_field(m, "scratch_stamp_bytes")?,
-        };
         for it in arr_field(v, "iters")? {
             r.iters.push(IterReport {
                 k: u64_field(it, "k")? as u32,
@@ -417,44 +245,6 @@ impl RunReport {
     /// Parses a single-report JSON document.
     pub fn from_json(text: &str) -> Result<RunReport, String> {
         RunReport::from_value(&parse(text)?)
-    }
-
-    /// One CSV row per phase ([`PHASE_CSV_HEADER`]).
-    pub fn phase_csv_rows(&self) -> Vec<String> {
-        self.phases
-            .iter()
-            .map(|p| {
-                format!(
-                    "{},{},{},{},{},{:.6},{:.4},{}",
-                    self.algorithm,
-                    self.dataset,
-                    self.n_threads,
-                    p.name,
-                    p.k,
-                    p.wall_seconds,
-                    p.imbalance,
-                    p.thread_work.iter().sum::<u64>()
-                )
-            })
-            .collect()
-    }
-
-    /// One CSV row summarizing the run ([`SUMMARY_CSV_HEADER`]).
-    pub fn summary_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{:.6},{},{},{},{},{},{}",
-            self.algorithm,
-            self.dataset,
-            self.n_threads,
-            self.min_support,
-            self.wall_seconds,
-            self.locks.leaf_acquires,
-            self.locks.leaf_contended,
-            self.locks.leaf_wait_ns,
-            self.locks.ctr_increments,
-            self.locks.ctr_cas_retries,
-            self.mem.tree_bytes
-        )
     }
 }
 
@@ -508,6 +298,9 @@ fn phase_value(p: &PhaseReport) -> Json {
 }
 
 fn thread_value(t: &ThreadReport) -> Json {
+    let counters = Counter::ALL
+        .iter()
+        .map(|&c| (c.name().into(), int(t.counters[c as usize])));
     Json::Obj(vec![
         ("id".into(), int(t.id as u64)),
         ("work_units".into(), int(t.work_units)),
@@ -516,13 +309,7 @@ fn thread_value(t: &ThreadReport) -> Json {
         ("leaf_scans".into(), int(t.leaf_scans)),
         ("subset_checks".into(), int(t.subset_checks)),
         ("hits".into(), int(t.hits)),
-        ("lock_acquires".into(), int(t.lock_acquires)),
-        ("lock_contended".into(), int(t.lock_contended)),
-        ("lock_wait_ns".into(), int(t.lock_wait_ns)),
-        ("ctr_increments".into(), int(t.ctr_increments)),
-        ("ctr_cas_retries".into(), int(t.ctr_cas_retries)),
-        ("chunks_executed".into(), int(t.chunks_executed)),
-        ("cursor_cas_retries".into(), int(t.cursor_cas_retries)),
+        ("counters".into(), Json::Obj(counters.collect())),
     ])
 }
 
@@ -605,24 +392,13 @@ mod tests {
                 ..ThreadReport::default()
             },
         ];
-        r.locks.leaf_acquires = 123;
-        r.locks.leaf_contended = 4;
-        r.threads[0].chunks_executed = 5;
-        r.threads[1].cursor_cas_retries = 2;
-        r.sched = SchedReport {
-            chunks_executed: 9,
-            cursor_cas_retries: 2,
-        };
-        r.vertical = VerticalReport {
-            intersections: 17,
-            words_anded: 340,
-            tidset_bytes: 2048,
-        };
-        r.faults = FaultReport {
-            cancel_checks: 42,
-            faults_injected: 1,
-        };
-        r.mem.tree_bytes = 4096;
+        // Every counter distinct and nonzero, so a key swapped or dropped
+        // on either side of the round trip shows.
+        for (t, row) in r.threads.iter_mut().enumerate() {
+            for (i, v) in row.counters.iter_mut().enumerate() {
+                *v = (100 * t + i + 1) as u64;
+            }
+        }
         r.iters = vec![IterReport {
             k: 2,
             n_candidates: 6,
@@ -667,39 +443,32 @@ mod tests {
     fn apply_snapshot_fills_threads_and_totals() {
         let mut snap = MetricsSnapshot {
             enabled: true,
-            per_thread: vec![[0; crate::registry::N_COUNTERS]; 2],
+            per_thread: vec![[0; N_COUNTERS]; 2],
         };
-        snap.per_thread[0][Counter::LeafLockAcquires as usize] = 10;
-        snap.per_thread[1][Counter::LeafLockAcquires as usize] = 20;
-        snap.per_thread[1][Counter::LeafLockContended as usize] = 3;
-        snap.per_thread[0][Counter::TreeBytes as usize] = 100;
+        for (t, row) in snap.per_thread.iter_mut().enumerate() {
+            for (i, v) in row.iter_mut().enumerate() {
+                *v = (10 * t + i) as u64;
+            }
+        }
         let mut r = RunReport::new("ccpd", "d", 2, 1);
         r.apply_snapshot(&snap);
         assert!(r.metrics_enabled);
         assert_eq!(r.threads.len(), 2);
-        assert_eq!(r.threads[0].lock_acquires, 10);
-        assert_eq!(r.threads[1].lock_acquires, 20);
-        assert_eq!(r.locks.leaf_acquires, 30);
-        assert_eq!(r.locks.leaf_contended, 3);
-        assert_eq!(r.mem.tree_bytes, 100);
-        // Pre-existing work fields survive.
+        assert_eq!(r.threads[1].counters, snap.per_thread[1]);
+        for c in Counter::ALL {
+            assert_eq!(r.total(c), snap.total(c), "{c:?}");
+        }
+        // Pre-existing work fields survive; rows beyond the snapshot read
+        // zero, so the totals still match it.
         let mut r2 = sample();
+        r2.threads.push(r2.threads[1].clone());
         r2.apply_snapshot(&snap);
         assert_eq!(r2.threads[0].work_units, 90);
-        assert_eq!(r2.threads[0].lock_acquires, 10);
-    }
-
-    #[test]
-    fn csv_rows_match_headers() {
-        let r = sample();
-        let header_cols = PHASE_CSV_HEADER.split(',').count();
-        for row in r.phase_csv_rows() {
-            assert_eq!(row.split(',').count(), header_cols, "{row}");
+        assert_eq!(r2.threads[0].counters, snap.per_thread[0]);
+        assert_eq!(r2.threads[2].counters, [0; N_COUNTERS]);
+        for c in Counter::ALL {
+            assert_eq!(r2.total(c), snap.total(c), "{c:?}");
         }
-        assert_eq!(
-            r.summary_csv_row().split(',').count(),
-            SUMMARY_CSV_HEADER.split(',').count()
-        );
     }
 
     #[test]
@@ -707,16 +476,23 @@ mod tests {
         assert!(RunReport::from_json("{}").is_err());
         assert!(RunReport::from_json("[1, 2]").is_err());
         assert!(reports_from_json("{\"reports\": 5}").is_err());
-        // v2 has no pre-section read path: every section is required.
-        for section in ["sched", "vertical", "faults"] {
-            let Json::Obj(fields) = sample().to_value() else {
+        // Each counter key of a thread row is required.
+        for c in Counter::ALL {
+            let Json::Obj(mut fields) = sample().to_value() else {
                 unreachable!()
             };
-            let kept = fields.into_iter().filter(|(k, _)| k != section).collect();
-            assert!(
-                RunReport::from_value(&Json::Obj(kept)).is_err(),
-                "{section}"
-            );
+            let Some((_, Json::Arr(threads))) = fields.iter_mut().find(|(k, _)| k == "threads")
+            else {
+                panic!("no threads array")
+            };
+            let Json::Obj(thread) = &mut threads[1] else {
+                unreachable!()
+            };
+            let Some((_, Json::Obj(row))) = thread.iter_mut().find(|(k, _)| k == "counters") else {
+                panic!("no counters object")
+            };
+            row.retain(|(k, _)| k != c.name());
+            assert!(RunReport::from_value(&Json::Obj(fields)).is_err(), "{c:?}");
         }
     }
 }

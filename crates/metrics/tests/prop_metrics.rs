@@ -4,8 +4,8 @@
 //! the parser (parse → pretty → parse is the identity).
 
 use arm_metrics::{
-    json::parse, reports_from_json, reports_to_json, FaultReport, IterReport, Json, LockReport,
-    MemReport, PhaseReport, RunReport, SchedReport, ThreadReport, VerticalReport,
+    json::parse, reports_from_json, reports_to_json, IterReport, Json, PhaseReport, RunReport,
+    ThreadReport, N_COUNTERS,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -56,8 +56,7 @@ proptest! {
         scalars in (0usize..64, 0u32..1_000_000, any::<bool>()),
         wall_seconds in 0.0f64..1.0e9,
         phases in vec((0usize..NAMES.len(), 1u32..16, vec(0u64..MAX_INT, 0..5)), 0..6),
-        threads in vec(vec(0u64..MAX_INT, 13), 0..5),
-        lock_mem in vec(0u64..MAX_INT, 16),
+        threads in vec((vec(0u64..MAX_INT, 6), vec(0u64..MAX_INT, N_COUNTERS)), 0..5),
         iters in vec((1u32..16, vec(0u64..MAX_INT, 4)), 0..6),
         phase_floats in vec(0.0f64..1.0e6, 12),
     ) {
@@ -83,7 +82,7 @@ proptest! {
             threads: threads
                 .iter()
                 .enumerate()
-                .map(|(id, v)| ThreadReport {
+                .map(|(id, (v, counters))| ThreadReport {
                     id,
                     work_units: v[0],
                     txns: v[1],
@@ -91,41 +90,9 @@ proptest! {
                     leaf_scans: v[3],
                     subset_checks: v[4],
                     hits: v[5],
-                    lock_acquires: v[6],
-                    lock_contended: v[7],
-                    lock_wait_ns: v[8],
-                    ctr_increments: v[9],
-                    ctr_cas_retries: v[10],
-                    chunks_executed: v[11],
-                    cursor_cas_retries: v[12],
+                    counters: counters.as_slice().try_into().unwrap(),
                 })
                 .collect(),
-            locks: LockReport {
-                leaf_acquires: lock_mem[0],
-                leaf_contended: lock_mem[1],
-                leaf_wait_ns: lock_mem[2],
-                ctr_increments: lock_mem[3],
-                ctr_cas_retries: lock_mem[4],
-            },
-            sched: SchedReport {
-                chunks_executed: lock_mem[9],
-                cursor_cas_retries: lock_mem[10],
-            },
-            vertical: VerticalReport {
-                intersections: lock_mem[11],
-                words_anded: lock_mem[12],
-                tidset_bytes: lock_mem[13],
-            },
-            faults: FaultReport {
-                cancel_checks: lock_mem[14],
-                faults_injected: lock_mem[15],
-            },
-            mem: MemReport {
-                tree_bytes: lock_mem[5],
-                tree_nodes: lock_mem[6],
-                scratch_allocs: lock_mem[7],
-                scratch_stamp_bytes: lock_mem[8],
-            },
             iters: iters
                 .iter()
                 .map(|(k, v)| IterReport {

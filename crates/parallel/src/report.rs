@@ -4,7 +4,7 @@
 //! [`run_report`] folds the three artifacts a driver hands back — the
 //! [`MiningResult`], the [`ParallelRunStats`] (phases + work meters), and
 //! the embedded [`arm_metrics::MetricsSnapshot`] — into one report that
-//! serializes to the `arm-run-report/v2` JSON schema. The bench binaries
+//! serializes to the `arm-run-report/v3` JSON schema. The bench binaries
 //! use this to emit comparable reports for every figure.
 
 use arm_core::{MiningResult, ParallelRunStats};
@@ -15,8 +15,8 @@ use arm_metrics::{IterReport, RunReport, ThreadReport};
 /// `algorithm` and `dataset` are free-form labels (e.g. `"ccpd"` and
 /// `"T10.I4.D800K"`); everything else is read from the run artifacts.
 /// Per-thread *work* fields come from the run's merged counting meters;
-/// per-thread *telemetry* fields (locks, CAS retries) come from the
-/// metrics snapshot and are all-zero when the `metrics` feature is off.
+/// each thread's `counters` row comes from the metrics snapshot and is
+/// all-zero when the `metrics` feature is off.
 pub fn run_report(
     algorithm: &str,
     dataset: &str,
@@ -61,7 +61,7 @@ mod tests {
     use super::*;
     use arm_core::{ccpd, AprioriConfig, ParallelConfig, Support};
     use arm_dataset::Database;
-    use arm_metrics::MetricsRegistry;
+    use arm_metrics::{Counter, Json, MetricsRegistry};
 
     #[test]
     fn report_captures_run_shape() {
@@ -76,38 +76,63 @@ mod tests {
         )
         .unwrap();
         // The hash-tree path, whose shared build takes the per-leaf locks
-        // the report's lock telemetry counts.
+        // the report's lock counters count, and the default array path,
+        // which builds no tree.
+        for pair_array in [false, true] {
+            let base = AprioriConfig {
+                min_support: Support::Absolute(2),
+                leaf_threshold: 2,
+                pair_array,
+                ..AprioriConfig::default()
+            };
+            let (result, stats) = ccpd::mine(&db, &ParallelConfig::new(base, 2));
+            let report = run_report("ccpd", "paper-example", &result, &stats);
+
+            assert_eq!(report.algorithm, "ccpd");
+            assert_eq!(report.n_threads, 2);
+            assert_eq!(report.min_support, 2);
+            assert_eq!(report.metrics_enabled, MetricsRegistry::enabled());
+            assert!(report.phases.iter().any(|p| p.name == "count"));
+            assert!(report.phases.iter().any(|p| p.name == "f1"));
+            assert_eq!(report.threads.len(), 2);
+            assert!(report.threads.iter().any(|t| t.txns > 0));
+            assert_eq!(report.iters.len(), result.iter_stats.len());
+            assert!(report.wall_seconds > 0.0);
+            for c in Counter::ALL {
+                assert_eq!(report.total(c), stats.metrics.total(c), "{c:?}");
+            }
+            let tree = !pair_array && MetricsRegistry::enabled();
+            // Every per-leaf lock acquisition of the shared-tree build
+            // shows up in the thread rows; the array path takes none.
+            assert_eq!(report.total(Counter::LeafLockAcquires) > 0, tree);
+            assert_eq!(report.total(Counter::TreeBytes) > 0, tree);
+
+            // The report survives a JSON round trip byte-identically.
+            let json = report.to_json();
+            let back = RunReport::from_json(&json).unwrap();
+            assert_eq!(back, report);
+        }
+    }
+
+    #[test]
+    fn json_thread_counters_follow_counter_order() {
+        let db =
+            Database::from_transactions(4, [vec![0u32, 1], vec![0, 1, 2], vec![1, 2]]).unwrap();
         let base = AprioriConfig {
             min_support: Support::Absolute(2),
-            leaf_threshold: 2,
-            pair_array: false,
             ..AprioriConfig::default()
         };
         let (result, stats) = ccpd::mine(&db, &ParallelConfig::new(base, 2));
-        let report = run_report("ccpd", "paper-example", &result, &stats);
-
-        assert_eq!(report.algorithm, "ccpd");
-        assert_eq!(report.n_threads, 2);
-        assert_eq!(report.min_support, 2);
-        assert_eq!(report.metrics_enabled, MetricsRegistry::enabled());
-        assert!(report.phases.iter().any(|p| p.name == "count"));
-        assert!(report.phases.iter().any(|p| p.name == "f1"));
-        assert_eq!(report.threads.len(), 2);
-        assert!(report.threads.iter().any(|t| t.txns > 0));
-        assert_eq!(report.iters.len(), result.iter_stats.len());
-        assert!(report.wall_seconds > 0.0);
-        if MetricsRegistry::enabled() {
-            // The shared-tree build takes per-leaf locks; every acquisition
-            // must show up in the per-thread telemetry.
-            assert!(report.locks.leaf_acquires > 0);
-            assert!(report.mem.tree_bytes > 0);
-        } else {
-            assert_eq!(report.locks.leaf_acquires, 0);
+        let value =
+            arm_metrics::json::parse(&run_report("ccpd", "d", &result, &stats).to_json()).unwrap();
+        let threads = value.get("threads").and_then(Json::as_arr).unwrap();
+        assert_eq!(threads.len(), 2);
+        for t in threads {
+            let Some(Json::Obj(row)) = t.get("counters") else {
+                panic!("thread without a counters object")
+            };
+            let keys: Vec<&str> = row.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, Counter::ALL.map(Counter::name));
         }
-
-        // The report survives a JSON round trip byte-identically.
-        let json = report.to_json();
-        let back = RunReport::from_json(&json).unwrap();
-        assert_eq!(back, report);
     }
 }

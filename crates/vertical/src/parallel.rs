@@ -83,7 +83,8 @@ pub fn mine_hybrid(
 }
 
 /// Parallel Eclat over `n_threads` workers: a [`MiningResult`] whose
-/// levels equal CCPD's (no `iter_stats`), and the run's stats. Under the
+/// levels equal CCPD's (no `iter_stats`), and the run's stats, whose
+/// `count_meters` are the `count` phase's pair-count meters. Under the
 /// [`RunControl`], cancellation is observed per transpose block, per
 /// pair-count chunk and per class-range claim, worker panics return as
 /// [`MiningError::WorkerPanicked`], and fault-plan sites fire in phases
@@ -165,6 +166,7 @@ fn mine_parallel_impl(
     let min_support = min_support.max(1);
     let metrics = MetricsRegistry::new(p);
     let mut levels = Vec::new();
+    let mut count_meters = vec![WorkMeter::default(); p];
     if max_k != Some(0) {
         let span = metrics.phase("transpose", 1);
         let (tidlists, transpose_work) = try_transpose(db, p, ctrl)?;
@@ -203,6 +205,7 @@ fn mine_parallel_impl(
                     ctrl.gate("count", run_start)?;
                     let counts = reduce_into_first(arrays).expect("one array per thread");
                     span.finish(meters.iter().map(WorkMeter::work_units).collect());
+                    count_meters = meters;
                     Some((index, counts))
                 }
                 None => None,
@@ -300,7 +303,7 @@ fn mine_parallel_impl(
         n_threads: p,
         phases: metrics.take_phases(),
         wall: run_start.elapsed(),
-        count_meters: vec![WorkMeter::default(); p],
+        count_meters,
         metrics: metrics.snapshot(),
     };
     let result = MiningResult {

@@ -19,7 +19,7 @@
 //! | [`parallel`] | the PCCD baseline, run reports, the CCPD driver's paths |
 //! | [`vertical`] | tidset (Eclat) mining: bitmap/list backends, the parallel driver (same `MiningResult` as CCPD) |
 //! | [`faults`] | cancellation tokens, deadline/fault injection, panic-contained `try_mine_*` errors |
-//! | [`metrics`] | phase timers, lock/counter telemetry, `RunReport` JSON/CSV |
+//! | [`metrics`] | phase timers, lock/counter telemetry, `RunReport` JSON |
 //!
 //! ## Quickstart
 //!

@@ -328,3 +328,42 @@ fn vertical_miners_agree_with_apriori_on_twenty_datasets() {
         );
     }
 }
+
+/// Eclat's `count` phase and CCPD's `k = 2` pass both run `count_pairs`
+/// over the same `F_1`, so Eclat's per-thread count meters must sum to
+/// CCPD's `k = 2` hits (pair increments) at any thread count.
+#[test]
+fn eclat_count_meters_match_ccpd_pair_hits() {
+    let paper = Database::from_transactions(
+        8,
+        [
+            vec![1u32, 4, 5],
+            vec![1, 2],
+            vec![3, 4, 5],
+            vec![1, 2, 4, 5],
+        ],
+    )
+    .unwrap();
+    let quest = dataset(0);
+    let quest_minsup = quest.absolute_support(FRACTION);
+    for (db, minsup) in [(paper, 2), (quest, quest_minsup)] {
+        let base = AprioriConfig {
+            min_support: Support::Absolute(minsup),
+            ..AprioriConfig::default()
+        };
+        for p in [1usize, 2] {
+            let ctrl = RunControl::default();
+            let (ccpd_r, _) =
+                ccpd::try_mine(&db, &ParallelConfig::new(base.clone(), p), &ctrl).unwrap();
+            assert!(ccpd_r.levels[0].len() >= 2, "|F_1| < 2");
+            assert_eq!(ccpd_r.iter_stats[1].k, 2);
+            let want = ccpd_r.iter_stats[1].meter.hits;
+            assert!(want > 0);
+            let vc = VerticalConfig::default();
+            let (_, stats) = try_mine_eclat_parallel(&db, minsup, None, &vc, p, &ctrl).unwrap();
+            assert_eq!(stats.count_meters.len(), p);
+            let hits: u64 = stats.count_meters.iter().map(|m| m.hits).sum();
+            assert_eq!(hits, want, "P={p} minsup={minsup}");
+        }
+    }
+}
